@@ -143,16 +143,21 @@ def _edge_sign_in(tri, e) -> int:
     return sign_triangle_edge(tri, tuple(sorted(e)))
 
 
+def _clear_denominators(vec) -> list[int]:
+    """Scale a rational vector by the lcm of its denominators to integers."""
+    fracs = [Fraction(v) for v in vec]
+    den = 1
+    for f in fracs:
+        den = den * f.denominator // gcd(den, f.denominator)
+    return [int(f * den) for f in fracs]
+
+
 def eigvec_residual(matrix: np.ndarray, vec, eigenvalue: int) -> bool:
     """True iff matrix @ vec == eigenvalue * vec exactly, in integer arithmetic.
 
     Denominators are cleared first, so the comparison is between integers.
     """
-    fracs = [Fraction(v) for v in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
+    ints = _clear_denominators(vec)
     m = np.asarray(matrix)
     prod = [sum(int(m[r, c]) * ints[c] for c in range(len(ints))) for r in range(m.shape[0])]
     return prod == [eigenvalue * v for v in ints]
@@ -160,14 +165,7 @@ def eigvec_residual(matrix: np.ndarray, vec, eigenvalue: int) -> bool:
 
 def eigvec_matrix(vectors) -> np.ndarray:
     """Stack rational vectors into an integer matrix by clearing denominators row-wise."""
-    rows = []
-    for vec in vectors:
-        fracs = [Fraction(v) for v in vec]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        rows.append([int(f * den) for f in fracs])
-    return np.array(rows, dtype=object)
+    return np.array([_clear_denominators(vec) for vec in vectors], dtype=object)
 
 
 @dataclass(frozen=True)

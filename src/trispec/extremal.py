@@ -12,12 +12,14 @@ nodes of the tree may be disconnected.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Sequence
 
+from . import __version__
 from .families import (
     TriangleFamily,
     disjoint_union,
@@ -517,24 +519,35 @@ def _parse_prefix(text: str) -> tuple:
 
 
 class _Checkpoint:
-    """Plain-text resume file: done depth-2 prefixes plus incumbent comments."""
+    """Plain-text resume file: a header naming the search it belongs to,
+    incumbent comments, then the done depth-2 prefixes.
 
-    def __init__(self, path):
+    A file from another budget, vertex cap, prune setting or version (or
+    one without a header) is refused, since reusing it would skip subtrees
+    that were never searched for this budget.
+    """
+
+    def __init__(self, path, t: int, cap: int, prune: bool):
         self.path = path
+        self.header = f"# trispec-checkpoint t={t} cap={cap} prune={int(prune)} version={__version__}"
         self.done: set[tuple] = set()
         self.best: dict[int, tuple[float, tuple]] = {}
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if line.startswith("#"):
-                        self._parse_comment(line)
-                    else:
-                        self.done.add(_parse_prefix(line))
+                lines = [line.strip() for line in handle]
         except FileNotFoundError:
-            pass
+            return
+        found = lines[0] if lines else "an empty file"
+        if found != self.header:
+            raise ValueError(
+                f"checkpoint {path} belongs to another search: "
+                f"expected {self.header!r}, found {found!r}"
+            )
+        for line in lines[1:]:
+            if line.startswith("#"):
+                self._parse_comment(line)
+            elif line:
+                self.done.add(_parse_prefix(line))
 
     def _parse_comment(self, line: str) -> None:
         parts = dict(
@@ -546,14 +559,18 @@ class _Checkpoint:
             self.best[s] = (float(parts["lambda"]), tris)
 
     def write(self, best: dict[int, tuple[float, tuple]]) -> None:
-        lines = []
+        lines = [self.header + "\n"]
         for s in sorted(best):
             lam, tris = best[s]
             wit = "|".join(",".join(str(v) for v in tri) for tri in tris)
             lines.append(f"# s={s} lambda={lam!r} witness={wit}\n")
         lines.extend(_format_prefix(p) + "\n" for p in sorted(self.done))
-        with open(self.path, "w", encoding="utf-8") as handle:
+        # Write beside the target and rename, so an interrupted write leaves
+        # the previous checkpoint intact.
+        tmp = f"{self.path}.tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
+        os.replace(tmp, self.path)
 
 
 def _phi_sweep(
@@ -572,7 +589,7 @@ def _phi_sweep(
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
 
     best: dict[int, tuple[float, tuple]] = {}
-    ckpt = _Checkpoint(checkpoint) if checkpoint else None
+    ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
     if ckpt:
         best.update(ckpt.best)
 

@@ -108,9 +108,6 @@ class SupportGraph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def neighbors(self, v: int) -> set[int]:
-        return {u for e in self.edges for u in e if v in e and u != v}
-
 
 def support_graph(family: TriangleFamily) -> SupportGraph:
     if len(family) == 0:
@@ -220,11 +217,6 @@ def family_to_text(family: TriangleFamily) -> str:
 def load_family(path) -> TriangleFamily:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_family(handle.read())
-
-
-def save_family(family: TriangleFamily, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(family_to_text(family))
 
 
 def random_family(

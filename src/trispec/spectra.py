@@ -6,9 +6,11 @@ Gram forms).  Zero/positive separation is decided by exact rank of the
 integer boundary factor, never by thresholding the floating spectrum; a
 zero band of 1e-7 * (1 + lambda_max) is kept as a sanity assertion only.
 
-Everything is computed per connected component of the support graph: all
-five Laplacians are block-diagonal across components, so merging block
-spectra is exact and keeps the dense eigensolver on small matrices.
+Eigenvalues come from LAPACK ``eigvalsh``; exact rank decides how many of
+them are zero, so the solver only has to be accurate.  Everything is
+computed per connected component of the support graph: all five
+Laplacians are block-diagonal across components, so merging block spectra
+is exact and keeps the dense eigensolver on small matrices.
 """
 
 from __future__ import annotations
@@ -30,72 +32,28 @@ from .incidence import build_delta0, build_delta1, exact_rank
 ZERO_BAND_COEFF = 1e-7
 PSD_TOL_COEFF = 1e-9
 MIN_GAP_TOL = 1e-7
-_CONVERGENCE_COEFF = 1e-12
-_MAX_SWEEPS = 100
 
 
 class SpectralError(RuntimeError):
-    """Numerical failure: non-convergence or an inconsistent spectrum."""
+    """Numerical failure: a failed eigensolve or an inconsistent spectrum."""
 
 
-def eigenvalues_symmetric(matrix, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi.
+def eigenvalues_symmetric(matrix) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending, by LAPACK ``eigvalsh``.
 
-    Sweeps run in fixed row order (p < q) until the off-diagonal Frobenius
-    norm drops below 1e-12 * (1 + diagonal norm).  Rotations already below
-    a per-element share of that target are skipped; a full sweep of skips
-    therefore implies convergence, so the loop cannot stall silently.
+    Non-square or asymmetric input is a ValueError; a LAPACK failure is a
+    SpectralError, so it reports as a numerical failure, not a usage error.
     """
-    a = np.array(getattr(matrix, "data", matrix), dtype=float)
+    a = np.asarray(getattr(matrix, "data", matrix), dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eigenvalues_symmetric expects a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        return np.empty(0)
-    asym = float(np.abs(a - a.T).max())
+    asym = float(np.abs(a - a.T).max(initial=0.0))
     if asym >= 1e-12:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
-    if n == 1:
-        return a.diagonal().copy()
-
-    target = _CONVERGENCE_COEFF * (1.0 + math.sqrt(float(np.sum(a.diagonal() ** 2))))
-    skip = target / (10.0 * n)
-    for _ in range(max_sweeps):
-        off = _off_norm(a)
-        if off < target:
-            return np.sort(a.diagonal().copy())
-        for p in range(n - 1):
-            row_p = a[p]
-            for q in range(p + 1, n):
-                apq = row_p[q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    raise SpectralError(
-        f"Jacobi did not converge in {max_sweeps} sweeps; off-diagonal norm {_off_norm(a):.3e}"
-    )
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # Summing the off-diagonal squares directly avoids the cancellation that
-    # |A|_F^2 - |diag|_F^2 suffers once the off part is near roundoff.
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"eigvalsh failed: {exc}") from exc
 
 
 def zero_band(eigenvalues: Sequence[float]) -> float:
@@ -116,23 +74,6 @@ def _check_bands(eigs: np.ndarray, nullity: int, context: str) -> None:
             f"{context}: eigenvalue at the first positive index {nullity} "
             f"({eigs[nullity]:.3e}) sits inside the zero band"
         )
-
-
-def lambda_min_plus(gram, factor) -> float:
-    """Smallest positive eigenvalue of a PSD Gram matrix with known factor.
-
-    `gram` must equal F^T F or F F^T for the integer matrix `factor`; its
-    nullity is dim - exact_rank(factor).
-    """
-    eigs = eigenvalues_symmetric(gram)
-    rank = exact_rank(factor)
-    if rank == 0:
-        raise SpectralError("matrix has no positive eigenvalue")
-    nullity = len(eigs) - rank
-    if nullity < 0:
-        raise SpectralError("factor rank exceeds the Gram dimension; wrong factor?")
-    _check_bands(eigs, nullity, "lambda_min_plus")
-    return float(eigs[nullity])
 
 
 @dataclass(frozen=True)
@@ -186,7 +127,11 @@ def _component_families(family: TriangleFamily) -> list[TriangleFamily]:
 
 
 def _block_data(family: TriangleFamily):
-    """Per-component boundary matrices and exact ranks."""
+    """Per-component boundary matrices and ranks.
+
+    Each block is one connected component, so rank(d0) is vertices - 1;
+    rank(d1) needs exact elimination.
+    """
     blocks = []
     for part in _component_families(family):
         graph = support_graph(part)
@@ -199,7 +144,7 @@ def _block_data(family: TriangleFamily):
                 "vertices": d0.shape[1],
                 "d0": d0,
                 "d1": d1,
-                "rank0": exact_rank(d0),
+                "rank0": d0.shape[1] - 1,
                 "rank1": exact_rank(d1),
             }
         )
@@ -285,7 +230,8 @@ class MinGapCheck:
 
 
 def verify_min_gap(family: TriangleFamily, tol: float = MIN_GAP_TOL) -> MinGapCheck:
-    """Check lambda_min_plus(L1_total) == min(lambda_min_plus(L0), lambda)."""
+    """Check that the smallest positive eigenvalue of L1_total equals the
+    smaller of lambda and the smallest positive eigenvalue of L0."""
     report = spectral_report(family)
     lhs = report.lambda_min_plus_l1_total
     rhs = min(report.lambda_min_plus_l0, report.lam)

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from trispec import eigenvalues_symmetric, read_matrix_market
-from trispec.cli import _worker_count, main
+from trispec import cli, eigenvalues_symmetric, extremal, read_matrix_market, spectra
+from trispec.cli import main
 
 
 def run(capsys, *argv):
@@ -93,20 +93,6 @@ def test_verify_rigidity_range(capsys):
     assert "suite=rigidity checks=6 failures=0" in out
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("TRISPEC_THREADS", "2")
-    assert _worker_count() == 2
-    monkeypatch.delenv("TRISPEC_THREADS")
-    assert _worker_count() >= 1
-
-
-def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("TRISPEC_THREADS", "abc")
-    code, _, err = run(capsys, "verify", "gcb", "--c", "3..3", "--b", "1..1")
-    assert code == 2
-    assert "TRISPEC_THREADS" in err
-
-
 def test_phi_subcommand_writes_json(tmp_path, capsys):
     out_path = tmp_path / "phi3.json"
     code, out, _ = run(capsys, "phi", "3", "--json", str(out_path))
@@ -115,6 +101,46 @@ def test_phi_subcommand_writes_json(tmp_path, capsys):
     assert shown["phi"] == pytest.approx(3.0)
     assert shown["exhaustive"] is True
     assert json.loads(out_path.read_text()) == shown
+
+
+def test_phi_refuses_checkpoint_of_another_budget(tmp_path, capsys):
+    path = str(tmp_path / "phi.ckpt")
+    assert run(capsys, "phi", "3", "--checkpoint", path)[0] == 0
+    code, _, err = run(capsys, "phi", "4", "--checkpoint", path)
+    assert code == 2
+    assert "another search" in err
+
+
+def test_eigensolver_failure_is_numerical_exit(capsys, monkeypatch):
+    def fail(_matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, _, err = run(capsys, "lambda", "kn:4")
+    assert code == 3
+    assert "numerical failure" in err
+
+
+def test_manifest_tolerances_are_the_values_in_force(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "run.json"
+    assert run(capsys, "lambda", "kn:4", "--manifest", str(path))[0] == 0
+    tolerances = json.loads(path.read_text())["tolerances"]
+    assert tolerances == {
+        "eigenvalue_abs": cli.TOLERANCES["eigenvalue_abs"],
+        "cluster_radius": cli.TOLERANCES["cluster_radius"],
+        "min_gap": spectra.MIN_GAP_TOL,
+        "ceil_guard": extremal.CEIL_GUARD,
+    }
+    # The suites read their thresholds from the same dict the manifest records.
+    monkeypatch.setitem(cli.TOLERANCES, "eigenvalue_abs", -1.0)
+    code, out, _ = run(capsys, "verify", "hodge", "--seed", "3", "--random", "1")
+    assert code == 1
+    assert "FAIL hodge random:0 up/down spectra" in out
+    monkeypatch.setitem(cli.TOLERANCES, "eigenvalue_abs", 1e-8)
+    monkeypatch.setitem(cli.TOLERANCES, "cluster_radius", -1.0)
+    code, out, _ = run(capsys, "verify", "gcb", "--c", "3", "--b", "2")
+    assert code == 1
+    assert "FAIL gcb gcb:3,2 spectrum" in out
 
 
 def test_export_round_trip(tmp_path, capsys):

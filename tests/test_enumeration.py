@@ -1,4 +1,5 @@
 import math
+import os
 from itertools import combinations, permutations
 
 import pytest
@@ -158,6 +159,31 @@ def test_phi_checkpoint_resume(tmp_path):
     assert abs(again.phi - want.phi) < 1e-9
     text = path.read_text()
     assert "lambda=" in text and "|" in text
+
+
+def test_checkpoint_of_another_budget_is_refused(tmp_path):
+    path = str(tmp_path / "phi.ckpt")
+    assert phi_exact(3, checkpoint=path).phi == pytest.approx(3.0)
+    with pytest.raises(ValueError, match="another search"):
+        phi_exact(4, checkpoint=path)
+    with pytest.raises(ValueError, match="another search"):
+        phi_exact(3, prune=False, checkpoint=path)
+    assert phi_exact(4).phi == pytest.approx(4.0)
+
+
+def test_checkpoint_without_header_is_refused(tmp_path):
+    path = tmp_path / "phi.ckpt"
+    path.write_text("1,2,3;1,2,4\n")
+    with pytest.raises(ValueError, match="another search"):
+        phi_exact(3, checkpoint=str(path))
+
+
+def test_completed_checkpoint_rerun_equals_fresh(tmp_path):
+    path = str(tmp_path / "phi4.ckpt")
+    fresh = phi_exact(4).to_dict()
+    assert phi_exact(4, checkpoint=path).to_dict() == fresh
+    assert phi_exact(4, checkpoint=path).to_dict() == fresh
+    assert os.listdir(tmp_path) == ["phi4.ckpt"]  # the temp file was renamed away
 
 
 def test_phi_table_envelope_reports_running_max():

@@ -1,18 +1,19 @@
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispec import (
     TriangleFamily,
     build_delta1,
-    build_laplacian,
     complete_family,
     disjoint_union,
     eigenvalues_symmetric,
     exact_rank,
-    lambda_min_plus,
     lambda_of,
     random_families,
     relabel,
@@ -20,26 +21,7 @@ from trispec import (
     support_graph,
     verify_min_gap,
 )
-from trispec.spectra import SpectralError
-
-
-def test_jacobi_matches_numpy_on_random_symmetric_matrices():
-    rng = np.random.default_rng(12)
-    for _ in range(40):
-        n = int(rng.integers(1, 12))
-        m = rng.integers(-5, 6, size=(n, n))
-        sym = (m + m.T).astype(float)
-        ours = eigenvalues_symmetric(sym)
-        ref = np.linalg.eigvalsh(sym)
-        assert np.max(np.abs(ours - ref)) < 1e-9
-
-
-def test_jacobi_matches_numpy_on_family_laplacians():
-    for fam in random_families(30, 31):
-        gram = build_laplacian("L2_down", fam).data.astype(float)
-        ours = eigenvalues_symmetric(gram)
-        ref = np.linalg.eigvalsh(gram)
-        assert np.max(np.abs(ours - ref)) < 1e-9
+from trispec.spectra import SpectralError, _block_data, _check_bands
 
 
 def test_jacobi_handles_converged_looking_integer_matrix():
@@ -151,5 +133,20 @@ def test_lambda_min_plus_on_known_graph():
 
 
 def test_lambda_min_plus_rejects_negative_definite_part():
-    with pytest.raises(SpectralError):
-        lambda_min_plus(np.array([[-1.0, 0.0], [0.0, 2.0]]), np.eye(2, dtype=np.int64))
+    # Every Gram spectrum behind a smallest positive eigenvalue passes
+    # through _check_bands, which refuses a negative eigenvalue.
+    eigs = eigenvalues_symmetric(np.array([[-1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(SpectralError, match="negative eigenvalue"):
+        _check_bands(eigs, 0, "L2_down")
+
+
+_TRIANGLES = list(itertools.combinations(range(1, 9), 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_TRIANGLES), min_size=1, max_size=14))
+def test_block_rank0_is_vertices_minus_one(tris):
+    # Each block is one connected component, so rank(d0) = |V| - 1 holds
+    # without elimination; check it against the exact rank.
+    for block in _block_data(TriangleFamily(tuple(tris))):
+        assert block["rank0"] == block["vertices"] - 1 == exact_rank(block["d0"])
