@@ -26,13 +26,13 @@ print(f"join family c={spec.c} b={spec.b}: {len(fam)} triangles")
 closed = gcb_closed_form_spectrum(spec)
 print("closed form (eigenvalue, multiplicity):", closed.rows)
 
-gram = build_laplacian("L2_down", fam).data
+gram = build_laplacian("L2_down", fam)
 eigs = eigenvalues_symmetric(gram.astype(float))
 print("computed spectrum:", [round(float(e), 9) + 0.0 for e in eigs])
 print("predicted lambda:", gcb_lambda(spec), " computed:", round(lambda_of(fam), 9))
 
 # the eigenvectors are rational and satisfy their equations with no roundoff
-l1up = build_laplacian("L1_up", fam).data
+l1up = build_laplacian("L1_up", fam)
 w_ok = all(
     eigvec_residual(l1up, eigvec_bc(spec, x, y), spec.b + spec.c)
     for x, y in combinations(range(1, spec.c + 1), 2)

@@ -22,16 +22,17 @@ from trispec import (
 )
 
 fam = complete_family(5)
-l2 = build_laplacian("L2_down", fam)
-print(f"K_5 triangle Laplacian: {l2.data.shape[0]} x {l2.data.shape[1]}, kind {l2.kind}")
+kind = "L2_down"
+l2 = build_laplacian(kind, fam)
+print(f"K_5 triangle Laplacian: {l2.shape[0]} x {l2.shape[1]}, kind {kind}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "k5_l2down.mtx"
-    write_matrix_market(path, l2.data, comment="triangle Laplacian of the complete family on 5 vertices")
+    write_matrix_market(path, l2, comment="triangle Laplacian of the complete family on 5 vertices")
     print("wrote", path.name, f"({path.stat().st_size} bytes)")
 
     back = read_matrix_market(path)
-    print("round trip exact:", bool(np.array_equal(back, l2.data)))
+    print("round trip exact:", bool(np.array_equal(back, l2)))
 
     eigs = eigenvalues_symmetric(back.astype(float))
     smallest_positive = float(eigs[eigs > 1e-10][0])

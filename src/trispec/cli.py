@@ -30,7 +30,15 @@ from .constructions import (
     gcb_lambda,
     parse_construction,
 )
-from .extremal import CEIL_GUARD, check_counting, check_overlap, check_rigidity, phi_exact
+from .extremal import (
+    CEIL_GUARD,
+    IMPROVE_EPS,
+    RIGIDITY_TOL,
+    check_counting,
+    check_overlap,
+    check_rigidity,
+    phi_exact,
+)
 from .families import (
     EmptyFamilyError,
     FamilyParseError,
@@ -51,6 +59,9 @@ from .incidence import (
 )
 from .spectra import (
     MIN_GAP_TOL,
+    PSD_TOL_COEFF,
+    SYMMETRY_TOL,
+    ZERO_BAND_COEFF,
     SpectralError,
     eigenvalues_symmetric,
     lambda_of,
@@ -65,6 +76,11 @@ TOLERANCES = {
     "cluster_radius": 1e-6,
     "min_gap": MIN_GAP_TOL,
     "ceil_guard": CEIL_GUARD,
+    "zero_band_coeff": ZERO_BAND_COEFF,
+    "psd_tol_coeff": PSD_TOL_COEFF,
+    "symmetry": SYMMETRY_TOL,
+    "rigidity": RIGIDITY_TOL,
+    "improve_eps": IMPROVE_EPS,
 }
 
 _CONSTRUCTIONS = ("kn", "gcb", "frob", "phi-lb")
@@ -158,14 +174,15 @@ def _suite_hodge(args) -> _Suite:
     suite = _Suite("hodge")
     for label, fam in _named_random(args):
         graph = support_graph(fam)
-        d0 = build_delta0(graph).entries
-        d1 = build_delta1(fam, graph).entries
+        d0 = build_delta0(graph)
+        d1 = build_delta1(fam, graph)
         r0 = exact_rank(d0)
         r1 = exact_rank(d1)
         harmonic = harmonic_dimension(fam)
         edges = d0.shape[0]
-        up = eigenvalues_symmetric((d1.T @ d1).astype(float))
-        down = eigenvalues_symmetric((d1 @ d1.T).astype(float))
+        d1f = d1.astype(float)
+        up = eigenvalues_symmetric(d1f.T @ d1f)
+        down = eigenvalues_symmetric(d1f @ d1f.T)
         pos_up = up[edges - r1 :]
         pos_down = down[len(fam) - r1 :]
         gap = float(np.max(np.abs(pos_up - pos_down))) if r1 else 0.0
@@ -237,7 +254,7 @@ def _check_gcb_cell(suite: _Suite, c: int, b: int) -> None:
     spec = GcbSpec(c, b)
     fam = gcb_family(spec)
     closed = gcb_closed_form_spectrum(spec)
-    gram = build_laplacian("L2_down", fam).data
+    gram = build_laplacian("L2_down", fam)
     eigs = eigenvalues_symmetric(gram.astype(float))
     values = [v for v, _ in closed.rows]
     counts = dict.fromkeys(values, 0)
@@ -251,7 +268,7 @@ def _check_gcb_cell(suite: _Suite, c: int, b: int) -> None:
     lam = lambda_of(fam)
 
     l2 = gram
-    l1up = build_laplacian("L1_up", fam).data
+    l1up = build_laplacian("L1_up", fam)
     w_vecs = [eigvec_bc(spec, x, y) for x, y in combinations(range(1, c + 1), 2)]
     vec_ok = all(eigvec_residual(l1up, w, b + c) for w in w_vecs)
     ranks_ok = exact_rank(eigvec_matrix(w_vecs)) == comb(c, 2)
@@ -366,11 +383,11 @@ def _cmd_export(args) -> int:
     written = []
     for kind in kinds:
         if kind == "d0":
-            entries = build_delta0(graph).entries
+            entries = build_delta0(graph)
         elif kind == "d1":
-            entries = build_delta1(fam, graph).entries
+            entries = build_delta1(fam, graph)
         else:
-            entries = build_laplacian(kind, fam).data
+            entries = build_laplacian(kind, fam)
         name = f"{kind}.mtx"
         write_matrix_market(
             os.path.join(args.outdir, name), entries, comment=f"{kind} of {args.source}"

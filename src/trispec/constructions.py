@@ -19,8 +19,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .families import TriangleFamily, disjoint_union, support_graph
-from .incidence import build_delta1
+from .families import TriangleFamily, disjoint_union, sign_triangle_edge, support_graph
 
 
 def complete_family(n: int) -> TriangleFamily:
@@ -111,9 +110,9 @@ def eigvec_c(spec: GcbSpec, x: int, y: int) -> tuple[Fraction, ...]:
         if i == x:
             continue
         ty = tuple(sorted((i, x, y)))
-        vec[index[ty]] += _edge_sign_in(ty, (x, y))
+        vec[index[ty]] += sign_triangle_edge(ty, (x, y))
         tl = tuple(sorted((i, x, last)))
-        vec[index[tl]] -= _edge_sign_in(tl, (x, last))
+        vec[index[tl]] -= sign_triangle_edge(tl, (x, last))
     return tuple(vec)
 
 
@@ -135,12 +134,6 @@ def eigvec_bc(spec: GcbSpec, x: int, y: int) -> tuple[Fraction, ...]:
         vec[index[(x, i)]] -= Fraction(1, b)
         vec[index[(y, i)]] += Fraction(1, b)
     return tuple(vec)
-
-
-def _edge_sign_in(tri, e) -> int:
-    from .families import sign_triangle_edge
-
-    return sign_triangle_edge(tri, tuple(sorted(e)))
 
 
 def _clear_denominators(vec) -> list[int]:

@@ -28,11 +28,13 @@ from .families import (
 )
 from .spectra import lambda_of
 
+# Round-off allowance next to an integer: a lambda this close to one counts
+# as that integer when taking ceilings or testing integrality.
 CEIL_GUARD = 1e-9
-NEAR_INTEGER_TOL = 1e-9
 RIGIDITY_TOL = 1e-8
+# A search candidate replaces the incumbent only when larger by more than this.
+IMPROVE_EPS = 1e-12
 _VERTEX_CAP = 12
-_IMPROVE_EPS = 1e-12
 
 
 def guarded_ceil(lam: float) -> int:
@@ -41,7 +43,7 @@ def guarded_ceil(lam: float) -> int:
 
 
 def near_integer(lam: float) -> bool:
-    return abs(lam - round(lam)) < NEAR_INTEGER_TOL
+    return abs(lam - round(lam)) < CEIL_GUARD
 
 
 @dataclass(frozen=True)
@@ -127,19 +129,6 @@ class CountingCertificate:
     checks: tuple[tuple[str, int, int], ...]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "e": self.e,
-            "t": self.t,
-            "ceil_lambda": self.ceil_lambda,
-            "lambda": self.lam,
-            "lambda_near_integer": self.lambda_near_integer,
-            "applicable": self.applicable,
-            "checks": [list(c) for c in self.checks],
-            "pass": self.passed,
-        }
-
 
 def check_counting(family: TriangleFamily, lam: float | None = None) -> CountingCertificate:
     """Check v(n-1) <= 2e, e(n-2) <= 3t, v(n-1)(n-2) <= 6t for n = ceil(lambda).
@@ -184,17 +173,6 @@ class RigidityVerdict:
     branch: str
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "family_size": self.family_size,
-            "budget": self.budget,
-            "lambda": self.lam,
-            "vertex_count": self.vertex_count,
-            "branch": self.branch,
-            "pass": self.passed,
-        }
-
 
 def check_rigidity(n: int, family: TriangleFamily) -> RigidityVerdict:
     """Below budget lambda stays at most n-1; at budget, exceeding n-1 pins
@@ -232,10 +210,6 @@ class ForbiddenInterval:
     @property
     def empty(self) -> bool:
         return self.t_high < self.t_low
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "t_low": self.t_low, "t_high": self.t_high,
-                "empty": self.empty}
 
 
 def forbidden_interval(n: int) -> ForbiddenInterval:
@@ -285,11 +259,6 @@ class WindowVerdict:
     low: int
     high: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "applicable": self.applicable,
-                "vertex_count": self.vertex_count, "lambda": self.lam,
-                "low": self.low, "high": self.high, "pass": self.passed}
 
 
 def vertex_window_check(family: TriangleFamily, n: int) -> WindowVerdict:
@@ -595,12 +564,12 @@ def _phi_sweep(
 
     def improved(s: int, lam: float, tris: tuple) -> None:
         cur = best.get(s)
-        if cur is None or lam > cur[0] + _IMPROVE_EPS:
+        if cur is None or lam > cur[0] + IMPROVE_EPS:
             best[s] = (lam, tris)
 
     def required_ceiling(incumbent: float) -> int:
         r = round(incumbent)
-        if abs(incumbent - r) < NEAR_INTEGER_TOL:
+        if abs(incumbent - r) < CEIL_GUARD:
             return int(r) + 1
         return math.ceil(incumbent)
 
@@ -657,7 +626,7 @@ def _partition_best(
             lam_p, tris_p = best[p]
             lam_rest, fam_rest = best_any[s - p]
             cand = min(lam_p, lam_rest)
-            if cand > top[0] + _IMPROVE_EPS:
+            if cand > top[0] + IMPROVE_EPS:
                 part = TriangleFamily(tris_p)
                 fam = part if fam_rest is None else disjoint_union(fam_rest, part)
                 top = (cand, fam)

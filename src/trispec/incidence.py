@@ -1,16 +1,13 @@
 """Signed incidence matrices, combinatorial Laplacians, and exact rank.
 
-All matrices are integer-valued.  The boundary maps follow the sign
-conventions in `families`: delta0 rows are edges (one -1 at the smaller
-endpoint, one +1 at the larger), delta1 rows are triangles (+1, -1, +1 on
-their ascending edge list).  Ranks are computed over the rationals by
-fraction-free elimination, never by floating point.
+The builders return plain read-only int64 ndarrays.  The boundary maps
+follow the sign conventions in `families`: delta0 rows are edges (one -1
+at the smaller endpoint, one +1 at the larger), delta1 rows are triangles
+(+1, -1, +1 on their ascending edge list).  Ranks are computed over the
+rationals by fraction-free elimination, never by floating point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,52 +26,23 @@ LAPLACIAN_KINDS = ("L0_up", "L1_down", "L1_up", "L2_down", "L1_total")
 _INT64_SAFE = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class SignedIncidence:
-    """Dense signed incidence matrix with row/column simplex labels."""
-
-    rows: tuple
-    cols: tuple
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.flags.writeable = False
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
-@dataclass(frozen=True)
-class IntSymMatrix:
-    """Symmetric integer matrix tagged with its Laplacian kind."""
-
-    data: np.ndarray
-    kind: str
-    index: tuple
-
-    def __post_init__(self):
-        self.data.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-
-def build_delta0(graph: SupportGraph) -> SignedIncidence:
-    """Edge-vertex boundary matrix, |E| x |V|."""
+def build_delta0(graph: SupportGraph) -> np.ndarray:
+    """Edge-vertex boundary matrix, |E| x |V|, rows and columns in graph order."""
     vidx = {v: i for i, v in enumerate(graph.vertices)}
     m = np.zeros((len(graph.edges), len(graph.vertices)), dtype=np.int64)
     for r, (u, v) in enumerate(graph.edges):
         m[r, vidx[u]] = sign_edge_vertex((u, v), u)
         m[r, vidx[v]] = sign_edge_vertex((u, v), v)
-    return SignedIncidence(rows=graph.edges, cols=graph.vertices, entries=m)
+    return _frozen(m)
 
 
-def build_delta1(
-    family: TriangleFamily, graph: SupportGraph | None = None
-) -> SignedIncidence:
-    """Triangle-edge boundary matrix, |F| x |E|."""
+def build_delta1(family: TriangleFamily, graph: SupportGraph | None = None) -> np.ndarray:
+    """Triangle-edge boundary matrix, |F| x |E|, rows in family order."""
     if graph is None:
         graph = support_graph(family)
     eidx = {e: i for i, e in enumerate(graph.edges)}
@@ -83,31 +51,28 @@ def build_delta1(
         a, b, c = tri
         for e in ((a, b), (a, c), (b, c)):
             m[r, eidx[e]] = sign_triangle_edge(tri, e)
-    return SignedIncidence(rows=family.triangles, cols=graph.edges, entries=m)
+    return _frozen(m)
 
 
-def build_laplacian(kind: str, family: TriangleFamily) -> IntSymMatrix:
+def build_laplacian(kind: str, family: TriangleFamily) -> np.ndarray:
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown Laplacian kind {kind!r}; choose from {LAPLACIAN_KINDS}")
     graph = support_graph(family)
-    d0 = build_delta0(graph).entries
+    d0 = build_delta0(graph)
     if kind == "L0_up":
-        return IntSymMatrix(d0.T @ d0, kind, graph.vertices)
+        return _frozen(d0.T @ d0)
     if kind == "L1_down":
-        return IntSymMatrix(d0 @ d0.T, kind, graph.edges)
-    d1 = build_delta1(family, graph).entries
+        return _frozen(d0 @ d0.T)
+    d1 = build_delta1(family, graph)
     if kind == "L1_up":
-        return IntSymMatrix(d1.T @ d1, kind, graph.edges)
+        return _frozen(d1.T @ d1)
     if kind == "L2_down":
-        return IntSymMatrix(d1 @ d1.T, kind, family.triangles)
-    return IntSymMatrix(d0 @ d0.T + d1.T @ d1, "L1_total", graph.edges)
+        return _frozen(d1 @ d1.T)
+    return _frozen(d0 @ d0.T + d1.T @ d1)
 
 
 def _as_int_array(matrix) -> np.ndarray:
-    arr = getattr(matrix, "entries", None)
-    if arr is None:
-        arr = getattr(matrix, "data", matrix)
-    arr = np.asarray(arr)
+    arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise ValueError("exact_rank expects a 2-d matrix")
     if arr.dtype == object:
@@ -185,8 +150,8 @@ def _bareiss_rank(work: np.ndarray, guarded: bool) -> int:
 def harmonic_dimension(family: TriangleFamily) -> int:
     """dim(ker delta0^T  intersect  ker delta1), via one stacked exact rank."""
     graph = support_graph(family)
-    d0 = build_delta0(graph).entries
-    d1 = build_delta1(family, graph).entries
+    d0 = build_delta0(graph)
+    d1 = build_delta1(family, graph)
     stacked = np.vstack([d0.T, d1])
     return d0.shape[0] - exact_rank(stacked)
 

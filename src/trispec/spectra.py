@@ -7,7 +7,9 @@ integer boundary factor, never by thresholding the floating spectrum; a
 zero band of 1e-7 * (1 + lambda_max) is kept as a sanity assertion only.
 
 Eigenvalues come from LAPACK ``eigvalsh``; exact rank decides how many of
-them are zero, so the solver only has to be accurate.  Everything is
+them are zero, so the solver only has to be accurate.  Gram products are
+formed in float64 so that BLAS computes them; their entries are small
+integer sums, so they equal the int64 products exactly.  Everything is
 computed per connected component of the support graph: all five
 Laplacians are block-diagonal across components, so merging block spectra
 is exact and keeps the dense eigensolver on small matrices.
@@ -18,20 +20,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .families import (
-    TriangleFamily,
-    connected_components,
-    support_graph,
-)
+from .families import SupportGraph, TriangleFamily, connected_components, support_graph
 from .incidence import build_delta0, build_delta1, exact_rank
 
 ZERO_BAND_COEFF = 1e-7
 PSD_TOL_COEFF = 1e-9
 MIN_GAP_TOL = 1e-7
+SYMMETRY_TOL = 1e-12
 
 
 class SpectralError(RuntimeError):
@@ -44,11 +42,11 @@ def eigenvalues_symmetric(matrix) -> np.ndarray:
     Non-square or asymmetric input is a ValueError; a LAPACK failure is a
     SpectralError, so it reports as a numerical failure, not a usage error.
     """
-    a = np.asarray(getattr(matrix, "data", matrix), dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eigenvalues_symmetric expects a square matrix")
     asym = float(np.abs(a - a.T).max(initial=0.0))
-    if asym >= 1e-12:
+    if asym >= SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     try:
         return np.linalg.eigvalsh(a)
@@ -56,13 +54,8 @@ def eigenvalues_symmetric(matrix) -> np.ndarray:
         raise SpectralError(f"eigvalsh failed: {exc}") from exc
 
 
-def zero_band(eigenvalues: Sequence[float]) -> float:
-    lam_max = max(eigenvalues) if len(eigenvalues) else 0.0
-    return ZERO_BAND_COEFF * (1.0 + lam_max)
-
-
 def _check_bands(eigs: np.ndarray, nullity: int, context: str) -> None:
-    band = zero_band(eigs)
+    band = ZERO_BAND_COEFF * (1.0 + (max(eigs) if len(eigs) else 0.0))
     if len(eigs) and eigs[0] < -PSD_TOL_COEFF * (1.0 + max(float(eigs[-1]), 0.0)):
         raise SpectralError(f"{context}: negative eigenvalue {eigs[0]:.3e} on a Gram matrix")
     if nullity and float(np.abs(eigs[:nullity]).max()) >= band:
@@ -83,10 +76,6 @@ class Spectrum:
     eigenvalues: tuple[float, ...]
     nullity: int
     source: str
-    source_dim: int
-
-    def positive(self) -> tuple[float, ...]:
-        return self.eigenvalues[self.nullity :]
 
 
 @dataclass(frozen=True)
@@ -114,40 +103,37 @@ class SpectralReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-def _component_families(family: TriangleFamily) -> list[TriangleFamily]:
+@dataclass(frozen=True)
+class _Block:
+    """One connected component: its support graph, delta1 and exact rank(delta1).
+
+    The component is connected, so rank(delta0) is len(graph.vertices) - 1
+    without elimination.
+    """
+
+    graph: SupportGraph
+    d1: np.ndarray
+    rank1: int
+
+
+def _blocks(family: TriangleFamily) -> list[_Block]:
+    """One block per connected component; a connected family (every family
+    the phi search evaluates) reuses its own support graph."""
     graph = support_graph(family)
     parts = connected_components(graph)
     if len(parts) == 1:
-        return [family]
-    owner = {v: i for i, part in enumerate(parts) for v in part}
-    buckets: list[list] = [[] for _ in parts]
-    for tri in family:
-        buckets[owner[tri[0]]].append(tri)
-    return [TriangleFamily(tuple(b)) for b in buckets if b]
-
-
-def _block_data(family: TriangleFamily):
-    """Per-component boundary matrices and ranks.
-
-    Each block is one connected component, so rank(d0) is vertices - 1;
-    rank(d1) needs exact elimination.
-    """
+        pieces = [(family, graph)]
+    else:
+        owner = {v: i for i, part in enumerate(parts) for v in part}
+        buckets: list[list] = [[] for _ in parts]
+        for tri in family:
+            buckets[owner[tri[0]]].append(tri)
+        part_families = [TriangleFamily(tuple(b)) for b in buckets]
+        pieces = [(part, support_graph(part)) for part in part_families]
     blocks = []
-    for part in _component_families(family):
-        graph = support_graph(part)
-        d0 = build_delta0(graph).entries
-        d1 = build_delta1(part, graph).entries
-        blocks.append(
-            {
-                "family": part,
-                "edges": d0.shape[0],
-                "vertices": d0.shape[1],
-                "d0": d0,
-                "d1": d1,
-                "rank0": d0.shape[1] - 1,
-                "rank1": exact_rank(d1),
-            }
-        )
+    for part, part_graph in pieces:
+        d1 = build_delta1(part, part_graph)
+        blocks.append(_Block(part_graph, d1, exact_rank(d1)))
     return blocks
 
 
@@ -156,33 +142,29 @@ def lambda_of(family: TriangleFamily) -> float:
     return _lambda_tau_spectrum(family)[0]
 
 
-def _lambda_tau_spectrum(family: TriangleFamily, blocks=None):
+def _lambda_tau_spectrum(family: TriangleFamily):
     if len(family) == 0:
         raise SpectralError("spectral parameter of an empty family is undefined")
-    if blocks is None:
-        blocks = _block_data(family)
-    edges = sum(b["edges"] for b in blocks)
-    triangles = len(family)
-    source = "L2_down" if triangles <= edges else "L1_up"
+    blocks = _blocks(family)
+    edges = sum(len(b.graph.edges) for b in blocks)
+    source = "L2_down" if len(family) <= edges else "L1_up"
     merged: list[float] = []
     nullity = 0
     for b in blocks:
-        d1 = b["d1"]
+        d1 = b.d1.astype(float)
         gram = d1 @ d1.T if source == "L2_down" else d1.T @ d1
         eigs = eigenvalues_symmetric(gram)
-        block_nullity = gram.shape[0] - b["rank1"]
+        block_nullity = gram.shape[0] - b.rank1
         _check_bands(eigs, block_nullity, source)
         nullity += block_nullity
         merged.extend(float(x) for x in eigs)
     merged.sort()
-    rank = sum(b["rank1"] for b in blocks)
+    rank = sum(b.rank1 for b in blocks)
     if rank == 0:
         raise SpectralError("boundary factor has rank zero")
     lam = merged[nullity]
     tau = merged[nullity + 1] if rank > 1 else None
-    spectrum = Spectrum(
-        eigenvalues=tuple(merged), nullity=nullity, source=source, source_dim=len(merged)
-    )
+    spectrum = Spectrum(eigenvalues=tuple(merged), nullity=nullity, source=source)
     return lam, tau, spectrum, blocks
 
 
@@ -193,17 +175,17 @@ def spectral_report(family: TriangleFamily) -> SpectralReport:
     l0_min = math.inf
     l1_min = math.inf
     for b in blocks:
-        d0, d1 = b["d0"], b["d1"]
+        d0 = build_delta0(b.graph).astype(float)
+        d1 = b.d1.astype(float)
+        rank0 = len(b.graph.vertices) - 1
         eigs0 = eigenvalues_symmetric(d0.T @ d0)
-        null0 = b["vertices"] - b["rank0"]
-        _check_bands(eigs0, null0, "L0_up")
-        l0_min = min(l0_min, float(eigs0[null0]))
+        _check_bands(eigs0, 1, "L0_up")  # nullity |V| - rank0 = 1
+        l0_min = min(l0_min, float(eigs0[1]))
         eigs1 = eigenvalues_symmetric(d0 @ d0.T + d1.T @ d1)
-        null1 = b["edges"] - b["rank0"] - b["rank1"]
+        null1 = len(b.graph.edges) - rank0 - b.rank1
         _check_bands(eigs1, null1, "L1_total")
         l1_min = min(l1_min, float(eigs1[null1]))
 
-    graph = support_graph(family)
     return SpectralReport(
         lam=lam,
         tau=tau,
@@ -212,8 +194,8 @@ def spectral_report(family: TriangleFamily) -> SpectralReport:
         lambda_min_plus_l0=l0_min,
         lambda_min_plus_l1_total=l1_min,
         dims={
-            "vertices": len(graph.vertices),
-            "edges": len(graph.edges),
+            "vertices": sum(len(b.graph.vertices) for b in blocks),
+            "edges": sum(len(b.graph.edges) for b in blocks),
             "triangles": len(family),
             "spectrum_source": spectrum.source,
         },

@@ -130,6 +130,11 @@ def test_manifest_tolerances_are_the_values_in_force(tmp_path, capsys, monkeypat
         "cluster_radius": cli.TOLERANCES["cluster_radius"],
         "min_gap": spectra.MIN_GAP_TOL,
         "ceil_guard": extremal.CEIL_GUARD,
+        "zero_band_coeff": spectra.ZERO_BAND_COEFF,
+        "psd_tol_coeff": spectra.PSD_TOL_COEFF,
+        "symmetry": spectra.SYMMETRY_TOL,
+        "rigidity": extremal.RIGIDITY_TOL,
+        "improve_eps": extremal.IMPROVE_EPS,
     }
     # The suites read their thresholds from the same dict the manifest records.
     monkeypatch.setitem(cli.TOLERANCES, "eigenvalue_abs", -1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trispec import (
+    LAPLACIAN_KINDS,
     TriangleFamily,
     build_delta0,
     build_delta1,
@@ -43,20 +44,33 @@ def test_delta_matrices_of_single_triangle():
     d0 = build_delta0(support_graph(fam))
     d1 = build_delta1(fam)
     # edges ordered (1,2), (1,3), (2,3); vertices 1, 2, 3
-    assert d0.entries.tolist() == [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]
-    assert d1.entries.tolist() == [[1, -1, 1]]
-    assert not np.any(d1.entries @ d0.entries)
+    assert d0.tolist() == [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]
+    assert d1.tolist() == [[1, -1, 1]]
+    assert not np.any(d1 @ d0)
+
+
+def test_builders_return_read_only_int64_arrays():
+    fam = TriangleFamily(((1, 2, 3), (1, 2, 4), (1, 3, 4)))
+    built = [build_delta0(support_graph(fam)), build_delta1(fam)]
+    built += [build_laplacian(kind, fam) for kind in LAPLACIAN_KINDS]
+    assert len(built) == 7
+    for m in built:
+        assert type(m) is np.ndarray
+        assert m.dtype == np.int64
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 7
 
 
 def test_laplacian_shapes_and_diagonal():
     fam = TriangleFamily(((1, 2, 3), (1, 2, 4), (1, 3, 4)))
     l2 = build_laplacian("L2_down", fam)
-    assert l2.data.shape == (3, 3)
-    assert all(int(v) == 3 for v in l2.data.diagonal())
+    assert l2.shape == (3, 3)
+    assert all(int(v) == 3 for v in l2.diagonal())
     l1t = build_laplacian("L1_total", fam)
     l1d = build_laplacian("L1_down", fam)
     l1u = build_laplacian("L1_up", fam)
-    assert np.array_equal(l1t.data, l1d.data + l1u.data)
+    assert np.array_equal(l1t, l1d + l1u)
     with pytest.raises(ValueError):
         build_laplacian("L3", fam)
 
@@ -64,8 +78,8 @@ def test_laplacian_shapes_and_diagonal():
 def test_composite_is_zero_on_random_families():
     for fam in random_families(50, 101):
         g = support_graph(fam)
-        d0 = build_delta0(g).entries
-        d1 = build_delta1(fam, g).entries
+        d0 = build_delta0(g)
+        d1 = build_delta1(fam, g)
         assert not np.any(d1 @ d0)
 
 
@@ -83,8 +97,8 @@ def test_exact_rank_matches_fraction_oracle_on_random_int_matrices():
 def test_exact_rank_matches_oracle_on_incidence_matrices():
     for fam in random_families(40, 17):
         g = support_graph(fam)
-        d0 = build_delta0(g).entries
-        d1 = build_delta1(fam, g).entries
+        d0 = build_delta0(g)
+        d1 = build_delta1(fam, g)
         assert exact_rank(d0) == rank_over_rationals(d0)
         assert exact_rank(d1) == rank_over_rationals(d1)
 
@@ -103,8 +117,8 @@ def test_rank_identity_on_random_families():
     # rank d0 + rank d1 + harmonic dimension accounts for every edge.
     for fam in random_families(50, 23):
         g = support_graph(fam)
-        r0 = exact_rank(build_delta0(g).entries)
-        r1 = exact_rank(build_delta1(fam, g).entries)
+        r0 = exact_rank(build_delta0(g))
+        r1 = exact_rank(build_delta1(fam, g))
         assert r0 + r1 + harmonic_dimension(fam) == len(g.edges)
 
 
@@ -118,7 +132,7 @@ def test_harmonic_dimension_sees_the_hollow_middle():
 
 def test_matrix_market_round_trip(tmp_path):
     fam = TriangleFamily(((1, 2, 3), (1, 2, 4), (2, 3, 4)))
-    d1 = build_delta1(fam).entries
+    d1 = build_delta1(fam)
     path = tmp_path / "d1.mtx"
     write_matrix_market(path, d1, comment="triangle boundary")
     back = read_matrix_market(path)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from trispec import (
     TriangleFamily,
+    build_delta0,
     build_delta1,
     complete_family,
     disjoint_union,
@@ -21,7 +22,7 @@ from trispec import (
     support_graph,
     verify_min_gap,
 )
-from trispec.spectra import SpectralError, _block_data, _check_bands
+from trispec.spectra import SpectralError, _blocks, _check_bands
 
 
 def test_jacobi_handles_converged_looking_integer_matrix():
@@ -78,7 +79,7 @@ def test_nullity_is_exact_not_thresholded():
     assert abs(report.lam - 4.0) < 1e-8
     fam = complete_family(5)
     r = spectral_report(fam)
-    d1 = build_delta1(fam).entries
+    d1 = build_delta1(fam)
     assert r.nullity == len(fam) - exact_rank(d1)
 
 
@@ -148,5 +149,6 @@ _TRIANGLES = list(itertools.combinations(range(1, 9), 3))
 def test_block_rank0_is_vertices_minus_one(tris):
     # Each block is one connected component, so rank(d0) = |V| - 1 holds
     # without elimination; check it against the exact rank.
-    for block in _block_data(TriangleFamily(tuple(tris))):
-        assert block["rank0"] == block["vertices"] - 1 == exact_rank(block["d0"])
+    for block in _blocks(TriangleFamily(tuple(tris))):
+        vertices = len(block.graph.vertices)
+        assert exact_rank(build_delta0(block.graph)) == vertices - 1
