@@ -10,10 +10,7 @@ eigenvalues.
 __version__ = "0.1.0"
 
 from .constructions import (
-    BudgetDecomposition,
-    ClosedFormSpectrum,
     GcbSpec,
-    GrowthWitness,
     complete_family,
     eigvec_bc,
     eigvec_c,
@@ -28,13 +25,6 @@ from .constructions import (
     phi_lower_bound_family,
 )
 from .extremal import (
-    CountingCertificate,
-    ForbiddenInterval,
-    OverlapCertificate,
-    PhiEntry,
-    PhiTable,
-    RigidityVerdict,
-    WindowVerdict,
     check_counting,
     check_overlap,
     check_rigidity,
@@ -51,7 +41,6 @@ from .extremal import (
 from .families import (
     EmptyFamilyError,
     FamilyParseError,
-    SupportGraph,
     TriangleFamily,
     connected_components,
     disjoint_union,
@@ -59,7 +48,6 @@ from .families import (
     load_family,
     parse_family,
     random_families,
-    random_family,
     relabel,
     support_graph,
     vertex_triangle_counts,
@@ -75,10 +63,7 @@ from .incidence import (
     write_matrix_market,
 )
 from .spectra import (
-    MinGapCheck,
     SpectralError,
-    SpectralReport,
-    Spectrum,
     eigenvalues_symmetric,
     lambda_of,
     spectral_report,
@@ -86,26 +71,12 @@ from .spectra import (
 )
 
 __all__ = [
-    "BudgetDecomposition",
-    "ClosedFormSpectrum",
-    "CountingCertificate",
     "EmptyFamilyError",
     "FamilyParseError",
-    "ForbiddenInterval",
     "GcbSpec",
-    "GrowthWitness",
     "LAPLACIAN_KINDS",
-    "MinGapCheck",
-    "OverlapCertificate",
-    "PhiEntry",
-    "PhiTable",
-    "RigidityVerdict",
     "SpectralError",
-    "SpectralReport",
-    "Spectrum",
-    "SupportGraph",
     "TriangleFamily",
-    "WindowVerdict",
     "build_delta0",
     "build_delta1",
     "build_laplacian",
@@ -142,7 +113,6 @@ __all__ = [
     "phi_lower_bound_family",
     "phi_table",
     "random_families",
-    "random_family",
     "read_matrix_market",
     "relabel",
     "spectral_report",

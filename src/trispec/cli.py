@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failures, 2 usage or parse errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -63,6 +64,7 @@ from .spectra import (
     SYMMETRY_TOL,
     ZERO_BAND_COEFF,
     SpectralError,
+    SpectralReport,
     eigenvalues_symmetric,
     lambda_of,
     spectral_report,
@@ -170,7 +172,7 @@ def _named_random(args) -> list[tuple[str, TriangleFamily]]:
     return [(f"random:{i}", fam) for i, fam in enumerate(fams)]
 
 
-def _suite_hodge(args) -> _Suite:
+def _suite_hodge(args, audited) -> _Suite:
     suite = _Suite("hodge")
     for label, fam in _named_random(args):
         graph = support_graph(fam)
@@ -178,7 +180,7 @@ def _suite_hodge(args) -> _Suite:
         d1 = build_delta1(fam, graph)
         r0 = exact_rank(d0)
         r1 = exact_rank(d1)
-        harmonic = harmonic_dimension(fam)
+        harmonic = harmonic_dimension(d0, d1)
         edges = d0.shape[0]
         d1f = d1.astype(float)
         up = eigenvalues_symmetric(d1f.T @ d1f)
@@ -198,20 +200,21 @@ def _suite_hodge(args) -> _Suite:
     return suite
 
 
-def _suite_mingap(args) -> _Suite:
+def _suite_mingap(args, audited) -> _Suite:
     suite = _Suite("mingap")
-    for label, fam in _grid_families() + _named_random(args):
-        check = verify_min_gap(fam)
+    for label, _fam, report in audited():
+        check = verify_min_gap(report)
         suite.check(check.ok, label, f"residual={check.residual:.3e}")
     return suite
 
 
-def _suite_overlap(args) -> _Suite:
+def _suite_overlap(args, audited) -> _Suite:
     suite = _Suite("overlap")
-    for label, fam in _grid_families() + _named_random(args):
-        cert = check_overlap(fam)
+    certs = {}
+    for label, fam, report in audited():
+        cert = certs[label] = check_overlap(fam, report.lam)
         suite.check(cert.passed, label, f"n={cert.n} d_e={cert.min_edge_codegree}")
-    k5 = check_overlap(complete_family(5))
+    k5 = certs["kn:5"]
     suite.check(
         k5.min_edge_codegree == k5.n - 2 and k5.min_degree == k5.n - 1,
         "kn:5 sharpness",
@@ -220,16 +223,16 @@ def _suite_overlap(args) -> _Suite:
     return suite
 
 
-def _suite_counting(args) -> _Suite:
+def _suite_counting(args, audited) -> _Suite:
     suite = _Suite("counting")
-    for label, fam in _grid_families() + _named_random(args):
-        cert = check_counting(fam)
+    for label, fam, report in audited():
+        cert = check_counting(fam, report.lam)
         note = "vacuous" if not cert.applicable else f"n={cert.ceil_lambda} v={cert.v} e={cert.e} t={cert.t}"
         suite.check(cert.passed, label, note)
     return suite
 
 
-def _suite_rigidity(args) -> _Suite:
+def _suite_rigidity(args, audited) -> _Suite:
     suite = _Suite("rigidity")
     for n in _parse_range(args.n):
         full = complete_family(n)
@@ -254,8 +257,10 @@ def _check_gcb_cell(suite: _Suite, c: int, b: int) -> None:
     spec = GcbSpec(c, b)
     fam = gcb_family(spec)
     closed = gcb_closed_form_spectrum(spec)
-    gram = build_laplacian("L2_down", fam)
-    eigs = eigenvalues_symmetric(gram.astype(float))
+    d1 = build_delta1(fam)
+    l2 = d1 @ d1.T
+    l1up = d1.T @ d1
+    eigs = eigenvalues_symmetric(l2)
     values = [v for v, _ in closed.rows]
     counts = dict.fromkeys(values, 0)
     worst = 0.0
@@ -266,9 +271,6 @@ def _check_gcb_cell(suite: _Suite, c: int, b: int) -> None:
             counts[v] += 1
     mult_ok = all(counts[v] == m for v, m in closed.rows)
     lam = lambda_of(fam)
-
-    l2 = gram
-    l1up = build_laplacian("L1_up", fam)
     w_vecs = [eigvec_bc(spec, x, y) for x, y in combinations(range(1, c + 1), 2)]
     vec_ok = all(eigvec_residual(l1up, w, b + c) for w in w_vecs)
     ranks_ok = exact_rank(eigvec_matrix(w_vecs)) == comb(c, 2)
@@ -288,7 +290,7 @@ def _check_gcb_cell(suite: _Suite, c: int, b: int) -> None:
     suite.check(ranks_ok, f"{label} eigenvector ranks")
 
 
-def _suite_gcb(args) -> _Suite:
+def _suite_gcb(args, audited) -> _Suite:
     suite = _Suite("gcb")
     for c in _parse_range(args.c):
         for b in _parse_range(args.b):
@@ -335,9 +337,18 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     if args.suite in _RANDOMIZED_SUITES and args.seed is None:
         raise ValueError("--seed is required for randomized suites")
+
+    # One report per grid and random family, shared by the suites that read
+    # lambda and made when the first of them asks, so a SpectralError still
+    # surfaces after the earlier suites' lines have printed.
+    @functools.cache
+    def audited() -> list[tuple[str, TriangleFamily, SpectralReport]]:
+        families = _grid_families() + _named_random(args)
+        return [(label, fam, spectral_report(fam)) for label, fam in families]
+
     total_failures = 0
     for name in names:
-        suite = _SUITES[name](args)
+        suite = _SUITES[name](args, audited)
         for line in suite.lines:
             print(line)
         print(f"suite={name} checks={len(suite.lines)} failures={suite.failures}")

@@ -542,6 +542,17 @@ class _Checkpoint:
         os.replace(tmp, self.path)
 
 
+def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -> bool:
+    """True when the counting bound v(m-1)(m-2) <= 6s, with m the smallest
+    integer above the incumbent best[s] >= 2, rules out every family of s
+    triangles on `vertices` or more vertices that would beat it."""
+    cur = best.get(s)
+    if cur is None or cur[0] < 2.0:
+        return False
+    m = math.floor(cur[0] + CEIL_GUARD) + 1
+    return vertices * (m - 1) * (m - 2) > 6 * s
+
+
 def _phi_sweep(
     t: int,
     cap: int,
@@ -551,9 +562,9 @@ def _phi_sweep(
 ) -> tuple[dict[int, tuple[float, tuple]], bool]:
     """One orderly sweep collecting the best connected family per size 1..t.
 
-    Pruning discards a subtree only when the counting bound
-    v(n-1)(n-2) <= 6s proves no descendant can beat the incumbent at any
-    remaining size, so recorded maxima stay exact with or without it.
+    Pruning discards a subtree only when `_beyond_reach` proves no
+    descendant can beat the incumbent at any remaining size, so recorded
+    maxima stay exact with or without it.
     """
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
 
@@ -567,27 +578,12 @@ def _phi_sweep(
         if cur is None or lam > cur[0] + IMPROVE_EPS:
             best[s] = (lam, tris)
 
-    def required_ceiling(incumbent: float) -> int:
-        r = round(incumbent)
-        if abs(incumbent - r) < CEIL_GUARD:
-            return int(r) + 1
-        return math.ceil(incumbent)
-
     def skip_subtree(tris: tuple, k: int) -> bool:
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
         if ckpt and len(tris) == 2 and tris in ckpt.done:
             return True
-        if not prune:
-            return False
-        for s in range(len(tris) + 1, t + 1):
-            cur = best.get(s)
-            if cur is None or cur[0] < 2.0:
-                return False
-            m_req = required_ceiling(cur[0])
-            if m_req < 3 or k * (m_req - 1) * (m_req - 2) <= 6 * s:
-                return False
-        return True
+        return prune and all(_beyond_reach(best, s, k) for s in range(len(tris) + 1, t + 1))
 
     completed = True
     pending_d2: tuple | None = None
@@ -640,11 +636,16 @@ def _entry(
     phi, witness = best_any[t]
     if witness is None:
         raise RuntimeError("search produced no family; budget too tight?")
+    # Connected families of s triangles have at most 2s+1 vertices; those
+    # beyond the cap were not enumerated and must be out of reach.
+    exhaustive = completed and all(
+        2 * s + 1 <= cap or _beyond_reach(best, s, cap + 1) for s in range(1, t + 1)
+    )
     return PhiEntry(
         t=t,
         phi=phi,
         witness=witness,
-        exhaustive=completed and cap >= 2 * t + 1,
+        exhaustive=exhaustive,
         connected_max=tuple(best[s][0] if s in best else -math.inf for s in range(1, t + 1)),
     )
 
@@ -661,8 +662,8 @@ def phi_exact(
 
     One orderly sweep enumerates connected classes of every size up to t;
     disconnected families are covered by the partition rule.  The result
-    is flagged exhaustive unless a time budget or vertex cap cut the
-    search short.
+    is flagged exhaustive when the sweep completed and the counting bound
+    rules out every family the vertex cap left out.
     """
     if t < 1:
         raise ValueError(f"phi needs t >= 1, got {t}")

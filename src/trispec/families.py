@@ -92,10 +92,6 @@ class TriangleFamily:
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for t in self.triangles for v in t}))
 
-    def edges(self) -> tuple[Edge, ...]:
-        es = {e for t in self.triangles for e in combinations(t, 2)}
-        return tuple(sorted(es))
-
 
 @dataclass(frozen=True)
 class SupportGraph:
@@ -104,9 +100,6 @@ class SupportGraph:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     edge_triangle_count: Mapping[Edge, int]
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 def support_graph(family: TriangleFamily) -> SupportGraph:

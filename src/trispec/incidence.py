@@ -147,13 +147,10 @@ def _bareiss_rank(work: np.ndarray, guarded: bool) -> int:
     return r
 
 
-def harmonic_dimension(family: TriangleFamily) -> int:
-    """dim(ker delta0^T  intersect  ker delta1), via one stacked exact rank."""
-    graph = support_graph(family)
-    d0 = build_delta0(graph)
-    d1 = build_delta1(family, graph)
-    stacked = np.vstack([d0.T, d1])
-    return d0.shape[0] - exact_rank(stacked)
+def harmonic_dimension(d0: np.ndarray, d1: np.ndarray) -> int:
+    """dim(ker delta0^T  intersect  ker delta1) for the boundary matrices of
+    one family, via one stacked exact rank."""
+    return d0.shape[0] - exact_rank(np.vstack([d0.T, d1]))
 
 
 def write_matrix_market(path, matrix, comment: str = "") -> None:

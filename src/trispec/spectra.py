@@ -206,22 +206,11 @@ def spectral_report(family: TriangleFamily) -> SpectralReport:
 class MinGapCheck:
     ok: bool
     residual: float
-    lambda_min_plus_l1_total: float
-    lambda_min_plus_l0: float
-    lam: float
 
 
-def verify_min_gap(family: TriangleFamily, tol: float = MIN_GAP_TOL) -> MinGapCheck:
+def verify_min_gap(report: SpectralReport, tol: float = MIN_GAP_TOL) -> MinGapCheck:
     """Check that the smallest positive eigenvalue of L1_total equals the
     smaller of lambda and the smallest positive eigenvalue of L0."""
-    report = spectral_report(family)
-    lhs = report.lambda_min_plus_l1_total
     rhs = min(report.lambda_min_plus_l0, report.lam)
-    residual = abs(lhs - rhs)
-    return MinGapCheck(
-        ok=residual <= tol * max(1.0, report.lam),
-        residual=residual,
-        lambda_min_plus_l1_total=lhs,
-        lambda_min_plus_l0=report.lambda_min_plus_l0,
-        lam=report.lam,
-    )
+    residual = abs(report.lambda_min_plus_l1_total - rhs)
+    return MinGapCheck(ok=residual <= tol * max(1.0, report.lam), residual=residual)

@@ -45,6 +45,7 @@ from trispec import (
     phi_exact,
     phi_lower_bound_family,
     random_families,
+    spectral_report,
     support_graph,
     verify_min_gap,
 )
@@ -148,7 +149,7 @@ def test_criterion_05_hodge_identities():
             assert not np.any(d1 @ d0)
             r0, r1 = exact_rank(d0), exact_rank(d1)
             edges = d0.shape[0]
-            assert r0 + r1 + harmonic_dimension(fam) == edges
+            assert r0 + r1 + harmonic_dimension(d0, d1) == edges
             up = eigenvalues_symmetric((d1.T @ d1).astype(float))
             down = eigenvalues_symmetric((d1 @ d1.T).astype(float))
             if r1:
@@ -159,7 +160,7 @@ def test_criterion_05_hodge_identities():
 def test_criterion_06_min_gap_identity():
     with criterion(6, "edge-Laplacian minimum gap identity within 1e-7"):
         for fam in _randoms() + _construction_corpus():
-            check = verify_min_gap(fam)
+            check = verify_min_gap(spectral_report(fam))
             assert check.ok and abs(check.residual) <= 1e-7
 
 

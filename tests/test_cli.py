@@ -93,6 +93,28 @@ def test_verify_rigidity_range(capsys):
     assert "suite=rigidity checks=6 failures=0" in out
 
 
+def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
+    calls = {"spectral_report": 0, "lambda_of": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "spectral_report")
+    counted(extremal, "lambda_of")
+    code, out, _ = run(capsys, "verify", "all", "--seed", "3", "--random", "5")
+    assert code == 0
+    assert "suite=overlap checks=25 failures=0" in out
+    # One report per grid (19) and random (5) family; lambda_of inside the
+    # certificates only for the nine rigidity checks (n = 4..6, three each).
+    assert calls == {"spectral_report": 19 + 5, "lambda_of": 9}
+
+
 def test_phi_subcommand_writes_json(tmp_path, capsys):
     out_path = tmp_path / "phi3.json"
     code, out, _ = run(capsys, "phi", "3", "--json", str(out_path))

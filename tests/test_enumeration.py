@@ -128,6 +128,25 @@ def test_phi_five_is_three_with_disconnected_witness():
     assert len(entry.witness) == 5
 
 
+def test_vertex_cap_below_2t_plus_1_is_exhaustive_when_counting_bound_rules_out_the_rest():
+    # Size 5 is the only one cut short by a cap of 10; beating its best
+    # value 3 needs lambda > 3, and 11 * 3 * 2 > 6 * 5 rules out every
+    # family on 11 or more vertices.
+    full = phi_exact(5)
+    capped = phi_exact(5, max_vertices=10)
+    assert capped.exhaustive
+    assert capped.phi == full.phi
+    assert capped.connected_max == full.connected_max
+
+
+def test_vertex_cap_stays_non_exhaustive_when_the_bound_does_not_apply():
+    # Within 5 vertices the best 3-triangle value is 2, the true one is 3.
+    entry = phi_exact(3, max_vertices=5)
+    assert entry.connected_max[2] == pytest.approx(2.0)
+    assert phi_exact(3).connected_max[2] == pytest.approx(3.0)
+    assert not entry.exhaustive
+
+
 def test_phi_prune_ab_invariant():
     for t in (3, 4, 5):
         pruned = phi_exact(t, prune=True)

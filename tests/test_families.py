@@ -47,7 +47,8 @@ def test_family_sorts_and_dedupes():
     assert len(fam) == 2
     assert (1, 2, 3) in fam
     assert fam.vertices() == (1, 2, 3, 4, 5)
-    assert (1, 2) in fam.edges() and (2, 3) in fam.edges()
+    edges = support_graph(fam).edges
+    assert (1, 2) in edges and (2, 3) in edges
 
 
 def test_support_graph_counts_triangles_per_edge():
@@ -55,7 +56,6 @@ def test_support_graph_counts_triangles_per_edge():
     graph = support_graph(fam)
     assert graph.edge_triangle_count[(1, 2)] == 2
     assert graph.edge_triangle_count[(1, 3)] == 1
-    assert graph.degree(1) == 3
     assert vertex_triangle_counts(fam) == {1: 2, 2: 2, 3: 1, 4: 1}
 
 

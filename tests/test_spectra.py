@@ -115,13 +115,13 @@ def test_lambda_of_disjoint_union_is_minimum():
 
 def test_min_gap_identity_on_random_families():
     for fam in random_families(50, 42):
-        check = verify_min_gap(fam)
+        check = verify_min_gap(spectral_report(fam))
         assert check.ok, (fam.triangles, check)
 
 
 def test_min_gap_identity_on_constructions():
     for n in range(3, 8):
-        assert verify_min_gap(complete_family(n)).ok
+        assert verify_min_gap(spectral_report(complete_family(n))).ok
 
 
 def test_lambda_min_plus_on_known_graph():
