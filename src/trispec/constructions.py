@@ -12,7 +12,7 @@ N >= 2a^3 + 2a^2 + 1 and powers the cube-root growth witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd

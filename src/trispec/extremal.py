@@ -5,19 +5,20 @@ generation: families are grown one lexicographically larger triangle at a
 time and a candidate is kept only when it is the canonical representative,
 i.e. the minimum of its relabeling orbit.  Deleting the largest triangle
 of a canonical family leaves a canonical family, so every class is
-reached exactly once.  Connectivity is checked at yield time; interior
+reached exactly once.  Connectivity is checked per node; interior
 nodes of the tree may be disconnected.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from . import __version__
 from .families import (
@@ -339,20 +340,23 @@ def _is_lex_min(tris: tuple, k: int) -> bool:
     return not descend(0)
 
 
-def _extensions(k: int, cap: int, last: tuple) -> Iterator[tuple]:
-    """Triangles lex-greater than `last` over 1..min(k+3, cap) whose new
-    labels, if any, are exactly the next consecutive ones."""
-    top = min(k + 3, cap)
-    for tri in combinations(range(1, top + 1), 3):
-        if tri <= last:
+def _children(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
+    """Lex-ordered canonical children (child, support size) of a canonical
+    family on labels 1..k: each adds a lex-greater triangle within
+    1..min(k+3, cap) whose new labels, if any, are the next consecutive ones."""
+    for tri in combinations(range(1, min(k + 3, cap) + 1), 3):
+        if tri <= tris[-1]:
             continue
         news = [v for v in tri if v > k]
         if news and news != list(range(k + 1, k + 1 + len(news))):
             continue
-        yield tri
+        child = tris + (tri,)
+        k2 = max(k, tri[2])
+        if _is_lex_min(child, k2):
+            yield child, k2
 
 
-def _support_connected(tris: Sequence[tuple]) -> bool:
+def _support_connected(tris: tuple) -> bool:
     remaining = list(tris[1:])
     reach = set(tris[0])
     grew = True
@@ -367,32 +371,6 @@ def _support_connected(tris: Sequence[tuple]) -> bool:
                 keep.append(tri)
         remaining = keep
     return not remaining
-
-
-def _canonical_nodes(
-    t: int, cap: int, skip_subtree: Callable[[tuple, int], bool] | None = None
-) -> Iterator[tuple[tuple, int]]:
-    """DFS over canonical families of 1..t triangles on labels within 1..cap.
-
-    Yields (triangle_tuple, support_size) for every canonical node; the
-    optional hook is consulted after a node is yielded and may cut off its
-    descendants (used for budget pruning and checkpoint skipping).
-    """
-
-    def rec(tris: tuple, k: int) -> Iterator[tuple[tuple, int]]:
-        yield tris, k
-        if len(tris) == t:
-            return
-        if skip_subtree is not None and skip_subtree(tris, k):
-            return
-        for tri in _extensions(k, cap, tris[-1]):
-            child = tris + (tri,)
-            k2 = max(k, tri[2])
-            if _is_lex_min(child, k2):
-                yield from rec(child, k2)
-
-    if t >= 1 and cap >= 3:
-        yield from rec(((1, 2, 3),), 3)
 
 
 def _resolve_cap(t: int, max_vertices: int | None) -> int:
@@ -420,9 +398,16 @@ def enumerate_connected_families(
     if t < 1:
         raise ValueError(f"enumeration needs t >= 1, got {t}")
     cap = _resolve_cap(t, max_vertices)
-    for tris, _k in _canonical_nodes(t, cap):
-        if len(tris) == t and _support_connected(tris):
-            yield TriangleFamily(tris)
+
+    def rec(tris: tuple, k: int) -> Iterator[TriangleFamily]:
+        if len(tris) == t:
+            if _support_connected(tris):
+                yield TriangleFamily(tris)
+            return
+        for child, k2 in _children(tris, k, cap):
+            yield from rec(child, k2)
+
+    yield from rec(((1, 2, 3),), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +438,7 @@ class PhiEntry:
 
 @dataclass
 class PhiTable:
-    entries: dict[int, PhiEntry] = field(default_factory=dict)
-
-    def add(self, entry: PhiEntry) -> None:
-        self.entries[entry.t] = entry
+    entries: dict[int, PhiEntry]
 
     def lambda_envelope(self) -> dict[int, float]:
         """Running maximum of phi: the largest parameter achievable within budget."""
@@ -479,66 +461,55 @@ class PhiTable:
         return "\n".join(lines) + "\n"
 
 
-def _format_prefix(tris: Sequence[tuple]) -> str:
-    return ";".join(",".join(str(v) for v in tri) for tri in tris)
-
-
-def _parse_prefix(text: str) -> tuple:
-    return tuple(tuple(int(v) for v in part.split(",")) for part in text.split(";"))
+def _triangles(value, size: int) -> tuple:
+    """A JSON list of `size` integer triples as a tuple of triangles."""
+    if not isinstance(value, list) or len(value) != size or not all(
+        isinstance(tri, list) and len(tri) == 3 and all(type(v) is int for v in tri) for tri in value
+    ):
+        raise ValueError(f"expected {size} integer triples, found {value!r}")
+    return tuple(tuple(tri) for tri in value)
 
 
 class _Checkpoint:
-    """Plain-text resume file: a header naming the search it belongs to,
-    incumbent comments, then the done depth-2 prefixes.
+    """JSON resume file: the search it belongs to, the incumbent per size
+    and the finished depth-2 prefixes.
 
-    A file from another budget, vertex cap, prune setting or version (or
-    one without a header) is refused, since reusing it would skip subtrees
-    that were never searched for this budget.
+    A file of another budget, vertex cap, prune setting or version is
+    refused, since it would skip subtrees never searched for this budget;
+    so is one that does not parse, lacks a key or has a wrong type, since
+    reading part of it could drop an incumbent and report a wrong maximum.
     """
 
     def __init__(self, path, t: int, cap: int, prune: bool):
         self.path = path
-        self.header = f"# trispec-checkpoint t={t} cap={cap} prune={int(prune)} version={__version__}"
+        self.search = {"t": t, "cap": cap, "prune": prune, "version": __version__}
         self.done: set[tuple] = set()
         self.best: dict[int, tuple[float, tuple]] = {}
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                lines = [line.strip() for line in handle]
+                doc = json.load(handle)
+            if doc["search"] != self.search:
+                raise ValueError(f"found search {doc['search']!r}")
+            for s, (lam, witness) in doc["best"].items():
+                if type(lam) is not float:
+                    raise ValueError(f"lambda {lam!r} is not a float")
+                self.best[int(s)] = (lam, _triangles(witness, int(s)))
+            self.done = {_triangles(prefix, 2) for prefix in doc["done"]}
         except FileNotFoundError:
             return
-        found = lines[0] if lines else "an empty file"
-        if found != self.header:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(
-                f"checkpoint {path} belongs to another search: "
-                f"expected {self.header!r}, found {found!r}"
-            )
-        for line in lines[1:]:
-            if line.startswith("#"):
-                self._parse_comment(line)
-            elif line:
-                self.done.add(_parse_prefix(line))
+                f"checkpoint {path} belongs to another search or is malformed "
+                f"(expected search {self.search!r}): {exc!r}"
+            ) from None
 
-    def _parse_comment(self, line: str) -> None:
-        parts = dict(
-            item.split("=", 1) for item in line[1:].split() if "=" in item
-        )
-        if {"s", "lambda", "witness"} <= parts.keys():
-            s = int(parts["s"])
-            tris = tuple(sorted(_parse_prefix(parts["witness"].replace("|", ";"))))
-            self.best[s] = (float(parts["lambda"]), tris)
-
-    def write(self, best: dict[int, tuple[float, tuple]]) -> None:
-        lines = [self.header + "\n"]
-        for s in sorted(best):
-            lam, tris = best[s]
-            wit = "|".join(",".join(str(v) for v in tri) for tri in tris)
-            lines.append(f"# s={s} lambda={lam!r} witness={wit}\n")
-        lines.extend(_format_prefix(p) + "\n" for p in sorted(self.done))
+    def write(self) -> None:
+        doc = {"search": self.search, "best": self.best, "done": sorted(self.done)}
         # Write beside the target and rename, so an interrupted write leaves
         # the previous checkpoint intact.
         tmp = f"{self.path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+            json.dump(doc, handle, sort_keys=True)
         os.replace(tmp, self.path)
 
 
@@ -560,49 +531,46 @@ def _phi_sweep(
     budget_seconds: float | None,
     checkpoint: str | None,
 ) -> tuple[dict[int, tuple[float, tuple]], bool]:
-    """One orderly sweep collecting the best connected family per size 1..t.
+    """One orderly sweep collecting the best connected family per size 1..t;
+    returns the incumbents and whether the sweep completed in time.
 
-    Pruning discards a subtree only when `_beyond_reach` proves no
-    descendant can beat the incumbent at any remaining size, so recorded
-    maxima stay exact with or without it.
+    A node is evaluated when connected.  Below depth t its subtree is
+    pruned when `_beyond_reach` proves no descendant can beat the incumbent
+    at any remaining size, so recorded maxima stay exact with or without
+    pruning.  A depth-2 subtree the checkpoint lists as done is skipped;
+    any other is listed, and the checkpoint written, once it is finished.
     """
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
-
-    best: dict[int, tuple[float, tuple]] = {}
     ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
-    if ckpt:
-        best.update(ckpt.best)
+    best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
 
-    def improved(s: int, lam: float, tris: tuple) -> None:
-        cur = best.get(s)
-        if cur is None or lam > cur[0] + IMPROVE_EPS:
-            best[s] = (lam, tris)
-
-    def skip_subtree(tris: tuple, k: int) -> bool:
+    def visit(tris: tuple, k: int) -> None:
+        s = len(tris)
+        if _support_connected(tris):
+            lam = lambda_of(TriangleFamily(tris))
+            if s not in best or lam > best[s][0] + IMPROVE_EPS:
+                best[s] = (lam, tris)
+        if s == t:
+            return
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
-        if ckpt and len(tris) == 2 and tris in ckpt.done:
-            return True
-        return prune and all(_beyond_reach(best, s, k) for s in range(len(tris) + 1, t + 1))
+        if prune and all(_beyond_reach(best, r, k) for r in range(s + 1, t + 1)):
+            return
+        for child, k2 in _children(tris, k, cap):
+            if ckpt and s == 1 and child in ckpt.done:
+                continue
+            visit(child, k2)
+            if ckpt and s == 1:
+                ckpt.done.add(child)
+                ckpt.write()
 
     completed = True
-    pending_d2: tuple | None = None
     try:
-        for tris, k in _canonical_nodes(t, cap, skip_subtree):
-            if ckpt and len(tris) == 2:
-                if pending_d2 is not None:
-                    ckpt.done.add(pending_d2)
-                    ckpt.write(best)
-                pending_d2 = tris
-            if _support_connected(tris):
-                improved(len(tris), lambda_of(TriangleFamily(tris)), tris)
+        visit(((1, 2, 3),), 3)
     except _BudgetExceeded:
         completed = False
-        pending_d2 = None
     if ckpt:
-        if pending_d2 is not None:
-            ckpt.done.add(pending_d2)
-        ckpt.write(best)
+        ckpt.write()
     return best, completed
 
 
@@ -658,31 +626,36 @@ def phi_exact(
     budget_seconds: float | None = None,
     checkpoint: str | None = None,
 ) -> PhiEntry:
-    """Exact maximum of the spectral parameter over all t-triangle families.
-
-    One orderly sweep enumerates connected classes of every size up to t;
-    disconnected families are covered by the partition rule.  The result
-    is flagged exhaustive when the sweep completed and the counting bound
-    rules out every family the vertex cap left out.
-    """
-    if t < 1:
-        raise ValueError(f"phi needs t >= 1, got {t}")
-    cap = _resolve_cap(t, max_vertices)
-    best, completed = _phi_sweep(t, cap, prune, budget_seconds, checkpoint)
-    best_any = _partition_best(best, t)
-    return _entry(t, best_any, best, completed, cap)
+    """Exact maximum of the spectral parameter over all t-triangle families:
+    the budget-t entry of `phi_table(t, ...)`."""
+    return phi_table(
+        t,
+        prune=prune,
+        max_vertices=max_vertices,
+        budget_seconds=budget_seconds,
+        checkpoint=checkpoint,
+    ).entries[t]
 
 
 def phi_table(
-    t_max: int, *, prune: bool = True, max_vertices: int | None = None
+    t_max: int,
+    *,
+    prune: bool = True,
+    max_vertices: int | None = None,
+    budget_seconds: float | None = None,
+    checkpoint: str | None = None,
 ) -> PhiTable:
-    """Entries for every budget 1..t_max from a single sweep."""
+    """Entries for every budget 1..t_max from a single sweep.
+
+    The sweep enumerates connected classes of every size up to t_max;
+    disconnected families are covered by the partition rule.  An entry is
+    exhaustive when the sweep completed within `budget_seconds` and the
+    counting bound rules out every family the vertex cap left out.  The
+    sweep resumes from, and records its progress in, the JSON `checkpoint`.
+    """
     if t_max < 1:
         raise ValueError(f"phi needs t >= 1, got {t_max}")
     cap = _resolve_cap(t_max, max_vertices)
-    best, completed = _phi_sweep(t_max, cap, prune, None, None)
+    best, completed = _phi_sweep(t_max, cap, prune, budget_seconds, checkpoint)
     best_any = _partition_best(best, t_max)
-    table = PhiTable()
-    for t in range(1, t_max + 1):
-        table.add(_entry(t, best_any, best, completed, cap))
-    return table
+    return PhiTable({t: _entry(t, best_any, best, completed, cap) for t in range(1, t_max + 1)})

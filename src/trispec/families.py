@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 Vertex = int
 Edge = tuple[int, int]

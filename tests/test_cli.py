@@ -133,6 +133,22 @@ def test_phi_refuses_checkpoint_of_another_budget(tmp_path, capsys):
     assert "another search" in err
 
 
+def test_phi_refuses_malformed_checkpoint(tmp_path, capsys):
+    path = tmp_path / "phi.ckpt"
+    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
+    finished = path.read_text()
+    doc = json.loads(finished)
+    del doc["best"]["4"][1]  # the witness of the size-4 incumbent
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert "another search" in err and str(path) in err
+    path.write_text(finished[: len(finished) // 2])
+    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert "another search" in err
+
+
 def test_eigensolver_failure_is_numerical_exit(capsys, monkeypatch):
     def fail(_matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

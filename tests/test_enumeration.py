@@ -1,12 +1,15 @@
+import json
 import math
 import os
-from itertools import combinations, permutations
+from itertools import chain, combinations, count, permutations, repeat
+from types import SimpleNamespace
 
 import pytest
 
 from trispec import (
     TriangleFamily,
     enumerate_connected_families,
+    extremal,
     lambda_of,
     phi_exact,
     phi_table,
@@ -176,8 +179,12 @@ def test_phi_checkpoint_resume(tmp_path):
     # the finished checkpoint skips every subtree, so a rerun is instant
     again = phi_exact(5, checkpoint=str(path))
     assert abs(again.phi - want.phi) < 1e-9
-    text = path.read_text()
-    assert "lambda=" in text and "|" in text
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"search", "best", "done"}
+    assert doc["search"] == {"t": 5, "cap": 11, "prune": True, "version": extremal.__version__}
+    assert doc["best"]["4"][0] == want.connected_max[3]
+    assert len(doc["best"]["4"][1]) == 4
+    assert [[1, 2, 3], [1, 2, 4]] in doc["done"]
 
 
 def test_checkpoint_of_another_budget_is_refused(tmp_path):
@@ -203,6 +210,23 @@ def test_completed_checkpoint_rerun_equals_fresh(tmp_path):
     assert phi_exact(4, checkpoint=path).to_dict() == fresh
     assert phi_exact(4, checkpoint=path).to_dict() == fresh
     assert os.listdir(tmp_path) == ["phi4.ckpt"]  # the temp file was renamed away
+
+
+def test_resume_equals_fresh_at_every_interruption_point(tmp_path, monkeypatch):
+    # The first clock read sets the deadline and the next n - 1 fall before
+    # it, so run n stops at its n-th deadline check; the last run completes.
+    fresh = phi_exact(4).to_dict()
+    for n in count(1):
+        path = str(tmp_path / f"{n}.ckpt")
+        reads = chain(repeat(0.0, n), repeat(2.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(extremal, "time", SimpleNamespace(monotonic=lambda: next(reads)))
+            partial = phi_exact(4, budget_seconds=1.0, checkpoint=path)
+        assert phi_exact(4, checkpoint=path).to_dict() == fresh
+        if partial.exhaustive:
+            break
+    assert partial.to_dict() == fresh
+    assert n > 1
 
 
 def test_phi_table_envelope_reports_running_max():
