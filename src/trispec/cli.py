@@ -44,6 +44,7 @@ from .families import (
     EmptyFamilyError,
     FamilyParseError,
     TriangleFamily,
+    connected_components,
     family_to_text,
     load_family,
     parse_family,
@@ -178,7 +179,7 @@ def _suite_hodge(args, audited) -> _Suite:
         graph = support_graph(fam)
         d0 = build_delta0(graph)
         d1 = build_delta1(fam, graph)
-        r0 = exact_rank(d0)
+        r0 = len(graph.vertices) - len(connected_components(graph))
         r1 = exact_rank(d1)
         harmonic = harmonic_dimension(d0, d1)
         edges = d0.shape[0]

@@ -36,6 +36,9 @@ RIGIDITY_TOL = 1e-8
 # A search candidate replaces the incumbent only when larger by more than this.
 IMPROVE_EPS = 1e-12
 _VERTEX_CAP = 12
+# A checkpointed sweep also saves its progress this often, so a killed run
+# loses at most this much work.
+_SAVE_SECONDS = 60.0
 
 
 def guarded_ceil(lam: float) -> int:
@@ -143,22 +146,16 @@ def check_counting(family: TriangleFamily, lam: float | None = None) -> Counting
     v, e, t = len(graph.vertices), len(graph.edges), len(family)
     n = guarded_ceil(lam)
     applicable = lam > 2.0 + CEIL_GUARD
-    if not applicable:
-        return CountingCertificate(
-            v=v, e=e, t=t, ceil_lambda=n, lam=lam,
-            lambda_near_integer=near_integer(lam),
-            applicable=False, checks=(), passed=True,
-        )
     checks = (
         ("v(n-1) <= 2e", v * (n - 1), 2 * e),
         ("e(n-2) <= 3t", e * (n - 2), 3 * t),
         ("v(n-1)(n-2) <= 6t", v * (n - 1) * (n - 2), 6 * t),
-    )
-    passed = all(lhs <= rhs for _, lhs, rhs in checks)
+    ) if applicable else ()
     return CountingCertificate(
         v=v, e=e, t=t, ceil_lambda=n, lam=lam,
         lambda_near_integer=near_integer(lam),
-        applicable=True, checks=checks, passed=passed,
+        applicable=applicable, checks=checks,
+        passed=all(lhs <= rhs for _, lhs, rhs in checks),
     )
 
 
@@ -470,21 +467,35 @@ def _triangles(value, size: int) -> tuple:
     return tuple(tuple(tri) for tri in value)
 
 
+def _is_node(tris: tuple, t: int, cap: int) -> bool:
+    """True iff `tris` is a node of the depth-t sweep within the vertex cap:
+    the root followed by a chain of canonical children."""
+    if not 1 <= len(tris) <= t or tris[0] != (1, 2, 3):
+        return False
+    k = 3
+    for s in range(1, len(tris)):
+        k = next((k2 for child, k2 in _children(tris[:s], k, cap) if child == tris[: s + 1]), 0)
+        if not k:
+            return False
+    return True
+
+
 class _Checkpoint:
     """JSON resume file: the search it belongs to, the incumbent per size
-    and the finished depth-2 prefixes.
+    and the cursor, the last node of the sweep entered.
 
     A file of another budget, vertex cap, prune setting or version is
     refused, since it would skip subtrees never searched for this budget;
-    so is one that does not parse, lacks a key or has a wrong type, since
-    reading part of it could drop an incumbent and report a wrong maximum.
+    so is one that does not parse, lacks a key, has a wrong type or whose
+    cursor is not a node of this search, since reading part of it could
+    drop an incumbent or skip unsearched subtrees and report a wrong maximum.
     """
 
     def __init__(self, path, t: int, cap: int, prune: bool):
         self.path = path
         self.search = {"t": t, "cap": cap, "prune": prune, "version": __version__}
-        self.done: set[tuple] = set()
         self.best: dict[int, tuple[float, tuple]] = {}
+        self.cursor: tuple = ()
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
@@ -494,7 +505,9 @@ class _Checkpoint:
                 if type(lam) is not float:
                     raise ValueError(f"lambda {lam!r} is not a float")
                 self.best[int(s)] = (lam, _triangles(witness, int(s)))
-            self.done = {_triangles(prefix, 2) for prefix in doc["done"]}
+            self.cursor = _triangles(doc["cursor"], len(doc["cursor"]))
+            if not _is_node(self.cursor, t, cap):
+                raise ValueError(f"cursor {self.cursor!r} is not a node of this search")
         except FileNotFoundError:
             return
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -503,8 +516,8 @@ class _Checkpoint:
                 f"(expected search {self.search!r}): {exc!r}"
             ) from None
 
-    def write(self) -> None:
-        doc = {"search": self.search, "best": self.best, "done": sorted(self.done)}
+    def write(self, cursor: tuple) -> None:
+        doc = {"search": self.search, "best": self.best, "cursor": cursor}
         # Write beside the target and rename, so an interrupted write leaves
         # the previous checkpoint intact.
         tmp = f"{self.path}.tmp"
@@ -537,14 +550,22 @@ def _phi_sweep(
     A node is evaluated when connected.  Below depth t its subtree is
     pruned when `_beyond_reach` proves no descendant can beat the incumbent
     at any remaining size, so recorded maxima stay exact with or without
-    pruning.  A depth-2 subtree the checkpoint lists as done is skipped;
-    any other is listed, and the checkpoint written, once it is finished.
+    pruning.  Nodes are entered in lex order, so every node lex-smaller
+    than the checkpoint's cursor and not on its path is finished: those are
+    skipped, and the path itself is entered again.  The deadline is checked
+    only past the cursor, so each run moves the cursor forward.
     """
-    deadline = time.monotonic() + budget_seconds if budget_seconds else None
     ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
+    start = ckpt.cursor if ckpt else ()
+    last = start
+    now = time.monotonic()
+    deadline = now + budget_seconds if budget_seconds is not None else math.inf
+    next_save = now + _SAVE_SECONDS
 
     def visit(tris: tuple, k: int) -> None:
+        nonlocal last, next_save
+        last = tris
         s = len(tris)
         if _support_connected(tris):
             lam = lambda_of(TriangleFamily(tris))
@@ -552,25 +573,27 @@ def _phi_sweep(
                 best[s] = (lam, tris)
         if s == t:
             return
-        if deadline is not None and time.monotonic() > deadline:
-            raise _BudgetExceeded
+        if tris > start:
+            now = time.monotonic()
+            if now > deadline:
+                raise _BudgetExceeded
+            if ckpt and now > next_save:
+                ckpt.write(tris)
+                next_save = now + _SAVE_SECONDS
         if prune and all(_beyond_reach(best, r, k) for r in range(s + 1, t + 1)):
             return
         for child, k2 in _children(tris, k, cap):
-            if ckpt and s == 1 and child in ckpt.done:
-                continue
-            visit(child, k2)
-            if ckpt and s == 1:
-                ckpt.done.add(child)
-                ckpt.write()
+            if child >= start[: len(child)]:
+                visit(child, k2)
 
     completed = True
     try:
         visit(((1, 2, 3),), 3)
     except _BudgetExceeded:
         completed = False
-    if ckpt:
-        ckpt.write()
+    finally:
+        if ckpt and last:
+            ckpt.write(last)
     return best, completed
 
 
@@ -655,6 +678,8 @@ def phi_table(
     """
     if t_max < 1:
         raise ValueError(f"phi needs t >= 1, got {t_max}")
+    if budget_seconds is not None and not budget_seconds > 0:
+        raise ValueError(f"budget_seconds must be positive, got {budget_seconds}")
     cap = _resolve_cap(t_max, max_vertices)
     best, completed = _phi_sweep(t_max, cap, prune, budget_seconds, checkpoint)
     best_any = _partition_best(best, t_max)

@@ -149,6 +149,26 @@ def test_phi_refuses_malformed_checkpoint(tmp_path, capsys):
     assert "another search" in err
 
 
+def test_phi_refuses_checkpoint_cursor_outside_the_search(tmp_path, capsys):
+    path = tmp_path / "phi.ckpt"
+    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    not_canonical = [[1, 2, 3], [2, 3, 4]]
+    longer_than_t = [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6], [1, 2, 7]]
+    for cursor in (not_canonical, longer_than_t):
+        path.write_text(json.dumps(dict(doc, cursor=cursor)))
+        code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
+        assert (code, out) == (2, "")
+        assert "another search" in err
+
+
+def test_phi_rejects_budget_that_is_not_positive(capsys):
+    for budget in ("0", "nan"):
+        code, out, err = run(capsys, "phi", "3", "--budget-seconds", budget)
+        assert (code, out) == (2, "")
+        assert "budget_seconds must be positive" in err
+
+
 def test_eigensolver_failure_is_numerical_exit(capsys, monkeypatch):
     def fail(_matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

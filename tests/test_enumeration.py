@@ -169,7 +169,7 @@ def test_phi_checkpoint_resume(tmp_path):
     path = tmp_path / "phi5.ckpt"
     partial = phi_exact(5, budget_seconds=1e-9, checkpoint=str(path))
     assert not partial.exhaustive
-    assert path.exists()
+    assert json.loads(path.read_text())["cursor"] == [[1, 2, 3]]  # stopped at the root
     for _ in range(50):
         entry = phi_exact(5, checkpoint=str(path))
         if entry.exhaustive:
@@ -180,11 +180,11 @@ def test_phi_checkpoint_resume(tmp_path):
     again = phi_exact(5, checkpoint=str(path))
     assert abs(again.phi - want.phi) < 1e-9
     doc = json.loads(path.read_text())
-    assert set(doc) == {"search", "best", "done"}
+    assert set(doc) == {"search", "best", "cursor"}
     assert doc["search"] == {"t": 5, "cap": 11, "prune": True, "version": extremal.__version__}
     assert doc["best"]["4"][0] == want.connected_max[3]
     assert len(doc["best"]["4"][1]) == 4
-    assert [[1, 2, 3], [1, 2, 4]] in doc["done"]
+    assert doc["cursor"][0] == [1, 2, 3] and 1 <= len(doc["cursor"]) <= 5
 
 
 def test_checkpoint_of_another_budget_is_refused(tmp_path):
@@ -229,6 +229,61 @@ def test_resume_equals_fresh_at_every_interruption_point(tmp_path, monkeypatch):
     assert n > 1
 
 
+def test_repeated_tiny_budget_runs_reach_the_fresh_result(tmp_path):
+    # A run checks its deadline only past the cursor, so every run that
+    # stops early has moved the cursor forward.
+    fresh = phi_exact(5).to_dict()
+    path = tmp_path / "phi5.ckpt"
+    cursors = []
+    for _ in range(500):
+        entry = phi_exact(5, budget_seconds=1e-9, checkpoint=str(path))
+        if entry.exhaustive:
+            break
+        cursors.append(json.loads(path.read_text())["cursor"])
+    assert entry.to_dict() == fresh
+    assert all(a < b for a, b in zip(cursors, cursors[1:]))
+
+
+def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, monkeypatch):
+    fresh = phi_exact(5).to_dict()
+    path = tmp_path / "phi5.ckpt"
+    calls = count(1)
+
+    def interrupted(family):
+        if next(calls) == 5:
+            raise KeyboardInterrupt
+        return lambda_of(family)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extremal, "lambda_of", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            phi_exact(5, checkpoint=str(path))
+    assert len(json.loads(path.read_text())["cursor"]) > 1
+    assert phi_exact(5, checkpoint=str(path)).to_dict() == fresh
+
+
+def test_checkpoint_is_saved_on_an_interval_during_the_sweep(tmp_path, monkeypatch):
+    # Only the clock triggers a save before the sweep ends: with a clock
+    # that stands still no lambda call sees the file, with one that moves a
+    # save interval per read some call does.
+    fresh = phi_exact(4).to_dict()
+    for step, saved_midway in ((0.0, False), (extremal._SAVE_SECONDS, True)):
+        path = tmp_path / f"{step}.ckpt"
+        reads = count(step=step)
+        seen = []
+
+        def spy(family):
+            seen.append(path.exists())
+            return lambda_of(family)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(extremal, "time", SimpleNamespace(monotonic=lambda: next(reads)))
+            patch.setattr(extremal, "lambda_of", spy)
+            assert phi_exact(4, checkpoint=str(path)).to_dict() == fresh
+        assert any(seen) is saved_midway
+        assert path.exists()
+
+
 def test_phi_table_envelope_reports_running_max():
     table = phi_table(5)
     envelope = table.lambda_envelope()
@@ -244,3 +299,6 @@ def test_phi_table_envelope_reports_running_max():
 def test_phi_rejects_bad_budget():
     with pytest.raises(ValueError):
         phi_exact(0)
+    for budget in (0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="budget_seconds must be positive"):
+            phi_exact(3, budget_seconds=budget)
