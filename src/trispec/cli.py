@@ -43,6 +43,7 @@ from .extremal import (
 from .families import (
     EmptyFamilyError,
     FamilyParseError,
+    SupportGraph,
     TriangleFamily,
     connected_components,
     family_to_text,
@@ -203,7 +204,7 @@ def _suite_hodge(args, audited) -> _Suite:
 
 def _suite_mingap(args, audited) -> _Suite:
     suite = _Suite("mingap")
-    for label, _fam, report in audited():
+    for label, _fam, report, _graph in audited():
         check = verify_min_gap(report)
         suite.check(check.ok, label, f"residual={check.residual:.3e}")
     return suite
@@ -212,8 +213,8 @@ def _suite_mingap(args, audited) -> _Suite:
 def _suite_overlap(args, audited) -> _Suite:
     suite = _Suite("overlap")
     certs = {}
-    for label, fam, report in audited():
-        cert = certs[label] = check_overlap(fam, report.lam)
+    for label, fam, report, graph in audited():
+        cert = certs[label] = check_overlap(fam, report.lam, graph)
         suite.check(cert.passed, label, f"n={cert.n} d_e={cert.min_edge_codegree}")
     k5 = certs["kn:5"]
     suite.check(
@@ -226,8 +227,8 @@ def _suite_overlap(args, audited) -> _Suite:
 
 def _suite_counting(args, audited) -> _Suite:
     suite = _Suite("counting")
-    for label, fam, report in audited():
-        cert = check_counting(fam, report.lam)
+    for label, fam, report, graph in audited():
+        cert = check_counting(fam, report.lam, graph)
         note = "vacuous" if not cert.applicable else f"n={cert.ceil_lambda} v={cert.v} e={cert.e} t={cert.t}"
         suite.check(cert.passed, label, note)
     return suite
@@ -339,13 +340,16 @@ def _cmd_verify(args) -> int:
     if args.suite in _RANDOMIZED_SUITES and args.seed is None:
         raise ValueError("--seed is required for randomized suites")
 
-    # One report per grid and random family, shared by the suites that read
-    # lambda and made when the first of them asks, so a SpectralError still
-    # surfaces after the earlier suites' lines have printed.
+    # One report and support graph per grid and random family, shared by
+    # the suites that read lambda and made when the first of them asks, so a
+    # SpectralError still surfaces after the earlier suites' lines have printed.
     @functools.cache
-    def audited() -> list[tuple[str, TriangleFamily, SpectralReport]]:
-        families = _grid_families() + _named_random(args)
-        return [(label, fam, spectral_report(fam)) for label, fam in families]
+    def audited() -> list[tuple[str, TriangleFamily, SpectralReport, SupportGraph]]:
+        out = []
+        for label, fam in _grid_families() + _named_random(args):
+            graph = support_graph(fam)
+            out.append((label, fam, spectral_report(fam, graph), graph))
+        return out
 
     total_failures = 0
     for name in names:

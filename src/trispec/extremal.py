@@ -20,8 +20,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from . import __version__
 from .families import (
+    SupportGraph,
     TriangleFamily,
     disjoint_union,
     support_graph,
@@ -39,6 +39,9 @@ _VERTEX_CAP = 12
 # A checkpointed sweep also saves its progress this often, so a killed run
 # loses at most this much work.
 _SAVE_SECONDS = 60.0
+# Layout of the checkpoint file, kept in its `search` key: bump it whenever
+# the keys of the file or their meaning change, so an older file is refused.
+_CHECKPOINT_LAYOUT = 1
 
 
 def guarded_ceil(lam: float) -> int:
@@ -78,18 +81,22 @@ class OverlapCertificate:
         }
 
 
-def check_overlap(family: TriangleFamily, lam: float | None = None) -> OverlapCertificate:
+def check_overlap(
+    family: TriangleFamily, lam: float | None = None, graph: SupportGraph | None = None
+) -> OverlapCertificate:
     """Evaluate the overlap conclusions with n = guarded ceiling of lambda.
 
     Every support edge must sit in at least n-2 triangles, endpoints of a
     support edge share at least n-2 common neighbors, every vertex lies in
     at least n-2 triangles with graph degree at least n-1, and the support
-    has at least n vertices.
+    has at least n vertices.  `lam` and `graph`, when given, are the
+    family's lambda and support graph.
     """
     if lam is None:
         lam = lambda_of(family)
+    if graph is None:
+        graph = support_graph(family)
     n = guarded_ceil(lam)
-    graph = support_graph(family)
     adjacency: dict[int, set[int]] = {v: set() for v in graph.vertices}
     for u, v in graph.edges:
         adjacency[u].add(v)
@@ -134,15 +141,19 @@ class CountingCertificate:
     passed: bool
 
 
-def check_counting(family: TriangleFamily, lam: float | None = None) -> CountingCertificate:
+def check_counting(
+    family: TriangleFamily, lam: float | None = None, graph: SupportGraph | None = None
+) -> CountingCertificate:
     """Check v(n-1) <= 2e, e(n-2) <= 3t, v(n-1)(n-2) <= 6t for n = ceil(lambda).
 
     The comparisons are cross-multiplied so both sides are exact integers.
     Only meaningful when lambda > 2; otherwise marked not applicable.
+    `lam` and `graph`, when given, are the family's lambda and support graph.
     """
     if lam is None:
         lam = lambda_of(family)
-    graph = support_graph(family)
+    if graph is None:
+        graph = support_graph(family)
     v, e, t = len(graph.vertices), len(graph.edges), len(family)
     n = guarded_ceil(lam)
     applicable = lam > 2.0 + CEIL_GUARD
@@ -484,7 +495,7 @@ class _Checkpoint:
     """JSON resume file: the search it belongs to, the incumbent per size
     and the cursor, the last node of the sweep entered.
 
-    A file of another budget, vertex cap, prune setting or version is
+    A file of another budget, vertex cap, prune setting or layout is
     refused, since it would skip subtrees never searched for this budget;
     so is one that does not parse, lacks a key, has a wrong type or whose
     cursor is not a node of this search, since reading part of it could
@@ -493,7 +504,7 @@ class _Checkpoint:
 
     def __init__(self, path, t: int, cap: int, prune: bool):
         self.path = path
-        self.search = {"t": t, "cap": cap, "prune": prune, "version": __version__}
+        self.search = {"t": t, "cap": cap, "prune": prune, "layout": _CHECKPOINT_LAYOUT}
         self.best: dict[int, tuple[float, tuple]] = {}
         self.cursor: tuple = ()
         try:
@@ -526,15 +537,50 @@ class _Checkpoint:
         os.replace(tmp, self.path)
 
 
-def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -> bool:
-    """True when the counting bound v(m-1)(m-2) <= 6s, with m the smallest
-    integer above the incumbent best[s] >= 2, rules out every family of s
-    triangles on `vertices` or more vertices that would beat it."""
+def _ceiling_to_beat(best: dict[int, tuple[float, tuple]], s: int) -> int:
+    """The integer m, the smallest above the incumbent best[s] >= 2, with
+    ceil(lambda) >= m for every family of s triangles that beats it; 0
+    without such an incumbent."""
     cur = best.get(s)
     if cur is None or cur[0] < 2.0:
-        return False
-    m = math.floor(cur[0] + CEIL_GUARD) + 1
-    return vertices * (m - 1) * (m - 2) > 6 * s
+        return 0
+    return math.floor(cur[0] + CEIL_GUARD) + 1
+
+
+def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -> bool:
+    """True when the counting bound v(m-1)(m-2) <= 6s, with m from
+    `_ceiling_to_beat`, rules out every family of s triangles on `vertices`
+    or more vertices that would beat the incumbent."""
+    m = _ceiling_to_beat(best, s)
+    return m > 0 and vertices * (m - 1) * (m - 2) > 6 * s
+
+
+def _subtree_beyond_reach(
+    best: dict[int, tuple[float, tuple]], tris: tuple, k: int, t: int
+) -> bool:
+    """True when no descendant of the node `tris` on labels 1..k, of any
+    size r up to t, can beat the incumbent best[r].
+
+    Size r is out of reach by the vertex-count cut (`_beyond_reach`; every
+    descendant has at least k vertices) or by the overlap cut.  A family
+    beating best[r] has ceil(lambda) >= m, so by the overlap theorem each
+    of its support edges lies in at least m-2 of its triangles.  Each of
+    the r-s triangles a descendant adds to the s of `tris` raises the
+    codegree of at most 3 edges, so size r is out of reach when the edges
+    of `tris` lack more than 3(r-s) in all: sum of max(0, m-2-codegree).
+    """
+    s = len(tris)
+    codegree: dict[tuple[int, int], int] = {}
+    for tri in tris:
+        for edge in combinations(tri, 2):
+            codegree[edge] = codegree.get(edge, 0) + 1
+    for r in range(s + 1, t + 1):
+        if _beyond_reach(best, r, k):
+            continue
+        m = _ceiling_to_beat(best, r)
+        if not m or sum(max(0, m - 2 - c) for c in codegree.values()) <= 3 * (r - s):
+            return False
+    return True
 
 
 def _phi_sweep(
@@ -548,12 +594,16 @@ def _phi_sweep(
     returns the incumbents and whether the sweep completed in time.
 
     A node is evaluated when connected.  Below depth t its subtree is
-    pruned when `_beyond_reach` proves no descendant can beat the incumbent
-    at any remaining size, so recorded maxima stay exact with or without
-    pruning.  Nodes are entered in lex order, so every node lex-smaller
-    than the checkpoint's cursor and not on its path is finished: those are
-    skipped, and the path itself is entered again.  The deadline is checked
-    only past the cursor, so each run moves the cursor forward.
+    pruned when `_subtree_beyond_reach` proves no descendant can beat the
+    incumbent at any remaining size, by the counting bound on its vertex
+    count or by the overlap theorem (each support edge lies in at least
+    ceil(lambda) - 2 triangles) on the codegrees it lacks.  A pruned
+    subtree holds no family that would replace an incumbent, so recorded
+    maxima and witnesses are those of the unpruned sweep.  Nodes are
+    entered in lex order, so every node lex-smaller than the checkpoint's
+    cursor and not on its path is finished: those are skipped, and the
+    path itself is entered again.  The deadline is checked only past the
+    cursor, so each run moves the cursor forward.
     """
     ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
@@ -580,7 +630,7 @@ def _phi_sweep(
             if ckpt and now > next_save:
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
-        if prune and all(_beyond_reach(best, r, k) for r in range(s + 1, t + 1)):
+        if prune and _subtree_beyond_reach(best, tris, k, t):
             return
         for child, k2 in _children(tris, k, cap):
             if child >= start[: len(child)]:

@@ -116,10 +116,11 @@ class _Block:
     rank1: int
 
 
-def _blocks(family: TriangleFamily) -> list[_Block]:
+def _blocks(family: TriangleFamily, graph: SupportGraph | None = None) -> list[_Block]:
     """One block per connected component; a connected family (every family
     the phi search evaluates) reuses its own support graph."""
-    graph = support_graph(family)
+    if graph is None:
+        graph = support_graph(family)
     parts = connected_components(graph)
     if len(parts) == 1:
         pieces = [(family, graph)]
@@ -142,10 +143,10 @@ def lambda_of(family: TriangleFamily) -> float:
     return _lambda_tau_spectrum(family)[0]
 
 
-def _lambda_tau_spectrum(family: TriangleFamily):
+def _lambda_tau_spectrum(family: TriangleFamily, graph: SupportGraph | None = None):
     if len(family) == 0:
         raise SpectralError("spectral parameter of an empty family is undefined")
-    blocks = _blocks(family)
+    blocks = _blocks(family, graph)
     edges = sum(len(b.graph.edges) for b in blocks)
     source = "L2_down" if len(family) <= edges else "L1_up"
     merged: list[float] = []
@@ -168,9 +169,10 @@ def _lambda_tau_spectrum(family: TriangleFamily):
     return lam, tau, spectrum, blocks
 
 
-def spectral_report(family: TriangleFamily) -> SpectralReport:
-    """Full spectral summary: parameter, tau, and both graph-side minima."""
-    lam, tau, spectrum, blocks = _lambda_tau_spectrum(family)
+def spectral_report(family: TriangleFamily, graph: SupportGraph | None = None) -> SpectralReport:
+    """Full spectral summary: parameter, tau, and both graph-side minima.
+    `graph`, when given, is the family's support graph."""
+    lam, tau, spectrum, blocks = _lambda_tau_spectrum(family, graph)
 
     l0_min = math.inf
     l1_min = math.inf

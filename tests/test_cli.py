@@ -94,7 +94,7 @@ def test_verify_rigidity_range(capsys):
 
 
 def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
-    calls = {"spectral_report": 0, "lambda_of": 0}
+    calls = {"spectral_report": 0, "lambda_of": 0, "support_graph": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -107,12 +107,14 @@ def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
 
     counted(cli, "spectral_report")
     counted(extremal, "lambda_of")
+    counted(extremal, "support_graph")
     code, out, _ = run(capsys, "verify", "all", "--seed", "3", "--random", "5")
     assert code == 0
     assert "suite=overlap checks=25 failures=0" in out
     # One report per grid (19) and random (5) family; lambda_of inside the
-    # certificates only for the nine rigidity checks (n = 4..6, three each).
-    assert calls == {"spectral_report": 19 + 5, "lambda_of": 9}
+    # certificates only for the nine rigidity checks (n = 4..6, three each);
+    # the overlap and counting certificates reuse the graph built for the report.
+    assert calls == {"spectral_report": 19 + 5, "lambda_of": 9, "support_graph": 0}
 
 
 def test_phi_subcommand_writes_json(tmp_path, capsys):
@@ -130,6 +132,19 @@ def test_phi_refuses_checkpoint_of_another_budget(tmp_path, capsys):
     assert run(capsys, "phi", "3", "--checkpoint", path)[0] == 0
     code, _, err = run(capsys, "phi", "4", "--checkpoint", path)
     assert code == 2
+    assert "another search" in err
+
+
+def test_phi_refuses_checkpoint_without_a_layout(tmp_path, capsys):
+    # Checkpoints written before the layout number keyed `search` on the
+    # tool version instead.
+    path = tmp_path / "phi.ckpt"
+    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["search"] = {"t": 4, "cap": 9, "prune": True, "version": "0.1.0"}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
     assert "another search" in err
 
 

@@ -152,10 +152,21 @@ def test_vertex_cap_stays_non_exhaustive_when_the_bound_does_not_apply():
 
 def test_phi_prune_ab_invariant():
     for t in (3, 4, 5):
-        pruned = phi_exact(t, prune=True)
-        plain = phi_exact(t, prune=False)
-        assert abs(pruned.phi - plain.phi) < 1e-9
-        assert pruned.connected_max == pytest.approx(plain.connected_max, abs=1e-9)
+        assert phi_exact(t, prune=True).to_dict() == phi_exact(t, prune=False).to_dict()
+
+
+def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
+    # Frozen count for phi(6) with the vertex-count and overlap cuts; the
+    # vertex-count cut alone evaluates 1,282 families.
+    calls = count()
+
+    def counted(family):
+        next(calls)
+        return lambda_of(family)
+
+    monkeypatch.setattr(extremal, "lambda_of", counted)
+    assert phi_exact(6).exhaustive
+    assert next(calls) == 1099
 
 
 def test_phi_respects_time_budget_flag():
@@ -181,7 +192,7 @@ def test_phi_checkpoint_resume(tmp_path):
     assert abs(again.phi - want.phi) < 1e-9
     doc = json.loads(path.read_text())
     assert set(doc) == {"search", "best", "cursor"}
-    assert doc["search"] == {"t": 5, "cap": 11, "prune": True, "version": extremal.__version__}
+    assert doc["search"] == {"t": 5, "cap": 11, "prune": True, "layout": extremal._CHECKPOINT_LAYOUT}
     assert doc["best"]["4"][0] == want.connected_max[3]
     assert len(doc["best"]["4"][1]) == 4
     assert doc["cursor"][0] == [1, 2, 3] and 1 <= len(doc["cursor"]) <= 5

@@ -1,8 +1,11 @@
 import math
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispec import (
     TriangleFamily,
@@ -49,6 +52,49 @@ def test_overlap_sharp_on_k5():
     assert cert.min_common_neighbors == cert.n - 2
     assert cert.vertex_count == cert.n
     assert cert.lambda_near_integer
+
+
+def _overlap_deficit(part: TriangleFamily, ceiling: int) -> int:
+    """Codegree units the edges of `part` lack for every edge to lie in
+    ceiling - 2 triangles."""
+    codegree: dict[tuple[int, int], int] = {}
+    for tri in part:
+        for edge in combinations(tri, 2):
+            codegree[edge] = codegree.get(edge, 0) + 1
+    return sum(max(0, ceiling - 2 - c) for c in codegree.values())
+
+
+@st.composite
+def _family_and_part(draw):
+    """A dense family, the triangles of K6 or K7 less a few, and a nonempty
+    sub-family less a few more."""
+    pool = list(combinations(range(1, draw(st.sampled_from([6, 7])) + 1), 3))
+    dropped = draw(st.sets(st.sampled_from(pool), max_size=8))
+    tris = [tri for tri in pool if tri not in dropped]
+    left_out = draw(st.sets(st.sampled_from(tris[1:]), max_size=6))
+    part = [tri for tri in tris if tri not in left_out]
+    return TriangleFamily(tuple(tris)), TriangleFamily(tuple(part))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_and_part())
+def test_overlap_deficit_of_a_sub_family_is_covered_by_the_added_triangles(pair):
+    # The phi sweep's overlap cut: every support edge of F lies in at least
+    # ceil(lambda(F)) - 2 triangles, and each triangle of F outside P raises
+    # the codegree of at most 3 edges of P.
+    family, part = pair
+    deficit = _overlap_deficit(part, guarded_ceil(lambda_of(family)))
+    assert deficit <= 3 * (len(family) - len(part))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_overlap_deficit_is_tight_for_a_clique_minus_one_triangle(n):
+    # The three edges of the missing triangle lie in n - 3 triangles of P,
+    # one short of n - 2: the factor 3 cannot be lowered.
+    family = complete_family(n)
+    part = TriangleFamily(family.triangles[:-1])
+    assert guarded_ceil(lambda_of(family)) == n
+    assert _overlap_deficit(part, n) == 3 * (len(family) - len(part)) == 3
 
 
 def test_counting_bounds_hold_and_are_integer_exact():
