@@ -6,7 +6,12 @@ time and a candidate is kept only when it is the canonical representative,
 i.e. the minimum of its relabeling orbit.  Deleting the largest triangle
 of a canonical family leaves a canonical family, so every class is
 reached exactly once.  Connectivity is checked per node; interior
-nodes of the tree may be disconnected.
+nodes of the tree may be disconnected.  The canonicity test searches
+relabelings depth first, and gives each next label only to vertices a
+minimum can give it: labels 1, 2 to an edge of maximum codegree, then
+to a vertex of a triangle with the least optimistic image, and one
+vertex per class of twins (vertices whose transposition is an
+automorphism).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -291,61 +297,108 @@ def vertex_window_check(family: TriangleFamily, n: int) -> WindowVerdict:
 def _is_lex_min(tris: tuple, k: int) -> bool:
     """True iff no relabeling of 1..k makes the sorted triangle list smaller.
 
-    Depth-first search over assignments of new labels 1, 2, ... to old
-    vertices.  At each partial assignment every triangle gets an optimistic
-    lower-bound id (unassigned slots filled with the smallest future
-    labels); the sorted bound list, strictified position by position, is a
-    pointwise lower bound for any completion, so a branch whose bound list
-    is lex >= the incumbent can be discarded.  A full assignment with a
-    smaller list is a witness of non-minimality.
+    Depth-first search for a smaller list, giving new labels 1, 2, ... to
+    old vertices in turn.  Under labels 1..j a triangle's optimistic image
+    is its assigned labels sorted, then j+1, j+2, ... for its open slots.
+    Every completion maps each triangle to at least that image, so the
+    sorted images, strictified position by position, bound the list of any
+    completion from below: a branch whose bound is lex >= `tris` is cut,
+    and a branch with every triangle closed and a smaller list is a
+    witness of non-minimality.
+
+    If a smaller list exists, so does a minimum relabeling, and the search
+    only has to reach one; so label j+1 goes only where a minimum puts it.
+
+    1. Max-codegree start.  Let c be the largest codegree (triangles on an
+       edge).  Labels 1, 2 on such an edge and 3..c+2 on its common
+       neighbours give a list starting (1,2,3), ..., (1,2,c+2).  A list
+       whose edge (1,2) lies in c' < c triangles holds (1,2,x) with
+       x >= i+2 at each position i <= c' and a larger entry at c'+1, so
+       it is larger.  Hence every minimum labels an edge of codegree c
+       with 1 and 2, and `tris` is not minimal unless its edge (1,2) is one.
+    2. Forced next label.  For j >= 2, label j+1 goes to an open vertex of
+       an open triangle whose optimistic image m is least.  Closed
+       triangles keep their images, and every open image is at least its
+       optimistic one, hence at least m.  Giving j+1, j+2, ... to the open
+       vertices of a least triangle makes m an image; a list without m
+       agrees with such a list on the closed entries below m and is larger
+       at the next position, so it is not a minimum.  In a minimum, m is
+       the image of a triangle whose true and optimistic images agree, so
+       one of its open vertices holds j+1.
+    3. Twin classes.  Vertices u, w are twins when the transposition (u w)
+       is an automorphism, i.e. link(u) without the pairs through w equals
+       link(w) without the pairs through u.  Such transpositions compose to
+       automorphisms, so twins form classes.  While u and w are both open,
+       composing with (u w) turns a completion giving j+1 to u into one
+       giving it to w, with the same list and passing 1 and 2 alike, so
+       one open member per class is tried.
     """
     if tris[0] != (1, 2, 3):
         return False
-    t = len(tris)
+    codegree = Counter(edge for tri in tris for edge in combinations(tri, 2))
+    top = max(codegree.values())
+    if codegree[(1, 2)] < top:
+        return False
+    link = [{tuple(x for x in tri if x != v) for tri in tris if v in tri} for v in range(k + 1)]
+    twin = list(range(k + 1))  # the least member of each vertex's twin class
+    for u, w in combinations(range(1, k + 1), 2):
+        # Both sides drop the codeg(u, w) pairs through u and w: sizes must match.
+        if twin[w] == w and len(link[u]) == len(link[w]) and (
+            {p for p in link[u] if w not in p} == {p for p in link[w] if u not in p}
+        ):
+            twin[w] = twin[u]
     new_of = [0] * (k + 1)
 
-    def bound_cmp(j: int) -> int:
+    def bound_cmp(j: int) -> tuple[int, list[int]]:
+        """The sign of the bound list against `tris`, and the open vertices
+        of the least open triangles (none when every triangle is closed)."""
         los = []
-        for a, b, c in tris:
-            assigned = []
-            open_slots = 0
-            for v in (a, b, c):
-                nl = new_of[v]
-                if nl:
-                    assigned.append(nl)
+        least = None
+        opens: list[int] = []
+        for tri in tris:
+            lo = []
+            free = []
+            for v in tri:
+                if new_of[v]:
+                    lo.append(new_of[v])
                 else:
-                    open_slots += 1
-            assigned.sort()
-            if open_slots:
-                assigned.extend(range(j + 1, j + 1 + open_slots))
-            los.append(tuple(assigned))
+                    free.append(v)
+            lo.sort()
+            lo.extend(range(j + 1, j + 1 + len(free)))
+            lo = tuple(lo)
+            los.append(lo)
+            if free and (least is None or lo <= least):
+                opens = opens + free if lo == least else free
+                least = lo
         los.sort()
         prev = None
         for lo, ref in zip(los, tris):
             if prev is not None and lo <= prev:
                 lo = (prev[0], prev[1], prev[2] + 1)
             if lo < ref:
-                return -1
+                return -1, opens
             if lo > ref:
-                return 1
+                return 1, opens
             prev = lo
-        return 0
+        return 0, opens
 
-    def descend(j: int) -> bool:
-        nxt = j + 1
-        for v in range(1, k + 1):
-            if new_of[v]:
+    def descend(j: int, candidates: list[int]) -> bool:
+        tried = set()
+        for v in candidates:
+            if twin[v] in tried:
                 continue
-            new_of[v] = nxt
-            verdict = bound_cmp(nxt)
+            tried.add(twin[v])
+            new_of[v] = j + 1
+            verdict, opens = bound_cmp(j + 1)
             if verdict < 0:
-                if nxt == k or descend(nxt):
-                    new_of[v] = 0
+                if j == 0:
+                    opens = [w for w in opens if codegree[min(v, w), max(v, w)] == top]
+                if not opens or descend(j + 1, opens):
                     return True
             new_of[v] = 0
         return False
 
-    return not descend(0)
+    return not descend(0, sorted({v for edge, c in codegree.items() if c == top for v in edge}))
 
 
 def _children(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
@@ -570,10 +623,7 @@ def _subtree_beyond_reach(
     of `tris` lack more than 3(r-s) in all: sum of max(0, m-2-codegree).
     """
     s = len(tris)
-    codegree: dict[tuple[int, int], int] = {}
-    for tri in tris:
-        for edge in combinations(tri, 2):
-            codegree[edge] = codegree.get(edge, 0) + 1
+    codegree = Counter(edge for tri in tris for edge in combinations(tri, 2))
     for r in range(s + 1, t + 1):
         if _beyond_reach(best, r, k):
             continue

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+from functools import lru_cache
 from itertools import chain, combinations, count, permutations, repeat
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispec import (
     TriangleFamily,
@@ -64,21 +68,86 @@ def labeled_bruteforce_classes(t: int) -> set[tuple]:
     return classes
 
 
-@pytest.mark.parametrize("t,count", [(1, 1), (2, 2), (3, 9)])
+@lru_cache(maxsize=None)
+def _relabelings(k: int) -> np.ndarray:
+    """All k! relabelings of 1..k, one per row: row[v] is the new label of v."""
+    perms = np.array(list(permutations(range(1, k + 1))), dtype=np.int8)
+    return np.hstack([np.zeros((len(perms), 1), np.int8), perms])
+
+
+def relabeled_min(tris: tuple, k: int) -> tuple:
+    """The lex-least sorted triangle list over all k! relabelings of 1..k
+    (k <= 15, so a triangle's labels pack into one base-16 code)."""
+    images = np.sort(_relabelings(k)[:, np.array(tris)], axis=2).astype(np.int32)
+    codes = np.sort((images[..., 0] * 16 + images[..., 1]) * 16 + images[..., 2], axis=1)
+    for col in range(codes.shape[1]):
+        codes = codes[codes[:, col] == codes[:, col].min()]
+    return tuple((c // 256, c // 16 % 16, c % 16) for c in codes[0].tolist())
+
+
+@lru_cache(maxsize=None)
+def labeled_classes(t: int) -> frozenset:
+    """Isomorphism classes of connected t-triangle families, by brute force.
+
+    Up to t = 3 this is `labeled_bruteforce_classes`.  Beyond it, every
+    connected t-family is a connected (t-1)-family plus one triangle
+    meeting its support (delete a leaf of a spanning tree of the graph on
+    triangles sharing a vertex), so each (t-1)-class on 1..k is extended
+    by every triangle meeting 1..k, new vertices labeled k+1 then k+2,
+    and each candidate's minimum over all relabelings is kept.  A class
+    on 2t+1 vertices costs (2t+1)! relabelings, so t = 4 is the last
+    size this stays cheap for.
+    """
+    if t <= 3:
+        return frozenset(labeled_bruteforce_classes(t))
+    classes = set()
+    for fam in labeled_classes(t - 1):
+        k = max(tri[2] for tri in fam)
+        for tri in combinations(range(1, k + 3), 3):
+            if tri in fam or tri[0] > k or (tri[2] == k + 2 and tri[1] != k + 1):
+                continue
+            classes.add(relabeled_min(tuple(sorted(fam + (tri,))), max(k, tri[2])))
+    return frozenset(classes)
+
+
+@pytest.mark.parametrize("t,count", [(1, 1), (2, 2), (3, 9), (4, 51)])
 def test_class_counts_match_labeled_bruteforce(t, count):
-    oracle = labeled_bruteforce_classes(t)
+    oracle = labeled_classes(t)
     ours = [fam.triangles for fam in enumerate_connected_families(t)]
     assert len(ours) == len(set(ours)) == len(oracle) == count
     assert set(ours) == oracle
 
 
-@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("t", [2, 3, 4])
 def test_lambda_multisets_match_labeled_bruteforce(t):
-    oracle = sorted(
-        round(lambda_of(TriangleFamily(tris)), 8) for tris in labeled_bruteforce_classes(t)
-    )
+    oracle = sorted(round(lambda_of(TriangleFamily(tris)), 8) for tris in labeled_classes(t))
     ours = sorted(round(lambda_of(f), 8) for f in enumerate_connected_families(t))
     assert ours == oracle
+
+
+@st.composite
+def families_with_first_triangle(draw):
+    """(tris, k): a sorted family on labels within 1..k holding (1, 2, 3),
+    optionally closed under a transposition so that it has twins."""
+    k = draw(st.integers(3, 7))
+    pool = list(combinations(range(1, k + 1), 3))
+    tris = {(1, 2, 3)} | draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
+    if draw(st.booleans()):
+        u, w = draw(st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True))
+        swap = {u: w, w: u}
+        tris |= {tuple(sorted(swap.get(v, v) for v in tri)) for tri in tris}
+    return tuple(sorted(tris)), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_with_first_triangle())
+def test_canonicity_test_equals_the_relabeling_oracle(case):
+    # Each drawn family and its canonical form: the first is mostly not
+    # minimal, the second is, and being isomorphic it keeps the drawn
+    # family's twins and codegrees.
+    tris, k = case
+    for fam in (tris, relabeled_min(tris, k)):
+        assert extremal._is_lex_min(fam, k) == (relabeled_min(fam, k) == fam)
 
 
 def test_enumeration_is_deterministic():
@@ -101,6 +170,12 @@ def test_class_count_regression_at_t4():
     # Frozen from this implementation after the t <= 3 oracle checks; guards
     # against regressions in the extension or canonicity rules.
     assert sum(1 for _ in enumerate_connected_families(4)) == 51
+
+
+def test_class_count_and_order_at_t5():
+    fams = [f.triangles for f in enumerate_connected_families(5)]
+    assert len(fams) == 361
+    assert all(a < b for a, b in zip(fams, fams[1:]))
 
 
 def test_vertex_cap_argument():
