@@ -608,29 +608,24 @@ def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -
     return m > 0 and vertices * (m - 1) * (m - 2) > 6 * s
 
 
-def _subtree_beyond_reach(
-    best: dict[int, tuple[float, tuple]], tris: tuple, k: int, t: int
+def _size_beyond_reach(
+    best: dict[int, tuple[float, tuple]], codegree: Counter, s: int, k: int, r: int
 ) -> bool:
-    """True when no descendant of the node `tris` on labels 1..k, of any
-    size r up to t, can beat the incumbent best[r].
+    """True when no family of r >= s triangles that contains a node of s
+    triangles on labels 1..k, with these edge codegrees, can beat best[r].
 
-    Size r is out of reach by the vertex-count cut (`_beyond_reach`; every
-    descendant has at least k vertices) or by the overlap cut.  A family
+    Size r is out of reach by the vertex-count cut (`_beyond_reach`; such
+    a family has at least k vertices) or by the overlap cut.  A family
     beating best[r] has ceil(lambda) >= m, so by the overlap theorem each
     of its support edges lies in at least m-2 of its triangles.  Each of
-    the r-s triangles a descendant adds to the s of `tris` raises the
-    codegree of at most 3 edges, so size r is out of reach when the edges
-    of `tris` lack more than 3(r-s) in all: sum of max(0, m-2-codegree).
+    the r-s triangles added to the node raises the codegree of at most 3
+    edges, so size r is out of reach when the node's edges lack more than
+    3(r-s) in all: sum of max(0, m-2-codegree).
     """
-    s = len(tris)
-    codegree = Counter(edge for tri in tris for edge in combinations(tri, 2))
-    for r in range(s + 1, t + 1):
-        if _beyond_reach(best, r, k):
-            continue
-        m = _ceiling_to_beat(best, r)
-        if not m or sum(max(0, m - 2 - c) for c in codegree.values()) <= 3 * (r - s):
-            return False
-    return True
+    if _beyond_reach(best, r, k):
+        return True
+    m = _ceiling_to_beat(best, r)
+    return m > 0 and sum(max(0, m - 2 - c) for c in codegree.values()) > 3 * (r - s)
 
 
 def _phi_sweep(
@@ -643,17 +638,18 @@ def _phi_sweep(
     """One orderly sweep collecting the best connected family per size 1..t;
     returns the incumbents and whether the sweep completed in time.
 
-    A node is evaluated when connected.  Below depth t its subtree is
-    pruned when `_subtree_beyond_reach` proves no descendant can beat the
-    incumbent at any remaining size, by the counting bound on its vertex
-    count or by the overlap theorem (each support edge lies in at least
-    ceil(lambda) - 2 triangles) on the codegrees it lacks.  A pruned
-    subtree holds no family that would replace an incumbent, so recorded
-    maxima and witnesses are those of the unpruned sweep.  Nodes are
-    entered in lex order, so every node lex-smaller than the checkpoint's
-    cursor and not on its path is finished: those are skipped, and the
-    path itself is entered again.  The deadline is checked only past the
-    cursor, so each run moves the cursor forward.
+    A node is evaluated when connected, unless `_size_beyond_reach`
+    proves it cannot beat the incumbent of its own size.  Below depth t
+    its subtree is pruned when that test holds at every larger size, by
+    the counting bound on its vertex count or by the overlap theorem
+    (each support edge lies in at least ceil(lambda) - 2 triangles) on the
+    codegrees it lacks.  A skipped node or pruned subtree holds no family
+    that would replace an incumbent, so recorded maxima and witnesses are
+    those of the unpruned sweep.  Nodes are entered in lex order, so every
+    node lex-smaller than the checkpoint's cursor and not on its path is
+    finished: those are skipped, and the path itself is entered again.
+    The deadline is checked only past the cursor, so each run moves the
+    cursor forward.
     """
     ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
@@ -667,7 +663,8 @@ def _phi_sweep(
         nonlocal last, next_save
         last = tris
         s = len(tris)
-        if _support_connected(tris):
+        codegree = Counter(edge for tri in tris for edge in combinations(tri, 2))
+        if _support_connected(tris) and not (prune and _size_beyond_reach(best, codegree, s, k, s)):
             lam = lambda_of(TriangleFamily(tris))
             if s not in best or lam > best[s][0] + IMPROVE_EPS:
                 best[s] = (lam, tris)
@@ -680,7 +677,7 @@ def _phi_sweep(
             if ckpt and now > next_save:
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
-        if prune and _subtree_beyond_reach(best, tris, k, t):
+        if prune and all(_size_beyond_reach(best, codegree, s, k, r) for r in range(s + 1, t + 1)):
             return
         for child, k2 in _children(tris, k, cap):
             if child >= start[: len(child)]:

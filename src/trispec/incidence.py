@@ -4,10 +4,13 @@ The builders return plain read-only int64 ndarrays.  The boundary maps
 follow the sign conventions in `families`: delta0 rows are edges (one -1
 at the smaller endpoint, one +1 at the larger), delta1 rows are triangles
 (+1, -1, +1 on their ascending edge list).  Ranks are computed over the
-rationals by fraction-free elimination, never by floating point.
+rationals by one exact row reduction on Python integers, never by
+floating point.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,10 +23,6 @@ from .families import (
 )
 
 LAPLACIAN_KINDS = ("L0_up", "L1_down", "L1_up", "L2_down", "L1_total")
-
-# Bareiss updates multiply two active entries; keeping them below 2**31
-# guarantees the int64 intermediate a*p - b*c cannot overflow.
-_INT64_SAFE = 2**31 - 1
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -75,76 +74,47 @@ def _as_int_array(matrix) -> np.ndarray:
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise ValueError("exact_rank expects a 2-d matrix")
-    if arr.dtype == object:
-        return arr
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype != object and not np.issubdtype(arr.dtype, np.integer):
         raise TypeError("exact_rank is integer-only; got dtype " + str(arr.dtype))
     return arr
 
 
 def exact_rank(matrix) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination.
+    """Rank over the rationals by row reduction on Python integers.
 
-    The fast path runs on int64 with a magnitude guard; if intermediate
-    values could overflow it reruns the same elimination on Python's
-    arbitrary-precision integers (object dtype).
+    The rows of the shorter side are reduced, since rank(A) = rank(A^T);
+    each is a {column: value} dict of its nonzeros.  A row is reduced
+    against the echelon rows kept so far, keyed by their leading column,
+    by row <- a*row - b*pivot with a, b the two leading entries over their
+    gcd, and divided by its content; it is kept when its leading column is
+    new and dropped when it vanishes.  Python integers cannot overflow, so
+    int64 and object input take the same path.
     """
     arr = _as_int_array(matrix)
-    if arr.size == 0:
-        return 0
-    if arr.dtype != object:
-        try:
-            return _bareiss_rank(arr.astype(np.int64), guarded=True)
-        except OverflowError:
-            pass
-    big = np.empty(arr.shape, dtype=object)
-    for i, row in enumerate(arr):
-        big[i, :] = [int(x) for x in row]
-    return _bareiss_rank(big, guarded=False)
-
-
-def _bareiss_rank(work: np.ndarray, guarded: bool) -> int:
-    a = work.copy()
-    rows, cols = a.shape
-    r = 0
-    prev = a.dtype.type(1) if guarded else 1
-    for c in range(cols):
-        if r == rows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        # Smallest-magnitude pivot, ties broken by sparsest row: curbs the
-        # growth of the minors that Bareiss carries as matrix entries.
-        best = None
-        for i in nz:
-            row_idx = r + int(i)
-            key = (abs(int(col[i])), int(np.count_nonzero(a[row_idx, c:])), row_idx)
-            if best is None or key < best:
-                best = key
-        pr = best[2]
-        if pr != r:
-            a[[r, pr], :] = a[[pr, r], :]
-        piv = a[r, c]
-        if r + 1 < rows:
-            sub = a[r + 1 :, c + 1 :]
-            colv = a[r + 1 :, c : c + 1]
-            rowv = a[r : r + 1, c + 1 :]
-            if guarded:
-                bound = max(
-                    int(np.abs(sub).max(initial=0)),
-                    int(np.abs(colv).max(initial=0)),
-                    int(np.abs(rowv).max(initial=0)),
-                    abs(int(piv)),
-                )
-                if bound > _INT64_SAFE:
-                    raise OverflowError("int64 Bareiss guard tripped")
-            a[r + 1 :, c + 1 :] = (sub * piv - colv * rowv) // prev
-            a[r + 1 :, c] = 0
-        prev = piv
-        r += 1
-    return r
+    if arr.shape[0] > arr.shape[1]:
+        arr = arr.T
+    echelon: dict[int, dict[int, int]] = {}
+    for values in arr.tolist():
+        row = {j: int(v) for j, v in enumerate(values) if v}
+        while row:
+            content = math.gcd(*row.values())
+            if content > 1:
+                row = {j: v // content for j, v in row.items()}
+            lead = min(row)
+            pivot = echelon.get(lead)
+            if pivot is None:
+                echelon[lead] = row
+                break
+            g = math.gcd(row[lead], pivot[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            row = {j: a * v for j, v in row.items()}
+            for j, v in pivot.items():
+                w = row.get(j, 0) - b * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(echelon)
 
 
 def harmonic_dimension(d0: np.ndarray, d1: np.ndarray) -> int:

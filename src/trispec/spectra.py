@@ -210,9 +210,9 @@ class MinGapCheck:
     residual: float
 
 
-def verify_min_gap(report: SpectralReport, tol: float = MIN_GAP_TOL) -> MinGapCheck:
+def verify_min_gap(report: SpectralReport) -> MinGapCheck:
     """Check that the smallest positive eigenvalue of L1_total equals the
     smaller of lambda and the smallest positive eigenvalue of L0."""
     rhs = min(report.lambda_min_plus_l0, report.lam)
     residual = abs(report.lambda_min_plus_l1_total - rhs)
-    return MinGapCheck(ok=residual <= tol * max(1.0, report.lam), residual=residual)
+    return MinGapCheck(ok=residual <= MIN_GAP_TOL * max(1.0, report.lam), residual=residual)

@@ -232,7 +232,7 @@ def test_phi_prune_ab_invariant():
 
 def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
     # Frozen count for phi(6) with the vertex-count and overlap cuts; the
-    # vertex-count cut alone evaluates 1,282 families.
+    # vertex-count cut alone evaluates 1,016 families.
     calls = count()
 
     def counted(family):
@@ -241,7 +241,7 @@ def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
 
     monkeypatch.setattr(extremal, "lambda_of", counted)
     assert phi_exact(6).exhaustive
-    assert next(calls) == 1099
+    assert next(calls) == 986
 
 
 def test_phi_respects_time_budget_flag():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispec import (
     LAPLACIAN_KINDS,
@@ -104,13 +106,48 @@ def test_exact_rank_matches_oracle_on_incidence_matrices():
 
 
 def test_exact_rank_survives_entries_that_overflow_int64():
-    # Bareiss intermediates blow past 2**31 here, forcing the big-int rerun.
+    # Products of these entries pass 2**31, which int64 elimination could not carry.
     rng = random.Random(9)
     m = np.array(
         [[rng.randint(10**5, 10**6) for _ in range(6)] for _ in range(6)],
         dtype=np.int64,
     )
     assert exact_rank(m) == rank_over_rationals(m)
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**6), 10**6))
+
+
+@st.composite
+def _int_matrices(draw):
+    """Tall, wide and empty shapes up to 9x9; half are a product of two
+    narrow factors, so rank deficits and zero rows or columns are common."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 3))
+        factor = st.integers(-300, 300)
+        a = np.array(draw(st.lists(factor, min_size=rows * inner, max_size=rows * inner)))
+        b = np.array(draw(st.lists(factor, min_size=inner * cols, max_size=inner * cols)))
+        m = a.reshape(rows, inner).astype(np.int64) @ b.reshape(inner, cols).astype(np.int64)
+    else:
+        values = draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+        m = np.array(values, dtype=np.int64).reshape(rows, cols)
+    return m.astype(object) if draw(st.booleans()) else m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrices())
+def test_exact_rank_matches_fraction_oracle_property(m):
+    want = rank_over_rationals(m)
+    assert exact_rank(m) == want
+    assert exact_rank(m.T) == want
+
+
+def test_exact_rank_rejects_floats_and_non_matrices():
+    with pytest.raises(TypeError):
+        exact_rank(np.eye(3))
+    with pytest.raises(ValueError):
+        exact_rank(np.arange(4))
 
 
 def test_rank_identity_on_random_families():
