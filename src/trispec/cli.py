@@ -34,7 +34,6 @@ from .constructions import (
 from .extremal import (
     CEIL_GUARD,
     IMPROVE_EPS,
-    RIGIDITY_TOL,
     check_counting,
     check_overlap,
     check_rigidity,
@@ -43,14 +42,12 @@ from .extremal import (
 from .families import (
     EmptyFamilyError,
     FamilyParseError,
-    SupportGraph,
     TriangleFamily,
     connected_components,
     family_to_text,
     load_family,
     parse_family,
     random_families,
-    support_graph,
 )
 from .incidence import (
     build_delta0,
@@ -83,7 +80,6 @@ TOLERANCES = {
     "zero_band_coeff": ZERO_BAND_COEFF,
     "psd_tol_coeff": PSD_TOL_COEFF,
     "symmetry": SYMMETRY_TOL,
-    "rigidity": RIGIDITY_TOL,
     "improve_eps": IMPROVE_EPS,
 }
 
@@ -177,10 +173,9 @@ def _named_random(args) -> list[tuple[str, TriangleFamily]]:
 def _suite_hodge(args, audited) -> _Suite:
     suite = _Suite("hodge")
     for label, fam in _named_random(args):
-        graph = support_graph(fam)
-        d0 = build_delta0(graph)
-        d1 = build_delta1(fam, graph)
-        r0 = len(graph.vertices) - len(connected_components(graph))
+        d0 = build_delta0(fam.support)
+        d1 = build_delta1(fam)
+        r0 = len(fam.support.vertices) - len(connected_components(fam.support))
         r1 = exact_rank(d1)
         harmonic = harmonic_dimension(d0, d1)
         edges = d0.shape[0]
@@ -204,7 +199,7 @@ def _suite_hodge(args, audited) -> _Suite:
 
 def _suite_mingap(args, audited) -> _Suite:
     suite = _Suite("mingap")
-    for label, _fam, report, _graph in audited():
+    for label, _fam, report in audited():
         check = verify_min_gap(report)
         suite.check(check.ok, label, f"residual={check.residual:.3e}")
     return suite
@@ -213,8 +208,8 @@ def _suite_mingap(args, audited) -> _Suite:
 def _suite_overlap(args, audited) -> _Suite:
     suite = _Suite("overlap")
     certs = {}
-    for label, fam, report, graph in audited():
-        cert = certs[label] = check_overlap(fam, report.lam, graph)
+    for label, fam, report in audited():
+        cert = certs[label] = check_overlap(fam, report.lam)
         suite.check(cert.passed, label, f"n={cert.n} d_e={cert.min_edge_codegree}")
     k5 = certs["kn:5"]
     suite.check(
@@ -227,8 +222,8 @@ def _suite_overlap(args, audited) -> _Suite:
 
 def _suite_counting(args, audited) -> _Suite:
     suite = _Suite("counting")
-    for label, fam, report, graph in audited():
-        cert = check_counting(fam, report.lam, graph)
+    for label, fam, report in audited():
+        cert = check_counting(fam, report.lam)
         note = "vacuous" if not cert.applicable else f"n={cert.ceil_lambda} v={cert.v} e={cert.e} t={cert.t}"
         suite.check(cert.passed, label, note)
     return suite
@@ -339,17 +334,17 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     if args.suite in _RANDOMIZED_SUITES and args.seed is None:
         raise ValueError("--seed is required for randomized suites")
+    if "rigidity" in names and min(_parse_range(args.n)) < 4:
+        # kn:3 minus a triangle is empty, so it has no lambda.
+        raise ValueError(f"the rigidity suite needs n >= 4, got --n {args.n}")
 
-    # One report and support graph per grid and random family, shared by
-    # the suites that read lambda and made when the first of them asks, so a
-    # SpectralError still surfaces after the earlier suites' lines have printed.
+    # One report per grid and random family, shared by the suites that read
+    # lambda and made when the first of them asks, so a SpectralError still
+    # surfaces after the earlier suites' lines have printed.
     @functools.cache
-    def audited() -> list[tuple[str, TriangleFamily, SpectralReport, SupportGraph]]:
-        out = []
-        for label, fam in _grid_families() + _named_random(args):
-            graph = support_graph(fam)
-            out.append((label, fam, spectral_report(fam, graph), graph))
-        return out
+    def audited() -> list[tuple[str, TriangleFamily, SpectralReport]]:
+        fams = _grid_families() + _named_random(args)
+        return [(label, fam, spectral_report(fam)) for label, fam in fams]
 
     total_failures = 0
     for name in names:
@@ -395,13 +390,12 @@ def _cmd_export(args) -> int:
             )
         kinds.append(_MATRIX_KINDS[norm])
     os.makedirs(args.outdir, exist_ok=True)
-    graph = support_graph(fam)
     written = []
     for kind in kinds:
         if kind == "d0":
-            entries = build_delta0(graph)
+            entries = build_delta0(fam.support)
         elif kind == "d1":
-            entries = build_delta1(fam, graph)
+            entries = build_delta1(fam)
         else:
             entries = build_laplacian(kind, fam)
         name = f"{kind}.mtx"

@@ -19,7 +19,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .families import TriangleFamily, disjoint_union, sign_triangle_edge, support_graph
+from .families import TriangleFamily, disjoint_union, sign_triangle_edge
 
 
 def complete_family(n: int) -> TriangleFamily:
@@ -126,7 +126,7 @@ def eigvec_bc(spec: GcbSpec, x: int, y: int) -> tuple[Fraction, ...]:
     c, b = spec.c, spec.b
     if not 1 <= x < y <= c:
         raise ValueError(f"need 1 <= x < y <= {c}, got ({x}, {y})")
-    graph = support_graph(gcb_family(spec))
+    graph = gcb_family(spec).support
     index = {e: i for i, e in enumerate(graph.edges)}
     vec = [Fraction(0)] * len(graph.edges)
     vec[index[(x, y)]] = Fraction(1)

@@ -26,19 +26,12 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .families import (
-    SupportGraph,
-    TriangleFamily,
-    disjoint_union,
-    support_graph,
-    vertex_triangle_counts,
-)
+from .families import TriangleFamily, disjoint_union, vertex_triangle_counts
 from .spectra import lambda_of
 
 # Round-off allowance next to an integer: a lambda this close to one counts
 # as that integer when taking ceilings or testing integrality.
 CEIL_GUARD = 1e-9
-RIGIDITY_TOL = 1e-8
 # A search candidate replaces the incumbent only when larger by more than this.
 IMPROVE_EPS = 1e-12
 _VERTEX_CAP = 12
@@ -87,26 +80,19 @@ class OverlapCertificate:
         }
 
 
-def check_overlap(
-    family: TriangleFamily, lam: float | None = None, graph: SupportGraph | None = None
-) -> OverlapCertificate:
+def check_overlap(family: TriangleFamily, lam: float | None = None) -> OverlapCertificate:
     """Evaluate the overlap conclusions with n = guarded ceiling of lambda.
 
     Every support edge must sit in at least n-2 triangles, endpoints of a
     support edge share at least n-2 common neighbors, every vertex lies in
     at least n-2 triangles with graph degree at least n-1, and the support
-    has at least n vertices.  `lam` and `graph`, when given, are the
-    family's lambda and support graph.
+    has at least n vertices.  `lam`, when given, is the family's lambda.
     """
     if lam is None:
         lam = lambda_of(family)
-    if graph is None:
-        graph = support_graph(family)
+    graph = family.support
     n = guarded_ceil(lam)
-    adjacency: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    for u, v in graph.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+    adjacency = graph.adjacency
     min_codegree = min(graph.edge_triangle_count.values())
     min_common = min(len(adjacency[u] & adjacency[v]) for u, v in graph.edges)
     min_vtris = min(vertex_triangle_counts(family).values())
@@ -147,22 +133,18 @@ class CountingCertificate:
     passed: bool
 
 
-def check_counting(
-    family: TriangleFamily, lam: float | None = None, graph: SupportGraph | None = None
-) -> CountingCertificate:
+def check_counting(family: TriangleFamily, lam: float | None = None) -> CountingCertificate:
     """Check v(n-1) <= 2e, e(n-2) <= 3t, v(n-1)(n-2) <= 6t for n = ceil(lambda).
 
     The comparisons are cross-multiplied so both sides are exact integers.
     Only meaningful when lambda > 2; otherwise marked not applicable.
-    `lam` and `graph`, when given, are the family's lambda and support graph.
+    `lam`, when given, is the family's lambda.
     """
     if lam is None:
         lam = lambda_of(family)
-    if graph is None:
-        graph = support_graph(family)
-    v, e, t = len(graph.vertices), len(graph.edges), len(family)
+    v, e, t = len(family.support.vertices), len(family.support.edges), len(family)
     n = guarded_ceil(lam)
-    applicable = lam > 2.0 + CEIL_GUARD
+    applicable = n > 2
     checks = (
         ("v(n-1) <= 2e", v * (n - 1), 2 * e),
         ("e(n-2) <= 3t", e * (n - 2), 3 * t),
@@ -200,10 +182,10 @@ def check_rigidity(n: int, family: TriangleFamily) -> RigidityVerdict:
     vertex_count = len(family.vertices())
     if size < budget:
         branch = "below_budget"
-        passed = lam <= n - 1 + RIGIDITY_TOL
-    elif size == budget and lam > n - 1 + RIGIDITY_TOL:
+        passed = guarded_ceil(lam) <= n - 1
+    elif size == budget and guarded_ceil(lam) >= n:  # lambda > n - 1
         branch = "at_budget_excess"
-        passed = abs(lam - n) <= RIGIDITY_TOL and vertex_count == n
+        passed = near_integer(lam) and round(lam) == n and vertex_count == n
     else:
         branch = "none"
         passed = True
@@ -281,7 +263,7 @@ def vertex_window_check(family: TriangleFamily, n: int) -> WindowVerdict:
         raise ValueError(f"the vertex window statement needs n >= 9, got {n}")
     lam = lambda_of(family)
     size = len(family)
-    applicable = comb(n, 3) < size < comb(n + 1, 3) and lam > n - 1 + RIGIDITY_TOL
+    applicable = comb(n, 3) < size < comb(n + 1, 3) and guarded_ceil(lam) >= n
     vertex_count = len(family.vertices())
     passed = (not applicable) or (n + 1 <= vertex_count <= n + 3)
     return WindowVerdict(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Mapping
 
@@ -92,6 +93,12 @@ class TriangleFamily:
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for t in self.triangles for v in t}))
 
+    @cached_property
+    def support(self) -> SupportGraph:
+        """The support graph, built on first use and kept (equality and hashing
+        still read only `triangles`); EmptyFamilyError for an empty family."""
+        return support_graph(self)
+
 
 @dataclass(frozen=True)
 class SupportGraph:
@@ -100,6 +107,15 @@ class SupportGraph:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     edge_triangle_count: Mapping[Edge, int]
+
+    @cached_property
+    def adjacency(self) -> Mapping[int, frozenset[int]]:
+        """Neighbours of each vertex."""
+        adjacency: dict[int, set[int]] = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        return {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
 
 
 def support_graph(family: TriangleFamily) -> SupportGraph:
@@ -126,10 +142,6 @@ def vertex_triangle_counts(family: TriangleFamily) -> dict[int, int]:
 
 def connected_components(graph: SupportGraph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    adjacency: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    for u, v in graph.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
     seen: set[int] = set()
     parts: list[tuple[int, ...]] = []
     for start in graph.vertices:
@@ -141,7 +153,7 @@ def connected_components(graph: SupportGraph) -> list[tuple[int, ...]]:
             if v in part:
                 continue
             part.add(v)
-            stack.extend(adjacency[v] - part)
+            stack.extend(graph.adjacency[v] - part)
         seen |= part
         parts.append(tuple(sorted(part)))
     return sorted(parts, key=lambda p: p[0])

@@ -14,13 +14,7 @@ import math
 
 import numpy as np
 
-from .families import (
-    SupportGraph,
-    TriangleFamily,
-    sign_edge_vertex,
-    sign_triangle_edge,
-    support_graph,
-)
+from .families import SupportGraph, TriangleFamily, sign_edge_vertex, sign_triangle_edge
 
 LAPLACIAN_KINDS = ("L0_up", "L1_down", "L1_up", "L2_down", "L1_total")
 
@@ -40,12 +34,10 @@ def build_delta0(graph: SupportGraph) -> np.ndarray:
     return _frozen(m)
 
 
-def build_delta1(family: TriangleFamily, graph: SupportGraph | None = None) -> np.ndarray:
+def build_delta1(family: TriangleFamily) -> np.ndarray:
     """Triangle-edge boundary matrix, |F| x |E|, rows in family order."""
-    if graph is None:
-        graph = support_graph(family)
-    eidx = {e: i for i, e in enumerate(graph.edges)}
-    m = np.zeros((len(family), len(graph.edges)), dtype=np.int64)
+    eidx = {e: i for i, e in enumerate(family.support.edges)}
+    m = np.zeros((len(family), len(eidx)), dtype=np.int64)
     for r, tri in enumerate(family):
         a, b, c = tri
         for e in ((a, b), (a, c), (b, c)):
@@ -56,13 +48,12 @@ def build_delta1(family: TriangleFamily, graph: SupportGraph | None = None) -> n
 def build_laplacian(kind: str, family: TriangleFamily) -> np.ndarray:
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown Laplacian kind {kind!r}; choose from {LAPLACIAN_KINDS}")
-    graph = support_graph(family)
-    d0 = build_delta0(graph)
+    d0 = build_delta0(family.support)
     if kind == "L0_up":
         return _frozen(d0.T @ d0)
     if kind == "L1_down":
         return _frozen(d0 @ d0.T)
-    d1 = build_delta1(family, graph)
+    d1 = build_delta1(family)
     if kind == "L1_up":
         return _frozen(d1.T @ d1)
     if kind == "L2_down":
@@ -73,9 +64,9 @@ def build_laplacian(kind: str, family: TriangleFamily) -> np.ndarray:
 def _as_int_array(matrix) -> np.ndarray:
     arr = np.asarray(matrix)
     if arr.ndim != 2:
-        raise ValueError("exact_rank expects a 2-d matrix")
+        raise ValueError(f"expected a 2-d integer matrix, got shape {arr.shape}")
     if arr.dtype != object and not np.issubdtype(arr.dtype, np.integer):
-        raise TypeError("exact_rank is integer-only; got dtype " + str(arr.dtype))
+        raise TypeError(f"expected an integer matrix, got dtype {arr.dtype}")
     return arr
 
 

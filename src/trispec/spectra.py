@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SupportGraph, TriangleFamily, connected_components, support_graph
+from .families import SupportGraph, TriangleFamily, connected_components
 from .incidence import build_delta0, build_delta1, exact_rank
 
 ZERO_BAND_COEFF = 1e-7
@@ -116,25 +116,21 @@ class _Block:
     rank1: int
 
 
-def _blocks(family: TriangleFamily, graph: SupportGraph | None = None) -> list[_Block]:
+def _blocks(family: TriangleFamily) -> list[_Block]:
     """One block per connected component; a connected family (every family
-    the phi search evaluates) reuses its own support graph."""
-    if graph is None:
-        graph = support_graph(family)
-    parts = connected_components(graph)
-    if len(parts) == 1:
-        pieces = [(family, graph)]
-    else:
+    the phi search evaluates) is its own only block."""
+    parts = connected_components(family.support)
+    pieces = [family]
+    if len(parts) > 1:
         owner = {v: i for i, part in enumerate(parts) for v in part}
         buckets: list[list] = [[] for _ in parts]
         for tri in family:
             buckets[owner[tri[0]]].append(tri)
-        part_families = [TriangleFamily(tuple(b)) for b in buckets]
-        pieces = [(part, support_graph(part)) for part in part_families]
+        pieces = [TriangleFamily(tuple(b)) for b in buckets]
     blocks = []
-    for part, part_graph in pieces:
-        d1 = build_delta1(part, part_graph)
-        blocks.append(_Block(part_graph, d1, exact_rank(d1)))
+    for part in pieces:
+        d1 = build_delta1(part)
+        blocks.append(_Block(part.support, d1, exact_rank(d1)))
     return blocks
 
 
@@ -143,10 +139,10 @@ def lambda_of(family: TriangleFamily) -> float:
     return _lambda_tau_spectrum(family)[0]
 
 
-def _lambda_tau_spectrum(family: TriangleFamily, graph: SupportGraph | None = None):
+def _lambda_tau_spectrum(family: TriangleFamily):
     if len(family) == 0:
         raise SpectralError("spectral parameter of an empty family is undefined")
-    blocks = _blocks(family, graph)
+    blocks = _blocks(family)
     edges = sum(len(b.graph.edges) for b in blocks)
     source = "L2_down" if len(family) <= edges else "L1_up"
     merged: list[float] = []
@@ -169,10 +165,9 @@ def _lambda_tau_spectrum(family: TriangleFamily, graph: SupportGraph | None = No
     return lam, tau, spectrum, blocks
 
 
-def spectral_report(family: TriangleFamily, graph: SupportGraph | None = None) -> SpectralReport:
-    """Full spectral summary: parameter, tau, and both graph-side minima.
-    `graph`, when given, is the family's support graph."""
-    lam, tau, spectrum, blocks = _lambda_tau_spectrum(family, graph)
+def spectral_report(family: TriangleFamily) -> SpectralReport:
+    """Full spectral summary: parameter, tau, and both graph-side minima."""
+    lam, tau, spectrum, blocks = _lambda_tau_spectrum(family)
 
     l0_min = math.inf
     l1_min = math.inf

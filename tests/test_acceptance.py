@@ -145,7 +145,7 @@ def test_criterion_05_hodge_identities():
         for fam in fams:
             graph = support_graph(fam)
             d0 = build_delta0(graph)
-            d1 = build_delta1(fam, graph)
+            d1 = build_delta1(fam)
             assert not np.any(d1 @ d0)
             r0, r1 = exact_rank(d0), exact_rank(d1)
             edges = d0.shape[0]

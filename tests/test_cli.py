@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from trispec import cli, eigenvalues_symmetric, extremal, read_matrix_market, spectra
+from trispec import cli, eigenvalues_symmetric, extremal, families, read_matrix_market, spectra
 from trispec.cli import main
 
 
@@ -93,6 +93,15 @@ def test_verify_rigidity_range(capsys):
     assert "suite=rigidity checks=6 failures=0" in out
 
 
+@pytest.mark.parametrize("n_range", ["3", "3..5", "2..4"])
+def test_verify_rigidity_rejects_n_below_four(capsys, n_range):
+    # kn:3 minus one triangle is empty: a usage error, not a numerical failure.
+    code, out, err = run(capsys, "verify", "rigidity", "--n", n_range)
+    assert code == 2
+    assert "n >= 4" in err
+    assert out == ""
+
+
 def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
     calls = {"spectral_report": 0, "lambda_of": 0, "support_graph": 0}
 
@@ -107,14 +116,33 @@ def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
 
     counted(cli, "spectral_report")
     counted(extremal, "lambda_of")
-    counted(extremal, "support_graph")
+    counted(families, "support_graph")
+    suite_builds = {}
+
+    def measured(name):
+        suite = cli._SUITES[name]
+
+        def wrapper(args, audited):
+            audited()  # the reports, made here if no earlier suite asked
+            before = calls["support_graph"]
+            result = suite(args, audited)
+            suite_builds[name] = calls["support_graph"] - before
+            return result
+
+        monkeypatch.setitem(cli._SUITES, name, wrapper)
+
+    measured("overlap")
+    measured("counting")
     code, out, _ = run(capsys, "verify", "all", "--seed", "3", "--random", "5")
     assert code == 0
     assert "suite=overlap checks=25 failures=0" in out
     # One report per grid (19) and random (5) family; lambda_of inside the
     # certificates only for the nine rigidity checks (n = 4..6, three each);
-    # the overlap and counting certificates reuse the graph built for the report.
-    assert calls == {"spectral_report": 19 + 5, "lambda_of": 9, "support_graph": 0}
+    # the overlap and counting certificates reuse the graph each family
+    # built for its report.
+    assert calls["spectral_report"] == 19 + 5 and calls["lambda_of"] == 9
+    assert calls["support_graph"] > 0
+    assert suite_builds == {"overlap": 0, "counting": 0}
 
 
 def test_phi_subcommand_writes_json(tmp_path, capsys):
@@ -206,7 +234,6 @@ def test_manifest_tolerances_are_the_values_in_force(tmp_path, capsys, monkeypat
         "zero_band_coeff": spectra.ZERO_BAND_COEFF,
         "psd_tol_coeff": spectra.PSD_TOL_COEFF,
         "symmetry": spectra.SYMMETRY_TOL,
-        "rigidity": extremal.RIGIDITY_TOL,
         "improve_eps": extremal.IMPROVE_EPS,
     }
     # The suites read their thresholds from the same dict the manifest records.

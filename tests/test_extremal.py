@@ -212,3 +212,18 @@ def test_vertex_window_between_budgets():
     extra = TriangleFamily(base.triangles + ((1, 2, 10),))
     verdict = vertex_window_check(extra, 9)
     assert verdict.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(list(combinations(range(1, 9), 3))), min_size=1, max_size=14))
+def test_certificates_hold_on_drawn_families(tris):
+    fam = TriangleFamily(tuple(tris))
+    lam = lambda_of(fam)
+    overlap, counting = check_overlap(fam), check_counting(fam)
+    assert overlap.passed and counting.passed
+    assert overlap == check_overlap(fam, lam)
+    assert counting == check_counting(fam, lam)
+    n = 3  # the n with comb(n - 1, 3) < |T| <= comb(n, 3)
+    while comb(n, 3) < len(fam):
+        n += 1
+    assert check_rigidity(n, fam).passed

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -62,6 +63,25 @@ def test_support_graph_counts_triangles_per_edge():
 def test_empty_family_rejected():
     with pytest.raises(EmptyFamilyError):
         support_graph(TriangleFamily(()))
+    with pytest.raises(EmptyFamilyError):
+        TriangleFamily(()).support
+
+
+def test_support_is_built_once_and_kept_out_of_equality():
+    fam = TriangleFamily(((1, 2, 3), (1, 2, 4), (3, 4, 5)))
+    assert fam.support is fam.support
+    assert fam.support == support_graph(fam)
+    assert fam.support.adjacency is fam.support.adjacency
+    assert fam.support.adjacency == {
+        1: {2, 3, 4}, 2: {1, 3, 4}, 3: {1, 2, 4, 5}, 4: {1, 2, 3, 5}, 5: {3, 4}
+    }
+    # An equal family that has not built its graph is the same value.
+    fresh = TriangleFamily(fam.triangles)
+    assert "support" not in vars(fresh)
+    assert fresh == fam and hash(fresh) == hash(fam)
+    assert len({fam, fresh}) == 1
+    back = pickle.loads(pickle.dumps(fam))
+    assert back == fam and back.support == fam.support
 
 
 def test_connected_components_split():

@@ -81,7 +81,7 @@ def test_composite_is_zero_on_random_families():
     for fam in random_families(50, 101):
         g = support_graph(fam)
         d0 = build_delta0(g)
-        d1 = build_delta1(fam, g)
+        d1 = build_delta1(fam)
         assert not np.any(d1 @ d0)
 
 
@@ -100,7 +100,7 @@ def test_exact_rank_matches_oracle_on_incidence_matrices():
     for fam in random_families(40, 17):
         g = support_graph(fam)
         d0 = build_delta0(g)
-        d1 = build_delta1(fam, g)
+        d1 = build_delta1(fam)
         assert exact_rank(d0) == rank_over_rationals(d0)
         assert exact_rank(d1) == rank_over_rationals(d1)
 
@@ -154,7 +154,7 @@ def test_rank_identity_on_random_families():
     # rank d0 + rank d1 + harmonic dimension accounts for every edge.
     for fam in random_families(50, 23):
         g = support_graph(fam)
-        d0, d1 = build_delta0(g), build_delta1(fam, g)
+        d0, d1 = build_delta0(g), build_delta1(fam)
         assert exact_rank(d0) + exact_rank(d1) + harmonic_dimension(d0, d1) == len(g.edges)
 
 
@@ -163,7 +163,7 @@ def test_harmonic_dimension_sees_the_hollow_middle():
     # cycle no triangle fills, so exactly one harmonic class survives.
     def harmonic(fam):
         g = support_graph(fam)
-        return harmonic_dimension(build_delta0(g), build_delta1(fam, g))
+        return harmonic_dimension(build_delta0(g), build_delta1(fam))
 
     assert harmonic(TriangleFamily(((1, 2, 3), (3, 4, 5)))) == 0
     sierpinski = TriangleFamily(((1, 4, 6), (2, 4, 5), (3, 5, 6)))
@@ -194,3 +194,10 @@ def test_matrix_market_zero_row_matrix(tmp_path):
     path = tmp_path / "zero.mtx"
     write_matrix_market(path, m)
     assert np.array_equal(read_matrix_market(path), m)
+
+
+def test_matrix_market_rejects_a_vector_without_naming_another_function(tmp_path):
+    with pytest.raises(ValueError) as info:
+        write_matrix_market(tmp_path / "v.mtx", np.arange(3))
+    assert "exact_rank" not in str(info.value)
+    assert not (tmp_path / "v.mtx").exists()
