@@ -334,6 +334,8 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     if args.suite in _RANDOMIZED_SUITES and args.seed is None:
         raise ValueError("--seed is required for randomized suites")
+    if args.suite in _RANDOMIZED_SUITES and args.max_vertices < 4:
+        raise ValueError(f"random families need --max-vertices >= 4, got {args.max_vertices}")
     if "rigidity" in names and min(_parse_range(args.n)) < 4:
         # kn:3 minus a triangle is empty, so it has no lambda.
         raise ValueError(f"the rigidity suite needs n >= 4, got --n {args.n}")

@@ -12,6 +12,14 @@ minimum can give it: labels 1, 2 to an edge of maximum codegree, then
 to a vertex of a triangle with the least optimistic image, and one
 vertex per class of twins (vertices whose transposition is an
 automorphism).
+
+The phi sweep tests canonicity only on a child it enters and on a child
+whose lambda would replace an incumbent.  A childless child (at the last
+depth, or with every descendant cut) is evaluated in place, canonical or
+not, unless a cut rules it out.  One cut is Cauchy interlacing: the
+child's Gram matrix borders its node's, so the child's lambda is at most
+the node's tau, and at most the node's lambda when the new triangle adds
+a support edge.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from math import comb
 from typing import Iterator
 
 from .families import TriangleFamily, disjoint_union, vertex_triangle_counts
-from .spectra import lambda_of
+from .spectra import _lambda_tau_spectrum, lambda_of
 
-# Round-off allowance next to an integer: a lambda this close to one counts
-# as that integer when taking ceilings or testing integrality.
+# Round-off allowance on a computed lambda: one this close to an integer
+# counts as that integer when taking ceilings or testing integrality, and the
+# phi sweep's interlacing cut needs its bound this far below the incumbent.
 CEIL_GUARD = 1e-9
 # A search candidate replaces the incumbent only when larger by more than this.
 IMPROVE_EPS = 1e-12
@@ -383,18 +392,23 @@ def _is_lex_min(tris: tuple, k: int) -> bool:
     return not descend(0, sorted({v for edge, c in codegree.items() if c == top for v in edge}))
 
 
-def _children(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
-    """Lex-ordered canonical children (child, support size) of a canonical
-    family on labels 1..k: each adds a lex-greater triangle within
-    1..min(k+3, cap) whose new labels, if any, are the next consecutive ones."""
+def _candidates(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
+    """Lex-ordered (triangle, support size) extensions of a family on labels
+    1..k: each triangle is lex-greater than the last, lies within
+    1..min(k+3, cap), and its new labels, if any, are the next consecutive ones."""
     for tri in combinations(range(1, min(k + 3, cap) + 1), 3):
         if tri <= tris[-1]:
             continue
         news = [v for v in tri if v > k]
         if news and news != list(range(k + 1, k + 1 + len(news))):
             continue
+        yield tri, max(k, tri[2])
+
+
+def _children(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
+    """Lex-ordered canonical children (child, support size) of a canonical family."""
+    for tri, k2 in _candidates(tris, k, cap):
         child = tris + (tri,)
-        k2 = max(k, tri[2])
         if _is_lex_min(child, k2):
             yield child, k2
 
@@ -621,17 +635,34 @@ def _phi_sweep(
     returns the incumbents and whether the sweep completed in time.
 
     A node is evaluated when connected, unless `_size_beyond_reach`
-    proves it cannot beat the incumbent of its own size.  Below depth t
-    its subtree is pruned when that test holds at every larger size, by
-    the counting bound on its vertex count or by the overlap theorem
-    (each support edge lies in at least ceil(lambda) - 2 triangles) on the
-    codegrees it lacks.  A skipped node or pruned subtree holds no family
-    that would replace an incumbent, so recorded maxima and witnesses are
-    those of the unpruned sweep.  Nodes are entered in lex order, so every
-    node lex-smaller than the checkpoint's cursor and not on its path is
-    finished: those are skipped, and the path itself is entered again.
-    The deadline is checked only past the cursor, so each run moves the
-    cursor forward.
+    proves it cannot beat the incumbent of its own size.  A child has a
+    subtree unless it is at depth t or that test holds at every larger
+    size, by the counting bound on its vertex count or by the overlap
+    theorem (each support edge lies in at least ceil(lambda) - 2
+    triangles) on the codegrees it lacks.  Both need only the child's
+    codegrees and label count, which relabeling keeps, so the test runs
+    on every candidate, and only a child with a subtree is tested for
+    canonicity and entered.
+
+    A childless child is evaluated in place, canonical or not, when it
+    is connected and survives its own-size cut and the interlacing cut:
+    its Gram matrix d1 d1^T borders the node's, so by Cauchy interlacing
+    its lambda is at most the node's tau, and at most the node's lambda
+    when its triangle adds a support edge (the rank then grows).  The
+    node's (lambda, tau) is solved once, when a child first needs it.
+    Only a child whose lambda would replace the incumbent is tested for
+    canonicity.  A non-canonical copy cannot beat the incumbent: its
+    canonical form is lex-smaller, and nodes are entered in lex order, so
+    that form was already evaluated or cut under an incumbent no larger.
+    A skipped family or cut subtree holds no family that would replace an
+    incumbent, so recorded maxima and witnesses are those of the unpruned
+    sweep; `prune=False` turns every cut off.
+
+    Every node lex-smaller than the checkpoint's cursor and not on its
+    path is finished: those are skipped, and the path itself is entered
+    again (a resume redoes the cursor's childless children, which cannot
+    replace an incumbent twice).  The deadline is checked only past the
+    cursor, so each run moves the cursor forward.
     """
     ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
@@ -641,11 +672,10 @@ def _phi_sweep(
     deadline = now + budget_seconds if budget_seconds is not None else math.inf
     next_save = now + _SAVE_SECONDS
 
-    def visit(tris: tuple, k: int) -> None:
+    def visit(tris: tuple, k: int, codegree: Counter) -> None:
         nonlocal last, next_save
         last = tris
         s = len(tris)
-        codegree = Counter(edge for tri in tris for edge in combinations(tri, 2))
         if _support_connected(tris) and not (prune and _size_beyond_reach(best, codegree, s, k, s)):
             lam = lambda_of(TriangleFamily(tris))
             if s not in best or lam > best[s][0] + IMPROVE_EPS:
@@ -659,15 +689,39 @@ def _phi_sweep(
             if ckpt and now > next_save:
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
-        if prune and all(_size_beyond_reach(best, codegree, s, k, r) for r in range(s + 1, t + 1)):
-            return
-        for child, k2 in _children(tris, k, cap):
-            if child >= start[: len(child)]:
-                visit(child, k2)
+        node = None  # this node's (lambda, tau), solved when a child first needs it
+        for tri, k2 in _candidates(tris, k, cap):
+            child = tris + (tri,)
+            if child < start[: s + 1]:
+                continue
+            child_codegree = codegree.copy()
+            child_codegree.update(combinations(tri, 2))
+            if s + 1 < t and not (prune and all(
+                _size_beyond_reach(best, child_codegree, s + 1, k2, r) for r in range(s + 2, t + 1)
+            )):
+                if _is_lex_min(child, k2):
+                    visit(child, k2, child_codegree)
+                continue
+            if not _support_connected(child):
+                continue
+            cur = best.get(s + 1)
+            if prune and cur is not None:
+                if _size_beyond_reach(best, child_codegree, s + 1, k2, s + 1):
+                    continue
+                if node is None:
+                    lam, tau = _lambda_tau_spectrum(TriangleFamily(tris))[:2]
+                    node = (lam, math.inf if tau is None else tau)
+                # A triangle on a new support edge grows the rank.
+                new_edge = any(edge not in codegree for edge in combinations(tri, 2))
+                if node[0 if new_edge else 1] <= cur[0] - CEIL_GUARD:
+                    continue
+            lam = lambda_of(TriangleFamily(child))
+            if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child, k2):
+                best[s + 1] = (lam, child)
 
     completed = True
     try:
-        visit(((1, 2, 3),), 3)
+        visit(((1, 2, 3),), 3, Counter(combinations((1, 2, 3), 2)))
     except _BudgetExceeded:
         completed = False
     finally:

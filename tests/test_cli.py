@@ -102,6 +102,16 @@ def test_verify_rigidity_rejects_n_below_four(capsys, n_range):
     assert out == ""
 
 
+@pytest.mark.parametrize("suite", ["hodge", "all"])
+def test_verify_random_families_reject_max_vertices_below_four(capsys, suite):
+    # A random family draws its vertex count from 4..max_vertices.
+    code, out, err = run(capsys, "verify", suite, "--seed", "1", "--max-vertices", "3")
+    assert code == 2
+    assert "--max-vertices >= 4, got 3" in err
+    assert out == ""
+    assert run(capsys, "verify", "hodge", "--seed", "1", "--random", "2", "--max-vertices", "4")[0] == 0
+
+
 def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
     calls = {"spectral_report": 0, "lambda_of": 0, "support_graph": 0}
 

@@ -1,22 +1,26 @@
 import json
 import math
 import os
+from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, count, permutations, repeat
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trispec import (
     TriangleFamily,
+    complete_family,
     enumerate_connected_families,
     extremal,
     lambda_of,
+    lambda_staircase,
     phi_exact,
     phi_table,
+    spectra,
 )
 
 
@@ -231,17 +235,73 @@ def test_phi_prune_ab_invariant():
 
 
 def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
-    # Frozen count for phi(6) with the vertex-count and overlap cuts; the
-    # vertex-count cut alone evaluates 1,016 families.
-    calls = count()
+    # Frozen counts for phi(6) with every cut.  Childless children are
+    # evaluated without a canonicity test, duplicates included, so lambda
+    # runs more often than there are classes; the canonicity test runs only
+    # on children with a subtree and on would-be incumbents.
+    calls = Counter()
 
-    def counted(family):
-        next(calls)
-        return lambda_of(family)
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(extremal, "lambda_of", counted)
+        monkeypatch.setattr(extremal, name, wrapper)
+
+    counted("lambda_of", lambda_of)
+    counted("_is_lex_min", extremal._is_lex_min)
     assert phi_exact(6).exhaustive
-    assert next(calls) == 986
+    assert calls == {"lambda_of": 1086, "_is_lex_min": 277}
+
+
+@st.composite
+def connected_family_and_candidate(draw):
+    """(tris, tri): a sorted connected family on labels 1..k and one of the
+    sweep's candidate triangles for it."""
+    tris = [(1, 2, 3)]
+    k = 3
+    for _ in range(draw(st.integers(0, 8))):
+        # Meet the support; new labels are k+1, then k+2.
+        tri = draw(st.sampled_from([
+            tri for tri in combinations(range(1, k + 3), 3)
+            if tri[0] <= k and tri not in tris and (tri[2] <= k + 1 or tri[1] == k + 1)
+        ]))
+        tris.append(tri)
+        k = max(k, tri[2])
+    tris = tuple(sorted(tris))
+    candidates = [tri for tri, _ in extremal._candidates(tris, k, 12)]
+    edges = {edge for old in tris for edge in combinations(old, 2)}
+    closing = [tri for tri in candidates if edges.issuperset(combinations(tri, 2))]
+    if closing and draw(st.booleans()):
+        candidates = closing  # no new support edge: only tau bounds the child
+    assume(candidates)
+    return tris, draw(st.sampled_from(candidates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_family_and_candidate())
+def test_interlacing_bounds_a_child_by_its_node(case):
+    # The child's Gram matrix d1 d1^T borders the node's (Cauchy interlacing).
+    tris, tri = case
+    lam, tau = spectra._lambda_tau_spectrum(TriangleFamily(tris))[:2]
+    child = lambda_of(TriangleFamily(tris + (tri,)))
+    if tau is not None:
+        assert child <= tau + 1e-9
+    edges = {edge for old in tris for edge in combinations(old, 2)}
+    if not edges.issuperset(combinations(tri, 2)):  # the rank grows
+        assert child <= lam + 1e-9
+
+
+def test_phi_table_seven_meets_the_staircase():
+    # The abstract's theorem: the best value within budget t is the largest
+    # n with comb(n, 3) <= t; at budget 4 only the clique K_4 reaches 4.
+    table = phi_table(7)
+    envelope = table.lambda_envelope()
+    for t in range(1, 8):
+        assert table.entries[t].exhaustive
+        assert envelope[t] == pytest.approx(lambda_staircase(t), abs=1e-8)
+        assert table.entries[t].phi <= lambda_staircase(t) + 1e-8
+    assert table.entries[4].witness == complete_family(4)
 
 
 def test_phi_respects_time_budget_flag():
