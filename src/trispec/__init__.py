@@ -42,7 +42,6 @@ from .families import (
     EmptyFamilyError,
     FamilyParseError,
     TriangleFamily,
-    connected_components,
     disjoint_union,
     family_to_text,
     load_family,
@@ -84,7 +83,6 @@ __all__ = [
     "check_overlap",
     "check_rigidity",
     "complete_family",
-    "connected_components",
     "disjoint_union",
     "eigenvalues_symmetric",
     "eigvec_bc",

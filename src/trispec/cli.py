@@ -43,7 +43,6 @@ from .families import (
     EmptyFamilyError,
     FamilyParseError,
     TriangleFamily,
-    connected_components,
     family_to_text,
     load_family,
     parse_family,
@@ -175,7 +174,7 @@ def _suite_hodge(args, audited) -> _Suite:
     for label, fam in _named_random(args):
         d0 = build_delta0(fam.support)
         d1 = build_delta1(fam)
-        r0 = len(fam.support.vertices) - len(connected_components(fam.support))
+        r0 = len(fam.support.vertices) - len(fam.components)
         r1 = exact_rank(d1)
         harmonic = harmonic_dimension(d0, d1)
         edges = d0.shape[0]

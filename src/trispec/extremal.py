@@ -413,23 +413,6 @@ def _children(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
             yield child, k2
 
 
-def _support_connected(tris: tuple) -> bool:
-    remaining = list(tris[1:])
-    reach = set(tris[0])
-    grew = True
-    while grew and remaining:
-        grew = False
-        keep = []
-        for tri in remaining:
-            if reach.intersection(tri):
-                reach.update(tri)
-                grew = True
-            else:
-                keep.append(tri)
-        remaining = keep
-    return not remaining
-
-
 def _resolve_cap(t: int, max_vertices: int | None) -> int:
     if max_vertices is None:
         return min(2 * t + 1, _VERTEX_CAP)
@@ -458,8 +441,9 @@ def enumerate_connected_families(
 
     def rec(tris: tuple, k: int) -> Iterator[TriangleFamily]:
         if len(tris) == t:
-            if _support_connected(tris):
-                yield TriangleFamily(tris)
+            fam = TriangleFamily(tris)
+            if len(fam.components) == 1:
+                yield fam
             return
         for child, k2 in _children(tris, k, cap):
             yield from rec(child, k2)
@@ -645,11 +629,13 @@ def _phi_sweep(
     canonicity and entered.
 
     A childless child is evaluated in place, canonical or not, when it
-    is connected and survives its own-size cut and the interlacing cut:
-    its Gram matrix d1 d1^T borders the node's, so by Cauchy interlacing
-    its lambda is at most the node's tau, and at most the node's lambda
-    when its triangle adds a support edge (the rank then grows).  The
-    node's (lambda, tau) is solved once, when a child first needs it.
+    survives its own-size cut and the interlacing cut and is connected;
+    both cuts hold for any family, so connectivity is tested last.  The
+    child's Gram matrix d1 d1^T borders the node's, so by Cauchy
+    interlacing its lambda is at most the node's tau, and at most the
+    node's lambda when its triangle adds a support edge (the rank then
+    grows).  The node's (lambda, tau) is solved once, by its own
+    evaluation or by the first child that needs it.
     Only a child whose lambda would replace the incumbent is tested for
     canonicity.  A non-canonical copy cannot beat the incumbent: its
     canonical form is lex-smaller, and nodes are entered in lex order, so
@@ -672,14 +658,20 @@ def _phi_sweep(
     deadline = now + budget_seconds if budget_seconds is not None else math.inf
     next_save = now + _SAVE_SECONDS
 
+    def solve(fam: TriangleFamily) -> tuple[float, float]:
+        lam, tau = _lambda_tau_spectrum(fam)[:2]
+        return lam, math.inf if tau is None else tau
+
     def visit(tris: tuple, k: int, codegree: Counter) -> None:
         nonlocal last, next_save
         last = tris
         s = len(tris)
-        if _support_connected(tris) and not (prune and _size_beyond_reach(best, codegree, s, k, s)):
-            lam = lambda_of(TriangleFamily(tris))
-            if s not in best or lam > best[s][0] + IMPROVE_EPS:
-                best[s] = (lam, tris)
+        fam = TriangleFamily(tris)
+        node = None  # this node's (lambda, tau), solved at most once
+        if len(fam.components) == 1 and not (prune and _size_beyond_reach(best, codegree, s, k, s)):
+            node = solve(fam)
+            if s not in best or node[0] > best[s][0] + IMPROVE_EPS:
+                best[s] = (node[0], tris)
         if s == t:
             return
         if tris > start:
@@ -689,7 +681,6 @@ def _phi_sweep(
             if ckpt and now > next_save:
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
-        node = None  # this node's (lambda, tau), solved when a child first needs it
         for tri, k2 in _candidates(tris, k, cap):
             child = tris + (tri,)
             if child < start[: s + 1]:
@@ -702,20 +693,20 @@ def _phi_sweep(
                 if _is_lex_min(child, k2):
                     visit(child, k2, child_codegree)
                 continue
-            if not _support_connected(child):
-                continue
             cur = best.get(s + 1)
             if prune and cur is not None:
                 if _size_beyond_reach(best, child_codegree, s + 1, k2, s + 1):
                     continue
                 if node is None:
-                    lam, tau = _lambda_tau_spectrum(TriangleFamily(tris))[:2]
-                    node = (lam, math.inf if tau is None else tau)
+                    node = solve(fam)
                 # A triangle on a new support edge grows the rank.
                 new_edge = any(edge not in codegree for edge in combinations(tri, 2))
                 if node[0 if new_edge else 1] <= cur[0] - CEIL_GUARD:
                     continue
-            lam = lambda_of(TriangleFamily(child))
+            child_fam = TriangleFamily(child)
+            if len(child_fam.components) != 1:
+                continue
+            lam = lambda_of(child_fam)
             if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child, k2):
                 best[s + 1] = (lam, child)
 

@@ -99,6 +99,28 @@ class TriangleFamily:
         still read only `triangles`); EmptyFamilyError for an empty family."""
         return support_graph(self)
 
+    @cached_property
+    def components(self) -> tuple[tuple[Triangle, ...], ...]:
+        """The triangles of each connected component of the support, in family
+        order, by union-find; kept like `support`.  Components come in order
+        of least vertex, which starts each one's first triangle."""
+        root = {v: v for v in self.vertices()}
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]  # path halving
+                v = root[v]
+            return v
+
+        for tri in self.triangles:
+            a = find(tri[0])
+            for v in tri[1:]:
+                root[find(v)] = a
+        parts: dict[int, list[Triangle]] = {}
+        for tri in self.triangles:
+            parts.setdefault(find(tri[0]), []).append(tri)
+        return tuple(map(tuple, parts.values()))
+
 
 @dataclass(frozen=True)
 class SupportGraph:
@@ -138,25 +160,6 @@ def vertex_triangle_counts(family: TriangleFamily) -> dict[int, int]:
         for v in t:
             counts[v] = counts.get(v, 0) + 1
     return counts
-
-
-def connected_components(graph: SupportGraph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    seen: set[int] = set()
-    parts: list[tuple[int, ...]] = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        stack, part = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in part:
-                continue
-            part.add(v)
-            stack.extend(graph.adjacency[v] - part)
-        seen |= part
-        parts.append(tuple(sorted(part)))
-    return sorted(parts, key=lambda p: p[0])
 
 
 def relabel(family: TriangleFamily, mapping: Mapping[int, int]) -> TriangleFamily:
@@ -227,7 +230,9 @@ def load_family(path) -> TriangleFamily:
 def random_family(
     rng: random.Random, max_vertices: int = 8, max_triangles: int = 12
 ) -> TriangleFamily:
-    """Seeded random family on at most max_vertices labels (for audits)."""
+    """Seeded random family on 4 to max_vertices labels (for audits)."""
+    if max_vertices < 4:
+        raise ValueError(f"random families need max_vertices >= 4, got {max_vertices}")
     n = rng.randint(4, max_vertices)
     pool = list(combinations(range(1, n + 1), 3))
     t = rng.randint(1, min(len(pool), max_triangles))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SupportGraph, TriangleFamily, connected_components
+from .families import SupportGraph, TriangleFamily
 from .incidence import build_delta0, build_delta1, exact_rank
 
 ZERO_BAND_COEFF = 1e-7
@@ -119,14 +119,8 @@ class _Block:
 def _blocks(family: TriangleFamily) -> list[_Block]:
     """One block per connected component; a connected family (every family
     the phi search evaluates) is its own only block."""
-    parts = connected_components(family.support)
-    pieces = [family]
-    if len(parts) > 1:
-        owner = {v: i for i, part in enumerate(parts) for v in part}
-        buckets: list[list] = [[] for _ in parts]
-        for tri in family:
-            buckets[owner[tri[0]]].append(tri)
-        pieces = [TriangleFamily(tuple(b)) for b in buckets]
+    parts = family.components
+    pieces = [family] if len(parts) == 1 else [TriangleFamily(part) for part in parts]
     blocks = []
     for part in pieces:
         d1 = build_delta1(part)

@@ -165,6 +165,13 @@ def test_phi_subcommand_writes_json(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == shown
 
 
+def test_phi_no_prune_prints_the_same_json(capsys):
+    # The cuts skip only families that cannot replace an incumbent.
+    pruned = run(capsys, "phi", "5")
+    assert pruned[0] == 0
+    assert run(capsys, "phi", "5", "--no-prune") == pruned
+
+
 def test_phi_refuses_checkpoint_of_another_budget(tmp_path, capsys):
     path = str(tmp_path / "phi.ckpt")
     assert run(capsys, "phi", "3", "--checkpoint", path)[0] == 0

@@ -234,24 +234,43 @@ def test_phi_prune_ab_invariant():
         assert phi_exact(t, prune=True).to_dict() == phi_exact(t, prune=False).to_dict()
 
 
+def _counted_phi_six(monkeypatch) -> tuple[Counter, int]:
+    """A fresh phi_exact(6) with every cut: how often each family reaches
+    `_lambda_tau_spectrum` (every spectral solve does, directly or through
+    `lambda_of`), and how many canonicity tests ran."""
+    solved = Counter()
+    lex_min_calls = 0
+    solve, is_lex_min = spectra._lambda_tau_spectrum, extremal._is_lex_min
+
+    def counted_solve(family):
+        solved[family.triangles] += 1
+        return solve(family)
+
+    def counted_lex_min(*args):
+        nonlocal lex_min_calls
+        lex_min_calls += 1
+        return is_lex_min(*args)
+
+    monkeypatch.setattr(spectra, "_lambda_tau_spectrum", counted_solve)
+    monkeypatch.setattr(extremal, "_lambda_tau_spectrum", counted_solve)
+    monkeypatch.setattr(extremal, "_is_lex_min", counted_lex_min)
+    assert phi_exact(6).exhaustive
+    return solved, lex_min_calls
+
+
 def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
     # Frozen counts for phi(6) with every cut.  Childless children are
     # evaluated without a canonicity test, duplicates included, so lambda
     # runs more often than there are classes; the canonicity test runs only
     # on children with a subtree and on would-be incumbents.
-    calls = Counter()
+    solved, lex_min_calls = _counted_phi_six(monkeypatch)
+    assert (sum(solved.values()), lex_min_calls) == (1097, 277)
 
-    def counted(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
 
-        monkeypatch.setattr(extremal, name, wrapper)
-
-    counted("lambda_of", lambda_of)
-    counted("_is_lex_min", extremal._is_lex_min)
-    assert phi_exact(6).exhaustive
-    assert calls == {"lambda_of": 1086, "_is_lex_min": 277}
+def test_phi_sweep_solves_each_family_once(monkeypatch):
+    # A node's own evaluation keeps its (lambda, tau) for the interlacing cut.
+    solved, _ = _counted_phi_six(monkeypatch)
+    assert [tris for tris, n in solved.items() if n > 1] == []
 
 
 @st.composite

@@ -2,13 +2,16 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispec import (
     EmptyFamilyError,
     FamilyParseError,
     TriangleFamily,
-    connected_components,
+    build_delta0,
     disjoint_union,
+    exact_rank,
     family_to_text,
     parse_family,
     random_families,
@@ -16,7 +19,7 @@ from trispec import (
     support_graph,
     vertex_triangle_counts,
 )
-from trispec.families import edge, sign_edge_vertex, sign_triangle_edge, triangle
+from trispec.families import edge, random_family, sign_edge_vertex, sign_triangle_edge, triangle
 
 
 def test_triangle_normalizes_and_validates():
@@ -86,8 +89,68 @@ def test_support_is_built_once_and_kept_out_of_equality():
 
 def test_connected_components_split():
     fam = TriangleFamily(((1, 2, 3), (4, 5, 6), (3, 7, 8)))
-    parts = connected_components(support_graph(fam))
-    assert parts == [(1, 2, 3, 7, 8), (4, 5, 6)]
+    assert fam.components == (((1, 2, 3), (3, 7, 8)), ((4, 5, 6),))
+    assert fam.components is fam.components
+    assert TriangleFamily(()).components == ()
+
+
+def _grown_components(tris) -> list[list]:
+    """Components by growing a vertex set from the least unplaced triangle
+    until no remaining triangle meets it."""
+    parts = []
+    remaining = sorted(tris)
+    while remaining:
+        part, reach = [remaining[0]], set(remaining[0])
+        remaining = remaining[1:]
+        grew = True
+        while grew:
+            grew, keep = False, []
+            for tri in remaining:
+                if reach.intersection(tri):
+                    part.append(tri)
+                    reach.update(tri)
+                    grew = True
+                else:
+                    keep.append(tri)
+            remaining = keep
+        parts.append(sorted(part))
+    return parts
+
+
+_small_families = st.lists(
+    st.lists(st.integers(0, 11), min_size=3, max_size=3, unique=True), min_size=1, max_size=12
+).map(lambda tris: TriangleFamily(tuple(tuple(tri) for tri in tris)))
+
+
+@st.composite
+def _families_to_split(draw):
+    """A random family, optionally joined to a second one and relabeled."""
+    fam = draw(_small_families)
+    if draw(st.booleans()):
+        fam = disjoint_union(fam, draw(_small_families))
+    if draw(st.booleans()):
+        verts = fam.vertices()
+        images = draw(st.lists(
+            st.integers(0, 60), min_size=len(verts), max_size=len(verts), unique=True
+        ))
+        fam = relabel(fam, dict(zip(verts, images)))
+    return fam
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families_to_split())
+def test_components_partition_the_family(fam):
+    parts = fam.components
+    assert [list(part) for part in parts] == _grown_components(fam.triangles)
+    # A partition of the triangles, each part in family order, the parts
+    # vertex-disjoint and ordered by least vertex.
+    assert sorted(tri for part in parts for tri in part) == list(fam.triangles)
+    assert all(list(part) == sorted(part) for part in parts)
+    vertex_sets = [{v for tri in part for v in tri} for part in parts]
+    assert sum(map(len, vertex_sets)) == len(fam.vertices())
+    assert [min(vs) for vs in vertex_sets] == sorted(min(vs) for vs in vertex_sets)
+    # rank(delta0) = |V| - #components, by exact elimination.
+    assert exact_rank(build_delta0(fam.support)) == len(fam.vertices()) - len(parts)
 
 
 def test_relabel_requires_injection():
@@ -102,8 +165,7 @@ def test_disjoint_union_keeps_parts_apart():
     b = TriangleFamily(((1, 2, 3), (1, 2, 4)))
     u = disjoint_union(a, b)
     assert len(u) == 3
-    parts = connected_components(support_graph(u))
-    assert sorted(len(p) for p in parts) == [3, 4]
+    assert sorted(len({v for tri in part for v in tri}) for part in u.components) == [3, 4]
 
 
 def test_parse_family_round_trip_and_comments():
@@ -133,6 +195,13 @@ def test_random_families_deterministic_and_bounded():
     for fam in a:
         assert 1 <= len(fam) <= 12
         assert max(fam.vertices()) <= 8
+
+
+def test_random_family_needs_four_vertices():
+    # A random family draws its vertex count from 4..max_vertices.
+    with pytest.raises(ValueError, match="max_vertices >= 4, got 3"):
+        random_family(random.Random(1), max_vertices=3)
+    assert set(random_family(random.Random(1), max_vertices=4).vertices()) <= {1, 2, 3, 4}
 
 
 def test_relabel_preserves_structure_randomized():
