@@ -20,6 +20,13 @@ not, unless a cut rules it out.  One cut is Cauchy interlacing: the
 child's Gram matrix borders its node's, so the child's lambda is at most
 the node's tau, and at most the node's lambda when the new triangle adds
 a support edge.
+
+Each sweep node carries its incidence state (d1 by edge, the Gram matrix
+d1 d1^T, the echelon rows of its exact rank and a vertex union-find), and
+a child extends it by its one new row of d1, so nothing is rebuilt per
+family.  The sweep solves d1 d1^T, the form `spectra` picks when
+t <= |E|; by Kruskal-Katona that holds for every family of at most 14
+triangles, so its lambdas are those of `lambda_of`, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +41,11 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 from .families import TriangleFamily, disjoint_union, vertex_triangle_counts
-from .spectra import _lambda_tau_spectrum, lambda_of
+from .incidence import _reduce_row
+from .spectra import _check_bands, eigenvalues_symmetric, lambda_of
 
 # Round-off allowance on a computed lambda: one this close to an integer
 # counts as that integer when taking ceilings or testing integrality, and the
@@ -240,10 +250,8 @@ def lambda_staircase(t: int) -> int:
     return n
 
 
-def lambda_staircase_many(ts) -> "np.ndarray":
+def lambda_staircase_many(ts) -> np.ndarray:
     """Vectorized staircase for large ranges of t."""
-    import numpy as np
-
     ts = np.asarray(ts, dtype=np.int64)
     if ts.size and int(ts.min()) < 1:
         raise ValueError("staircase needs t >= 1")
@@ -608,6 +616,80 @@ def _size_beyond_reach(
     return m > 0 and sum(max(0, m - 2 - c) for c in codegree.values()) > 3 * (r - s)
 
 
+@dataclass(frozen=True, eq=False)
+class _Carried:
+    """The incidence state of a sweep node, which a child extends by its
+    one new row of d1 instead of rebuilding it.
+
+    `columns` maps each support edge to its key and its d1 entries
+    ((row, sign), ...); an edge's key is minus the number of edges found
+    before it, so a new edge leads every row it is in.  `gram` is d1 d1^T
+    in float64 (small integer sums, so exact), `echelon` the rows
+    `_reduce_row` kept (their number is rank d1), and `root` a union-find
+    over the vertices, which fall into `parts` components.
+    """
+
+    tris: tuple
+    columns: dict
+    gram: np.ndarray
+    echelon: dict
+    root: dict
+    parts: int
+
+
+_EMPTY = _Carried((), {}, np.zeros((0, 0)), {}, {}, 0)
+
+
+def _extend(node: _Carried, tri: tuple) -> _Carried:
+    """The state of the node's triangles plus the lex-greater `tri`, whose
+    d1 row has signs +1, -1, +1 on its ascending edges: the Gram matrix
+    gains that row's products (3 on the diagonal), and only that row is
+    reduced, so the rank grows by 0 or 1 (by 1, without elimination, when
+    a new support edge leads it)."""
+    s = len(node.tris)
+    columns = dict(node.columns)
+    border = [0] * s + [3]
+    row = {}
+    for sign, e in zip((1, -1, 1), combinations(tri, 2)):
+        key, entries = columns.get(e, (-len(columns), ()))
+        for j, other in entries:
+            border[j] += sign * other
+        columns[e] = (key, entries + ((s, sign),))
+        row[key] = sign
+    gram = np.empty((s + 1, s + 1))
+    gram[:s, :s] = node.gram
+    gram[s] = gram[:, s] = border
+    echelon = dict(node.echelon)
+    _reduce_row(echelon, row)
+    root = dict(node.root)
+    parts = node.parts
+    tops = set()
+    for v in tri:
+        if v not in root:
+            root[v] = v
+            parts += 1
+        while root[v] != v:
+            root[v] = root[root[v]]  # path halving
+            v = root[v]
+        tops.add(v)
+    top = tops.pop()
+    for v in tops:
+        root[v] = top
+    return _Carried(node.tris + (tri,), columns, gram, echelon, root, parts - len(tops))
+
+
+def _sweep_solve(node: _Carried) -> tuple[float, float]:
+    """(lambda, tau) of a connected sweep node from its carried state, tau
+    infinite at rank 1: the L2_down solve of `spectra._lambda_tau_spectrum`
+    on the same Gram matrix, with the exact nullity t - rank and the same
+    zero-band check."""
+    eigs = eigenvalues_symmetric(node.gram)
+    rank = len(node.echelon)
+    nullity = len(node.tris) - rank
+    _check_bands(eigs, nullity, "L2_down")
+    return float(eigs[nullity]), float(eigs[nullity + 1]) if rank > 1 else math.inf
+
+
 def _phi_sweep(
     t: int,
     cap: int,
@@ -636,6 +718,7 @@ def _phi_sweep(
     node's lambda when its triangle adds a support edge (the rank then
     grows).  The node's (lambda, tau) is solved once, by its own
     evaluation or by the first child that needs it.
+
     Only a child whose lambda would replace the incumbent is tested for
     canonicity.  A non-canonical copy cannot beat the incumbent: its
     canonical form is lex-smaller, and nodes are entered in lex order, so
@@ -643,6 +726,15 @@ def _phi_sweep(
     A skipped family or cut subtree holds no family that would replace an
     incumbent, so recorded maxima and witnesses are those of the unpruned
     sweep; `prune=False` turns every cut off.
+
+    No family is rebuilt per child: `_extend` derives the child's
+    `_Carried` state from its node's, and `_sweep_solve` solves its Gram
+    matrix d1 d1^T (L2_down) with the exact nullity and `spectra`'s
+    zero-band check.  `spectra` picks L2_down whenever t <= |E|, and by
+    Kruskal-Katona t triangles span at least t edges for t <= 14 (the
+    least shadow of 15 is 14), so each lambda and tau is bit-identical to
+    `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
+    same positive spectrum, so there is no L1_up path and no fallback.
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
@@ -658,20 +750,16 @@ def _phi_sweep(
     deadline = now + budget_seconds if budget_seconds is not None else math.inf
     next_save = now + _SAVE_SECONDS
 
-    def solve(fam: TriangleFamily) -> tuple[float, float]:
-        lam, tau = _lambda_tau_spectrum(fam)[:2]
-        return lam, math.inf if tau is None else tau
-
-    def visit(tris: tuple, k: int, codegree: Counter) -> None:
+    def visit(node: _Carried, k: int, codegree: Counter) -> None:
         nonlocal last, next_save
+        tris = node.tris
         last = tris
         s = len(tris)
-        fam = TriangleFamily(tris)
-        node = None  # this node's (lambda, tau), solved at most once
-        if len(fam.components) == 1 and not (prune and _size_beyond_reach(best, codegree, s, k, s)):
-            node = solve(fam)
-            if s not in best or node[0] > best[s][0] + IMPROVE_EPS:
-                best[s] = (node[0], tris)
+        solved = None  # this node's (lambda, tau), solved at most once
+        if node.parts == 1 and not (prune and _size_beyond_reach(best, codegree, s, k, s)):
+            solved = _sweep_solve(node)
+            if s not in best or solved[0] > best[s][0] + IMPROVE_EPS:
+                best[s] = (solved[0], tris)
         if s == t:
             return
         if tris > start:
@@ -691,28 +779,28 @@ def _phi_sweep(
                 _size_beyond_reach(best, child_codegree, s + 1, k2, r) for r in range(s + 2, t + 1)
             )):
                 if _is_lex_min(child, k2):
-                    visit(child, k2, child_codegree)
+                    visit(_extend(node, tri), k2, child_codegree)
                 continue
             cur = best.get(s + 1)
             if prune and cur is not None:
                 if _size_beyond_reach(best, child_codegree, s + 1, k2, s + 1):
                     continue
-                if node is None:
-                    node = solve(fam)
+                if solved is None:
+                    solved = _sweep_solve(node)
                 # A triangle on a new support edge grows the rank.
                 new_edge = any(edge not in codegree for edge in combinations(tri, 2))
-                if node[0 if new_edge else 1] <= cur[0] - CEIL_GUARD:
+                if solved[0 if new_edge else 1] <= cur[0] - CEIL_GUARD:
                     continue
-            child_fam = TriangleFamily(child)
-            if len(child_fam.components) != 1:
+            child_node = _extend(node, tri)
+            if child_node.parts != 1:
                 continue
-            lam = lambda_of(child_fam)
+            lam = _sweep_solve(child_node)[0]
             if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child, k2):
                 best[s + 1] = (lam, child)
 
     completed = True
     try:
-        visit(((1, 2, 3),), 3, Counter(combinations((1, 2, 3), 2)))
+        visit(_extend(_EMPTY, (1, 2, 3)), 3, Counter(combinations((1, 2, 3), 2)))
     except _BudgetExceeded:
         completed = False
     finally:

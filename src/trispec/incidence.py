@@ -70,41 +70,51 @@ def _as_int_array(matrix) -> np.ndarray:
     return arr
 
 
+def _reduce_row(echelon: dict, row: dict) -> bool:
+    """Reduce one sparse integer row against `echelon` and keep what is left.
+
+    `echelon` maps each kept row's leading key (its least key) to the row;
+    `row` is a {key: value} dict of nonzeros.  The row becomes
+    a*row - b*pivot, with a, b the two leading entries over their gcd, and
+    is divided by its content, until its leading key is new (it is kept:
+    True, the rank grew) or it vanishes (False).  Python integers cannot
+    overflow, so no entry is ever rounded.
+    """
+    while row:
+        content = math.gcd(*row.values())
+        if content > 1:
+            row = {j: v // content for j, v in row.items()}
+        lead = min(row)
+        pivot = echelon.get(lead)
+        if pivot is None:
+            echelon[lead] = row
+            return True
+        g = math.gcd(row[lead], pivot[lead])
+        a, b = pivot[lead] // g, row[lead] // g
+        row = {j: a * v for j, v in row.items()}
+        for j, v in pivot.items():
+            w = row.get(j, 0) - b * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    return False
+
+
 def exact_rank(matrix) -> int:
     """Rank over the rationals by row reduction on Python integers.
 
     The rows of the shorter side are reduced, since rank(A) = rank(A^T);
-    each is a {column: value} dict of its nonzeros.  A row is reduced
-    against the echelon rows kept so far, keyed by their leading column,
-    by row <- a*row - b*pivot with a, b the two leading entries over their
-    gcd, and divided by its content; it is kept when its leading column is
-    new and dropped when it vanishes.  Python integers cannot overflow, so
-    int64 and object input take the same path.
+    each is a {column: value} dict of its nonzeros, reduced by
+    `_reduce_row` against the echelon rows kept so far.  int64 and object
+    input take the same path.
     """
     arr = _as_int_array(matrix)
     if arr.shape[0] > arr.shape[1]:
         arr = arr.T
     echelon: dict[int, dict[int, int]] = {}
     for values in arr.tolist():
-        row = {j: int(v) for j, v in enumerate(values) if v}
-        while row:
-            content = math.gcd(*row.values())
-            if content > 1:
-                row = {j: v // content for j, v in row.items()}
-            lead = min(row)
-            pivot = echelon.get(lead)
-            if pivot is None:
-                echelon[lead] = row
-                break
-            g = math.gcd(row[lead], pivot[lead])
-            a, b = pivot[lead] // g, row[lead] // g
-            row = {j: a * v for j, v in row.items()}
-            for j, v in pivot.items():
-                w = row.get(j, 0) - b * v
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
+        _reduce_row(echelon, {j: int(v) for j, v in enumerate(values) if v})
     return len(echelon)
 
 

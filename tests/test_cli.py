@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +172,16 @@ def test_phi_no_prune_prints_the_same_json(capsys):
     pruned = run(capsys, "phi", "5")
     assert pruned[0] == 0
     assert run(capsys, "phi", "5", "--no-prune") == pruned
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "trispec", "phi", "3"], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run(capsys, "phi", "3")[1]
 
 
 def test_phi_refuses_checkpoint_of_another_budget(tmp_path, capsys):

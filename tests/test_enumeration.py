@@ -22,6 +22,7 @@ from trispec import (
     phi_table,
     spectra,
 )
+from trispec.incidence import build_delta1, exact_rank
 
 
 def _connected(tris) -> bool:
@@ -235,12 +236,17 @@ def test_phi_prune_ab_invariant():
 
 
 def _counted_phi_six(monkeypatch) -> tuple[Counter, int]:
-    """A fresh phi_exact(6) with every cut: how often each family reaches
-    `_lambda_tau_spectrum` (every spectral solve does, directly or through
-    `lambda_of`), and how many canonicity tests ran."""
+    """A fresh phi_exact(6) with every cut: how often each family is
+    solved, by the sweep's `_sweep_solve` or by `spectra._lambda_tau_spectrum`
+    (directly or through `lambda_of`), and how many canonicity tests ran."""
     solved = Counter()
     lex_min_calls = 0
-    solve, is_lex_min = spectra._lambda_tau_spectrum, extremal._is_lex_min
+    sweep_solve, solve = extremal._sweep_solve, spectra._lambda_tau_spectrum
+    is_lex_min = extremal._is_lex_min
+
+    def counted_sweep_solve(node):
+        solved[node.tris] += 1
+        return sweep_solve(node)
 
     def counted_solve(family):
         solved[family.triangles] += 1
@@ -251,8 +257,8 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, int]:
         lex_min_calls += 1
         return is_lex_min(*args)
 
+    monkeypatch.setattr(extremal, "_sweep_solve", counted_sweep_solve)
     monkeypatch.setattr(spectra, "_lambda_tau_spectrum", counted_solve)
-    monkeypatch.setattr(extremal, "_lambda_tau_spectrum", counted_solve)
     monkeypatch.setattr(extremal, "_is_lex_min", counted_lex_min)
     assert phi_exact(6).exhaustive
     return solved, lex_min_calls
@@ -311,6 +317,48 @@ def test_interlacing_bounds_a_child_by_its_node(case):
         assert child <= lam + 1e-9
 
 
+@st.composite
+def sweep_paths(draw):
+    """A root-to-node path of the sweep: up to 12 triangles, each one of the
+    `_candidates` of the triangles before it.  Half the steps pick among the
+    first few candidates, which meet the support, so long connected paths
+    are common; the rest pick any candidate, disconnecting ones included."""
+    tris, k = ((1, 2, 3),), 3
+    for _ in range(draw(st.integers(0, 11))):
+        options = list(extremal._candidates(tris, k, 12))
+        if not options:
+            break
+        if draw(st.booleans()):
+            options = options[:6]
+        tri, k = draw(st.sampled_from(options))
+        tris += (tri,)
+    return tris
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_paths())
+def test_carried_state_matches_the_family_built_from_scratch(tris):
+    node = extremal._EMPTY
+    for s in range(1, len(tris) + 1):
+        # A node is extended once per child, so extending must not touch it.
+        before = (dict(node.columns), node.gram.copy(), dict(node.echelon), dict(node.root))
+        child = extremal._extend(node, tris[s - 1])
+        assert (dict(node.columns), dict(node.echelon), dict(node.root)) == (
+            before[0], before[2], before[3]
+        ) and np.array_equal(node.gram, before[1])
+        node = child
+        fam = TriangleFamily(tris[:s])
+        d1 = build_delta1(fam)
+        assert node.tris == tris[:s]
+        assert len(node.echelon) == exact_rank(d1)
+        assert node.parts == len(fam.components)
+        assert node.gram.dtype == np.float64
+        assert np.array_equal(node.gram, d1 @ d1.T)
+        if node.parts == 1:
+            lam, tau = spectra._lambda_tau_spectrum(fam)[:2]
+            assert extremal._sweep_solve(node) == (lam, math.inf if tau is None else tau)
+
+
 def test_phi_table_seven_meets_the_staircase():
     # The abstract's theorem: the best value within budget t is the largest
     # n with comb(n, 3) <= t; at budget 4 only the clique K_4 reaches 4.
@@ -321,6 +369,26 @@ def test_phi_table_seven_meets_the_staircase():
         assert envelope[t] == pytest.approx(lambda_staircase(t), abs=1e-8)
         assert table.entries[t].phi <= lambda_staircase(t) + 1e-8
     assert table.entries[4].witness == complete_family(4)
+
+
+def test_committed_phi_table_ten_holds_its_witnesses():
+    # phi_table_10.json is the output of scripts/phi_table.py 10; it is read
+    # here, not recomputed.  The table peaks at K_5 and is not monotone.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "phi_table_10.json")
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    assert "scripts/phi_table.py 10" in doc["command"]
+    assert set(doc["counters"]) == {"sweep_solves", "canonicity_tests"}
+    table = doc["table"]
+    assert set(table) == {str(t) for t in range(1, 11)}
+    for key, entry in table.items():
+        assert entry["t"] == int(key) and entry["exhaustive"] is True
+        witness = TriangleFamily(tuple(map(tuple, entry["witness"])))
+        assert len(witness) == entry["t"]
+        assert abs(lambda_of(witness) - entry["phi"]) <= 1e-8
+    assert len(TriangleFamily(tuple(map(tuple, table["10"]["witness"]))).vertices()) == 5
+    phi = {int(t): entry["phi"] for t, entry in table.items()}
+    assert phi[8] > phi[9] < phi[10]
 
 
 def test_phi_respects_time_budget_flag():
@@ -414,13 +482,15 @@ def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, 
     path = tmp_path / "phi5.ckpt"
     calls = count(1)
 
-    def interrupted(family):
+    solve = extremal._sweep_solve
+
+    def interrupted(node):
         if next(calls) == 5:
             raise KeyboardInterrupt
-        return lambda_of(family)
+        return solve(node)
 
     with monkeypatch.context() as patch:
-        patch.setattr(extremal, "lambda_of", interrupted)
+        patch.setattr(extremal, "_sweep_solve", interrupted)
         with pytest.raises(KeyboardInterrupt):
             phi_exact(5, checkpoint=str(path))
     assert len(json.loads(path.read_text())["cursor"]) > 1
@@ -429,21 +499,22 @@ def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, 
 
 def test_checkpoint_is_saved_on_an_interval_during_the_sweep(tmp_path, monkeypatch):
     # Only the clock triggers a save before the sweep ends: with a clock
-    # that stands still no lambda call sees the file, with one that moves a
-    # save interval per read some call does.
+    # that stands still no solve sees the file, with one that moves a save
+    # interval per read some solve does.
     fresh = phi_exact(4).to_dict()
+    solve = extremal._sweep_solve
     for step, saved_midway in ((0.0, False), (extremal._SAVE_SECONDS, True)):
         path = tmp_path / f"{step}.ckpt"
         reads = count(step=step)
         seen = []
 
-        def spy(family):
+        def spy(node):
             seen.append(path.exists())
-            return lambda_of(family)
+            return solve(node)
 
         with monkeypatch.context() as patch:
             patch.setattr(extremal, "time", SimpleNamespace(monotonic=lambda: next(reads)))
-            patch.setattr(extremal, "lambda_of", spy)
+            patch.setattr(extremal, "_sweep_solve", spy)
             assert phi_exact(4, checkpoint=str(path)).to_dict() == fresh
         assert any(seen) is saved_midway
         assert path.exists()

@@ -19,6 +19,7 @@ from trispec import (
     support_graph,
     write_matrix_market,
 )
+from trispec.incidence import _reduce_row
 
 
 def rank_over_rationals(matrix) -> int:
@@ -141,6 +142,20 @@ def test_exact_rank_matches_fraction_oracle_property(m):
     want = rank_over_rationals(m)
     assert exact_rank(m) == want
     assert exact_rank(m.T) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_matrices(), st.booleans())
+def test_reduce_row_grows_the_rank_exactly_when_exact_rank_does(m, reverse):
+    # Rows are fed one at a time, unlike exact_rank, which reduces the
+    # shorter side; reversed keys lead each row by its last nonzero column.
+    echelon = {}
+    for i, values in enumerate(m.tolist()):
+        row = {(-j if reverse else j): int(v) for j, v in enumerate(values) if v}
+        grew = _reduce_row(echelon, row)
+        assert grew == (exact_rank(m[: i + 1]) > exact_rank(m[:i]))
+        assert len(echelon) == exact_rank(m[: i + 1])
+    assert all(min(row) == lead for lead, row in echelon.items())
 
 
 def test_exact_rank_rejects_floats_and_non_matrices():
