@@ -56,6 +56,7 @@ from .incidence import (
     build_delta0,
     build_delta1,
     build_laplacian,
+    delta1_rank,
     exact_rank,
     harmonic_dimension,
     read_matrix_market,
@@ -83,6 +84,7 @@ __all__ = [
     "check_overlap",
     "check_rigidity",
     "complete_family",
+    "delta1_rank",
     "disjoint_union",
     "eigenvalues_symmetric",
     "eigvec_bc",

@@ -52,6 +52,7 @@ from .incidence import (
     build_delta0,
     build_delta1,
     build_laplacian,
+    delta1_rank,
     exact_rank,
     harmonic_dimension,
     write_matrix_market,
@@ -175,7 +176,7 @@ def _suite_hodge(args, audited) -> _Suite:
         d0 = build_delta0(fam.support)
         d1 = build_delta1(fam)
         r0 = len(fam.support.vertices) - len(fam.components)
-        r1 = exact_rank(d1)
+        r1 = delta1_rank(fam)  # independent of the stacked rank in `harmonic`
         harmonic = harmonic_dimension(d0, d1)
         edges = d0.shape[0]
         d1f = d1.astype(float)

@@ -5,8 +5,8 @@ generation: families are grown one lexicographically larger triangle at a
 time and a candidate is kept only when it is the canonical representative,
 i.e. the minimum of its relabeling orbit.  Deleting the largest triangle
 of a canonical family leaves a canonical family, so every class is
-reached exactly once.  Connectivity is checked per node; interior
-nodes of the tree may be disconnected.  The canonicity test searches
+reached exactly once.  Each new triangle meets the labels already used,
+so every node of the tree is connected.  The canonicity test searches
 relabelings depth first, and gives each next label only to vertices a
 minimum can give it: labels 1, 2 to an edge of maximum codegree, then
 to a vertex of a triangle with the least optimistic image, and one
@@ -22,9 +22,8 @@ the node's tau, and at most the node's lambda when the new triangle adds
 a support edge.
 
 Each sweep node carries its incidence state (d1 by edge, the Gram matrix
-d1 d1^T, the echelon rows of its exact rank and a vertex union-find), and
-a child extends it by its one new row of d1, so nothing is rebuilt per
-family.  The sweep solves d1 d1^T, the form `spectra` picks when
+d1 d1^T and the echelon rows of its exact rank), and a child extends it
+by its one new row of d1, so nothing is rebuilt per family.  The sweep solves d1 d1^T, the form `spectra` picks when
 t <= |E|; by Kruskal-Katona that holds for every family of at most 14
 triangles, so its lambdas are those of `lambda_of`, bit for bit.
 """
@@ -403,9 +402,13 @@ def _is_lex_min(tris: tuple, k: int) -> bool:
 def _candidates(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
     """Lex-ordered (triangle, support size) extensions of a family on labels
     1..k: each triangle is lex-greater than the last, lies within
-    1..min(k+3, cap), and its new labels, if any, are the next consecutive ones."""
+    1..min(k+3, cap), meets 1..k, and its new labels, if any, are the next
+    consecutive ones.  An all-new triangle (k+1, k+2, k+3) is left out: it
+    would disconnect the family for good, since every later triangle is
+    lex-greater and so has its least vertex above k.  Every family the
+    candidates grow from (1, 2, 3) is therefore connected."""
     for tri in combinations(range(1, min(k + 3, cap) + 1), 3):
-        if tri <= tris[-1]:
+        if tri <= tris[-1] or tri[0] > k:
             continue
         news = [v for v in tri if v > k]
         if news and news != list(range(k + 1, k + 1 + len(news))):
@@ -449,9 +452,7 @@ def enumerate_connected_families(
 
     def rec(tris: tuple, k: int) -> Iterator[TriangleFamily]:
         if len(tris) == t:
-            fam = TriangleFamily(tris)
-            if len(fam.components) == 1:
-                yield fam
+            yield TriangleFamily(tris)
             return
         for child, k2 in _children(tris, k, cap):
             yield from rec(child, k2)
@@ -625,19 +626,16 @@ class _Carried:
     ((row, sign), ...); an edge's key is minus the number of edges found
     before it, so a new edge leads every row it is in.  `gram` is d1 d1^T
     in float64 (small integer sums, so exact), `echelon` the rows
-    `_reduce_row` kept (their number is rank d1), and `root` a union-find
-    over the vertices, which fall into `parts` components.
+    `_reduce_row` kept (their number is rank d1).
     """
 
     tris: tuple
     columns: dict
     gram: np.ndarray
     echelon: dict
-    root: dict
-    parts: int
 
 
-_EMPTY = _Carried((), {}, np.zeros((0, 0)), {}, {}, 0)
+_EMPTY = _Carried((), {}, np.zeros((0, 0)), {})
 
 
 def _extend(node: _Carried, tri: tuple) -> _Carried:
@@ -661,21 +659,7 @@ def _extend(node: _Carried, tri: tuple) -> _Carried:
     gram[s] = gram[:, s] = border
     echelon = dict(node.echelon)
     _reduce_row(echelon, row)
-    root = dict(node.root)
-    parts = node.parts
-    tops = set()
-    for v in tri:
-        if v not in root:
-            root[v] = v
-            parts += 1
-        while root[v] != v:
-            root[v] = root[root[v]]  # path halving
-            v = root[v]
-        tops.add(v)
-    top = tops.pop()
-    for v in tops:
-        root[v] = top
-    return _Carried(node.tris + (tri,), columns, gram, echelon, root, parts - len(tops))
+    return _Carried(node.tris + (tri,), columns, gram, echelon)
 
 
 def _sweep_solve(node: _Carried) -> tuple[float, float]:
@@ -700,24 +684,23 @@ def _phi_sweep(
     """One orderly sweep collecting the best connected family per size 1..t;
     returns the incumbents and whether the sweep completed in time.
 
-    A node is evaluated when connected, unless `_size_beyond_reach`
-    proves it cannot beat the incumbent of its own size.  A child has a
-    subtree unless it is at depth t or that test holds at every larger
-    size, by the counting bound on its vertex count or by the overlap
-    theorem (each support edge lies in at least ceil(lambda) - 2
-    triangles) on the codegrees it lacks.  Both need only the child's
-    codegrees and label count, which relabeling keeps, so the test runs
-    on every candidate, and only a child with a subtree is tested for
-    canonicity and entered.
+    Every node is connected (see `_candidates`).  A node is evaluated
+    unless `_size_beyond_reach` proves it cannot beat the incumbent of its
+    own size.  A child has a subtree unless it is at depth t or that test
+    holds at every larger size, by the counting bound on its vertex count
+    or by the overlap theorem (each support edge lies in at least
+    ceil(lambda) - 2 triangles) on the codegrees it lacks.  Both need only
+    the child's codegrees and label count, which relabeling keeps, so the
+    test runs on every candidate, and only a child with a subtree is
+    tested for canonicity and entered.
 
     A childless child is evaluated in place, canonical or not, when it
-    survives its own-size cut and the interlacing cut and is connected;
-    both cuts hold for any family, so connectivity is tested last.  The
-    child's Gram matrix d1 d1^T borders the node's, so by Cauchy
-    interlacing its lambda is at most the node's tau, and at most the
-    node's lambda when its triangle adds a support edge (the rank then
-    grows).  The node's (lambda, tau) is solved once, by its own
-    evaluation or by the first child that needs it.
+    survives its own-size cut and the interlacing cut.  The child's Gram
+    matrix d1 d1^T borders the node's, so by Cauchy interlacing its lambda
+    is at most the node's tau, and at most the node's lambda when its
+    triangle adds a support edge (the rank then grows).  The node's
+    (lambda, tau) is solved once, by its own evaluation or by the first
+    child that needs it.
 
     Only a child whose lambda would replace the incumbent is tested for
     canonicity.  A non-canonical copy cannot beat the incumbent: its
@@ -756,7 +739,7 @@ def _phi_sweep(
         last = tris
         s = len(tris)
         solved = None  # this node's (lambda, tau), solved at most once
-        if node.parts == 1 and not (prune and _size_beyond_reach(best, codegree, s, k, s)):
+        if not (prune and _size_beyond_reach(best, codegree, s, k, s)):
             solved = _sweep_solve(node)
             if s not in best or solved[0] > best[s][0] + IMPROVE_EPS:
                 best[s] = (solved[0], tris)
@@ -791,10 +774,7 @@ def _phi_sweep(
                 new_edge = any(edge not in codegree for edge in combinations(tri, 2))
                 if solved[0 if new_edge else 1] <= cur[0] - CEIL_GUARD:
                     continue
-            child_node = _extend(node, tri)
-            if child_node.parts != 1:
-                continue
-            lam = _sweep_solve(child_node)[0]
+            lam = _sweep_solve(_extend(node, tri))[0]
             if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child, k2):
                 best[s + 1] = (lam, child)
 

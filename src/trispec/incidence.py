@@ -6,6 +6,12 @@ at the smaller endpoint, one +1 at the larger), delta1 rows are triangles
 (+1, -1, +1 on their ascending edge list).  Ranks are computed over the
 rationals by one exact row reduction on Python integers, never by
 floating point.
+
+`delta1_rank` is the rank of a family's delta1.  It reduces the triangle
+rows in family order, each edge keyed by minus its discovery index, so a
+row with a new edge is kept without elimination, and it stops at the
+bound |E| - |V| + c (c components): delta1 delta0 = 0 puts every row of
+delta1 in ker delta0^T, of dimension |E| - rank delta0 = |E| - |V| + c.
 """
 
 from __future__ import annotations
@@ -115,6 +121,29 @@ def exact_rank(matrix) -> int:
     echelon: dict[int, dict[int, int]] = {}
     for values in arr.tolist():
         _reduce_row(echelon, {j: int(v) for j, v in enumerate(values) if v})
+    return len(echelon)
+
+
+def delta1_rank(family: TriangleFamily) -> int:
+    """rank(delta1) over the rationals, from the family's triangle rows.
+
+    Each row has +1, -1, +1 on its ascending edges, and an edge's key is
+    minus the number of edges found before it in family order, so a new
+    edge leads its row and `_reduce_row` keeps the row without elimination.
+    The rows lie in ker delta0^T, of dimension |E| - |V| + c, so the
+    reduction stops once the rank reaches min(|T|, |E| - |V| + c); short
+    of that bound every row is reduced.
+    """
+    graph = family.support
+    bound = min(len(family), len(graph.edges) - len(graph.vertices) + len(family.components))
+    keys: dict = {}
+    echelon: dict = {}
+    for a, b, c in family:
+        row = {}
+        for sign, e in zip((1, -1, 1), ((a, b), (a, c), (b, c))):
+            row[keys.setdefault(e, -len(keys))] = sign
+        if _reduce_row(echelon, row) and len(echelon) == bound:
+            break
     return len(echelon)
 
 

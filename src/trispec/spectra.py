@@ -2,9 +2,11 @@
 
 The spectral parameter of a family is the smallest positive eigenvalue of
 its triangle Laplacian (equal for the edge-indexed and triangle-indexed
-Gram forms).  Zero/positive separation is decided by exact rank of the
-integer boundary factor, never by thresholding the floating spectrum; a
-zero band of 1e-7 * (1 + lambda_max) is kept as a sanity assertion only.
+Gram forms).  Zero/positive separation is decided by the exact rank of
+the integer boundary factor, `incidence.delta1_rank` (a row reduction
+that stops at the bound |E| - |V| + c that delta1 delta0 = 0 gives), never
+by thresholding the floating spectrum; a zero band of
+1e-7 * (1 + lambda_max) is kept as a sanity assertion only.
 
 Eigenvalues come from LAPACK ``eigvalsh``; exact rank decides how many of
 them are zero, so the solver only has to be accurate.  Gram products are
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import SupportGraph, TriangleFamily
-from .incidence import build_delta0, build_delta1, exact_rank
+from .incidence import build_delta0, build_delta1, delta1_rank
 
 ZERO_BAND_COEFF = 1e-7
 PSD_TOL_COEFF = 1e-9
@@ -105,7 +107,8 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class _Block:
-    """One connected component: its support graph, delta1 and exact rank(delta1).
+    """One connected component: its support graph, delta1 (kept for the Gram
+    matrices) and rank(delta1) from `delta1_rank`.
 
     The component is connected, so rank(delta0) is len(graph.vertices) - 1
     without elimination.
@@ -121,11 +124,7 @@ def _blocks(family: TriangleFamily) -> list[_Block]:
     the phi search evaluates) is its own only block."""
     parts = family.components
     pieces = [family] if len(parts) == 1 else [TriangleFamily(part) for part in parts]
-    blocks = []
-    for part in pieces:
-        d1 = build_delta1(part)
-        blocks.append(_Block(part.support, d1, exact_rank(d1)))
-    return blocks
+    return [_Block(part.support, build_delta1(part), delta1_rank(part)) for part in pieces]
 
 
 def lambda_of(family: TriangleFamily) -> float:

@@ -268,9 +268,10 @@ def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
     # Frozen counts for phi(6) with every cut.  Childless children are
     # evaluated without a canonicity test, duplicates included, so lambda
     # runs more often than there are classes; the canonicity test runs only
-    # on children with a subtree and on would-be incumbents.
+    # on children with a subtree and on would-be incumbents.  No candidate
+    # is all-new, so no disconnected node is entered or solved.
     solved, lex_min_calls = _counted_phi_six(monkeypatch)
-    assert (sum(solved.values()), lex_min_calls) == (1097, 277)
+    assert (sum(solved.values()), lex_min_calls) == (1087, 261)
 
 
 def test_phi_sweep_solves_each_family_once(monkeypatch):
@@ -321,8 +322,8 @@ def test_interlacing_bounds_a_child_by_its_node(case):
 def sweep_paths(draw):
     """A root-to-node path of the sweep: up to 12 triangles, each one of the
     `_candidates` of the triangles before it.  Half the steps pick among the
-    first few candidates, which meet the support, so long connected paths
-    are common; the rest pick any candidate, disconnecting ones included."""
+    first few candidates, which close triangles on few new labels; the rest
+    pick any candidate."""
     tris, k = ((1, 2, 3),), 3
     for _ in range(draw(st.integers(0, 11))):
         options = list(extremal._candidates(tris, k, 12))
@@ -341,22 +342,20 @@ def test_carried_state_matches_the_family_built_from_scratch(tris):
     node = extremal._EMPTY
     for s in range(1, len(tris) + 1):
         # A node is extended once per child, so extending must not touch it.
-        before = (dict(node.columns), node.gram.copy(), dict(node.echelon), dict(node.root))
+        before = (dict(node.columns), node.gram.copy(), dict(node.echelon))
         child = extremal._extend(node, tris[s - 1])
-        assert (dict(node.columns), dict(node.echelon), dict(node.root)) == (
-            before[0], before[2], before[3]
-        ) and np.array_equal(node.gram, before[1])
+        assert (dict(node.columns), dict(node.echelon)) == (before[0], before[2])
+        assert np.array_equal(node.gram, before[1])
         node = child
         fam = TriangleFamily(tris[:s])
         d1 = build_delta1(fam)
         assert node.tris == tris[:s]
         assert len(node.echelon) == exact_rank(d1)
-        assert node.parts == len(fam.components)
+        assert len(fam.components) == 1  # no candidate is all-new
         assert node.gram.dtype == np.float64
         assert np.array_equal(node.gram, d1 @ d1.T)
-        if node.parts == 1:
-            lam, tau = spectra._lambda_tau_spectrum(fam)[:2]
-            assert extremal._sweep_solve(node) == (lam, math.inf if tau is None else tau)
+        lam, tau = spectra._lambda_tau_spectrum(fam)[:2]
+        assert extremal._sweep_solve(node) == (lam, math.inf if tau is None else tau)
 
 
 def test_phi_table_seven_meets_the_staircase():
@@ -428,6 +427,20 @@ def test_checkpoint_of_another_budget_is_refused(tmp_path):
     with pytest.raises(ValueError, match="another search"):
         phi_exact(3, prune=False, checkpoint=path)
     assert phi_exact(4).phi == pytest.approx(4.0)
+
+
+def test_checkpoint_at_a_disconnected_cursor_is_refused(tmp_path):
+    # An all-new triangle is no candidate, so (1,2,3), (4,5,6) is not a node
+    # of the sweep and a file resting on it is refused; a node resumes.
+    path = tmp_path / "phi.ckpt"
+    search = {"t": 5, "cap": 11, "prune": True, "layout": extremal._CHECKPOINT_LAYOUT}
+    for cursor, refused in (([[1, 2, 3], [1, 2, 4]], False), ([[1, 2, 3], [4, 5, 6]], True)):
+        path.write_text(json.dumps({"search": search, "best": {}, "cursor": cursor}))
+        if refused:
+            with pytest.raises(ValueError, match="is not a node of this search"):
+                phi_exact(5, checkpoint=str(path))
+        else:
+            assert phi_exact(5, checkpoint=str(path)).to_dict() == phi_exact(5).to_dict()
 
 
 def test_checkpoint_without_header_is_refused(tmp_path):

@@ -12,13 +12,18 @@ from trispec import (
     build_delta0,
     build_delta1,
     build_laplacian,
+    delta1_rank,
+    disjoint_union,
     exact_rank,
     harmonic_dimension,
+    phi_lower_bound_family,
     random_families,
+    relabel,
     read_matrix_market,
     support_graph,
     write_matrix_market,
 )
+from trispec import incidence
 from trispec.incidence import _reduce_row
 
 
@@ -163,6 +168,92 @@ def test_exact_rank_rejects_floats_and_non_matrices():
         exact_rank(np.eye(3))
     with pytest.raises(ValueError):
         exact_rank(np.arange(4))
+
+
+_FAMILIES = st.lists(
+    st.sets(st.integers(1, 9), min_size=3, max_size=3).map(lambda v: tuple(sorted(v))),
+    min_size=1,
+    max_size=24,
+).map(lambda tris: TriangleFamily(tuple(tris))).filter(len)
+
+
+@st.composite
+def _families_unions_and_relabelings(draw):
+    """A family on labels 1..9 (disconnected ones are common), a disjoint
+    union of two, or a family under a permutation of its labels."""
+    fam = draw(_FAMILIES)
+    kind = draw(st.sampled_from(("plain", "union", "relabel")))
+    if kind == "union":
+        return disjoint_union(fam, draw(_FAMILIES))
+    if kind == "relabel":
+        labels = fam.vertices()
+        return relabel(fam, dict(zip(labels, draw(st.permutations(range(1, 30)))[: len(labels)])))
+    return fam
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families_unions_and_relabelings())
+def test_delta1_rank_equals_exact_rank_of_delta1(fam):
+    assert delta1_rank(fam) == exact_rank(build_delta1(fam))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families_unions_and_relabelings())
+def test_delta1_kills_delta0(fam):
+    # The premise of delta1_rank's bound: the rows of delta1 lie in ker delta0^T.
+    assert not np.any(build_delta1(fam) @ build_delta0(fam.support))
+
+
+def _grid(n: int, m: int, torus: bool) -> TriangleFamily:
+    """Each square of an n x m grid cut into two triangles, periodic in the
+    n direction (a cylinder), and in the m direction too for a torus."""
+    rows = m if torus else m + 1
+
+    def v(i, j):
+        return (i % n) * rows + (j % rows) + 1
+
+    tris = []
+    for i in range(n):
+        for j in range(m):
+            tris += [(v(i, j), v(i + 1, j), v(i, j + 1)), (v(i + 1, j), v(i, j + 1), v(i + 1, j + 1))]
+    return TriangleFamily(tuple(tris))
+
+
+def _counted_delta1_rank(monkeypatch, fam: TriangleFamily) -> tuple[int, int]:
+    """delta1_rank(fam) and how many rows it reduced."""
+    calls = 0
+
+    def counted(echelon, row):
+        nonlocal calls
+        calls += 1
+        return _reduce_row(echelon, row)
+
+    monkeypatch.setattr(incidence, "_reduce_row", counted)
+    return delta1_rank(fam), calls
+
+
+def test_delta1_rank_reduces_every_row_of_a_torus_and_a_cylinder(monkeypatch):
+    # A torus has beta1 = 2 and beta2 = 1, a cylinder beta1 = 1: the rank
+    # never reaches |E| - |V| + 1 early, so every triangle row is reduced.
+    torus, cylinder = _grid(5, 5, torus=True), _grid(6, 3, torus=False)
+    assert len(torus.support.edges) - len(torus.support.vertices) + 1 == len(torus) + 1
+    assert len(cylinder.support.edges) - len(cylinder.support.vertices) + 1 == len(cylinder) + 1
+    for fam, want in ((torus, len(torus) - 1), (cylinder, len(cylinder))):
+        assert exact_rank(build_delta1(fam)) == want
+        assert _counted_delta1_rank(monkeypatch, fam) == (want, len(fam))
+
+
+def test_delta1_rank_stops_at_the_cycle_space_bound_on_phi_lb_3000(monkeypatch):
+    # Each block reaches rank |E| - |V| + 1 after as many rows as its rank,
+    # so 592 of the 3000 rows are reduced; without the stop all would be.
+    fam = phi_lower_bound_family(3000).family
+    calls, ranks = 0, []
+    for part in map(TriangleFamily, fam.components):
+        rank, n = _counted_delta1_rank(monkeypatch, part)
+        assert rank == len(part.support.edges) - len(part.support.vertices) + 1
+        ranks.append(rank)
+        calls += n
+    assert ranks == [117, 365, 110] and calls == 592
 
 
 def test_rank_identity_on_random_families():
