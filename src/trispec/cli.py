@@ -40,8 +40,6 @@ from .extremal import (
     phi_exact,
 )
 from .families import (
-    EmptyFamilyError,
-    FamilyParseError,
     TriangleFamily,
     family_to_text,
     load_family,
@@ -109,8 +107,11 @@ def _load_source(token: str) -> TriangleFamily:
     return load_family(token)
 
 
-def _manifest(args, input_text: str, outputs: list[str], started: float) -> dict:
-    return {
+def _write_manifest(path, args, input_text: str, outputs: list[str], started: float) -> None:
+    """Write the run manifest to `path`; without a path, write nothing."""
+    if not path:
+        return
+    data = {
         "command": "trispec " + " ".join(args.argv),
         "input_sha256": hashlib.sha256(input_text.encode("utf-8")).hexdigest(),
         "version": __version__,
@@ -118,13 +119,6 @@ def _manifest(args, input_text: str, outputs: list[str], started: float) -> dict
         "timing_seconds": time.monotonic() - started,
         "outputs": outputs,
     }
-
-
-def _maybe_write_manifest(args, input_text: str, outputs: list[str], started: float) -> None:
-    path = getattr(args, "manifest", None)
-    if not path:
-        return
-    data = _manifest(args, input_text, outputs, started)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, sort_keys=True, indent=2)
         handle.write("\n")
@@ -325,7 +319,7 @@ def _cmd_lambda(args) -> int:
     fam = _load_source(args.source)
     report = spectral_report(fam)
     print(report.to_json())
-    _maybe_write_manifest(args, family_to_text(fam), [], started)
+    _write_manifest(args.manifest, args, family_to_text(fam), [], started)
     return 0
 
 
@@ -356,7 +350,7 @@ def _cmd_verify(args) -> int:
         print(f"suite={name} checks={len(suite.lines)} failures={suite.failures}")
         total_failures += suite.failures
     key = f"verify {' '.join(names)} seed={args.seed} random={args.random}"
-    _maybe_write_manifest(args, key, [], started)
+    _write_manifest(args.manifest, args, key, [], started)
     return 1 if total_failures else 0
 
 
@@ -376,7 +370,8 @@ def _cmd_phi(args) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         outputs.append(args.json)
-    _maybe_write_manifest(args, f"phi {args.t} prune={not args.no_prune}", outputs, started)
+    key = f"phi {args.t} prune={not args.no_prune}"
+    _write_manifest(args.manifest, args, key, outputs, started)
     return 0
 
 
@@ -406,11 +401,9 @@ def _cmd_export(args) -> int:
         )
         written.append(name)
         print(os.path.join(args.outdir, name))
-    data = _manifest(args, family_to_text(fam), written, started)
-    with open(os.path.join(args.outdir, "manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    print(os.path.join(args.outdir, "manifest.json"))
+    manifest = os.path.join(args.outdir, "manifest.json")
+    _write_manifest(manifest, args, family_to_text(fam), written, started)
+    print(manifest)
     return 0
 
 
@@ -470,10 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except FamilyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EmptyFamilyError, ValueError) as exc:
+    except ValueError as exc:  # FamilyParseError and EmptyFamilyError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpectralError as exc:

@@ -18,14 +18,14 @@ whose lambda would replace an incumbent.  A childless child (at the last
 depth, or with every descendant cut) is evaluated in place, canonical or
 not, unless a cut rules it out.  One cut is Cauchy interlacing: the
 child's Gram matrix borders its node's, so the child's lambda is at most
-the node's tau, and at most the node's lambda when the new triangle adds
-a support edge.
+the node's lambda when the new triangle grows the rank, and at most the
+node's tau otherwise.
 
-Each sweep node carries its incidence state (d1 by edge, the Gram matrix
-d1 d1^T and the echelon rows of its exact rank), and a child extends it
-by its one new row of d1, so nothing is rebuilt per family.  The sweep solves d1 d1^T, the form `spectra` picks when
-t <= |E|; by Kruskal-Katona that holds for every family of at most 14
-triangles, so its lambdas are those of `lambda_of`, bit for bit.
+Each sweep node carries d1 by column, whose entry counts are the
+codegrees the cuts read, and the echelon rows of its exact rank; a child
+extends both by its one new row of d1.  The sweep solves d1 d1^T, the
+form `spectra` picks when t <= |E|; by Kruskal-Katona that holds for every
+family of at most 14 triangles, so its lambdas are those of `lambda_of`.
 """
 
 from __future__ import annotations
@@ -598,10 +598,10 @@ def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -
 
 
 def _size_beyond_reach(
-    best: dict[int, tuple[float, tuple]], codegree: Counter, s: int, k: int, r: int
+    best: dict[int, tuple[float, tuple]], node: _Carried, k: int, r: int
 ) -> bool:
-    """True when no family of r >= s triangles that contains a node of s
-    triangles on labels 1..k, with these edge codegrees, can beat best[r].
+    """True when no family of r >= s triangles that contains the sweep node
+    (s triangles on labels 1..k) can beat best[r].
 
     Size r is out of reach by the vertex-count cut (`_beyond_reach`; such
     a family has at least k vertices) or by the overlap cut.  A family
@@ -614,7 +614,9 @@ def _size_beyond_reach(
     if _beyond_reach(best, r, k):
         return True
     m = _ceiling_to_beat(best, r)
-    return m > 0 and sum(max(0, m - 2 - c) for c in codegree.values()) > 3 * (r - s)
+    return m > 0 and sum(
+        max(0, m - 2 - len(entries)) for _, entries in node.columns.values()
+    ) > 3 * (r - len(node.tris))
 
 
 @dataclass(frozen=True, eq=False)
@@ -623,51 +625,47 @@ class _Carried:
     one new row of d1 instead of rebuilding it.
 
     `columns` maps each support edge to its key and its d1 entries
-    ((row, sign), ...); an edge's key is minus the number of edges found
-    before it, so a new edge leads every row it is in.  `gram` is d1 d1^T
-    in float64 (small integer sums, so exact), `echelon` the rows
-    `_reduce_row` kept (their number is rank d1).
+    ((row, sign), ...), one per triangle on the edge; an edge's key is
+    minus the number of edges found before it, so a new edge leads every
+    row it is in.  `echelon` holds the rows `_reduce_row` kept (their
+    number is rank d1).
     """
 
     tris: tuple
     columns: dict
-    gram: np.ndarray
     echelon: dict
 
 
-_EMPTY = _Carried((), {}, np.zeros((0, 0)), {})
+_EMPTY = _Carried((), {}, {})
 
 
 def _extend(node: _Carried, tri: tuple) -> _Carried:
     """The state of the node's triangles plus the lex-greater `tri`, whose
-    d1 row has signs +1, -1, +1 on its ascending edges: the Gram matrix
-    gains that row's products (3 on the diagonal), and only that row is
+    d1 row has signs +1, -1, +1 on its ascending edges: only that row is
     reduced, so the rank grows by 0 or 1 (by 1, without elimination, when
     a new support edge leads it)."""
     s = len(node.tris)
     columns = dict(node.columns)
-    border = [0] * s + [3]
     row = {}
     for sign, e in zip((1, -1, 1), combinations(tri, 2)):
         key, entries = columns.get(e, (-len(columns), ()))
-        for j, other in entries:
-            border[j] += sign * other
         columns[e] = (key, entries + ((s, sign),))
         row[key] = sign
-    gram = np.empty((s + 1, s + 1))
-    gram[:s, :s] = node.gram
-    gram[s] = gram[:, s] = border
     echelon = dict(node.echelon)
     _reduce_row(echelon, row)
-    return _Carried(node.tris + (tri,), columns, gram, echelon)
+    return _Carried(node.tris + (tri,), columns, echelon)
 
 
 def _sweep_solve(node: _Carried) -> tuple[float, float]:
     """(lambda, tau) of a connected sweep node from its carried state, tau
     infinite at rank 1: the L2_down solve of `spectra._lambda_tau_spectrum`
-    on the same Gram matrix, with the exact nullity t - rank and the same
-    zero-band check."""
-    eigs = eigenvalues_symmetric(node.gram)
+    on the same exact d1 d1^T (formed in float64 from the columns), with
+    the exact nullity t - rank and the same zero-band check."""
+    d1 = np.zeros((len(node.tris), len(node.columns)))
+    for j, (_, entries) in enumerate(node.columns.values()):
+        for i, sign in entries:
+            d1[i, j] = sign
+    eigs = eigenvalues_symmetric(d1 @ d1.T)
     rank = len(node.echelon)
     nullity = len(node.tris) - rank
     _check_bands(eigs, nullity, "L2_down")
@@ -686,7 +684,8 @@ def _phi_sweep(
 
     Every node is connected (see `_candidates`).  A node is evaluated
     unless `_size_beyond_reach` proves it cannot beat the incumbent of its
-    own size.  A child has a subtree unless it is at depth t or that test
+    own size.  Each candidate child's state is extended from its node's
+    first.  A child has a subtree unless it is at depth t or that test
     holds at every larger size, by the counting bound on its vertex count
     or by the overlap theorem (each support edge lies in at least
     ceil(lambda) - 2 triangles) on the codegrees it lacks.  Both need only
@@ -697,10 +696,10 @@ def _phi_sweep(
     A childless child is evaluated in place, canonical or not, when it
     survives its own-size cut and the interlacing cut.  The child's Gram
     matrix d1 d1^T borders the node's, so by Cauchy interlacing its lambda
-    is at most the node's tau, and at most the node's lambda when its
-    triangle adds a support edge (the rank then grows).  The node's
-    (lambda, tau) is solved once, by its own evaluation or by the first
-    child that needs it.
+    is at most the node's lambda when its rank grows (the nullity stays)
+    and at most the node's tau when it does not (the nullity grows by
+    one); the echelon rows tell which.  The node's (lambda, tau) is solved
+    once, by its own evaluation or by the first child that needs it.
 
     Only a child whose lambda would replace the incumbent is tested for
     canonicity.  A non-canonical copy cannot beat the incumbent: its
@@ -711,13 +710,14 @@ def _phi_sweep(
     sweep; `prune=False` turns every cut off.
 
     No family is rebuilt per child: `_extend` derives the child's
-    `_Carried` state from its node's, and `_sweep_solve` solves its Gram
-    matrix d1 d1^T (L2_down) with the exact nullity and `spectra`'s
-    zero-band check.  `spectra` picks L2_down whenever t <= |E|, and by
-    Kruskal-Katona t triangles span at least t edges for t <= 14 (the
-    least shadow of 15 is 14), so each lambda and tau is bit-identical to
-    `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
-    same positive spectrum, so there is no L1_up path and no fallback.
+    `_Carried` state from its node's, and `_sweep_solve` solves d1 d1^T
+    (L2_down), formed from its columns, with the exact nullity and
+    `spectra`'s zero-band check.  `spectra` picks L2_down whenever
+    t <= |E|, and by Kruskal-Katona t triangles span at least t edges for
+    t <= 14 (the least shadow of 15 is 14), so each lambda and tau is
+    bit-identical to `_lambda_tau_spectrum`'s; above 14 triangles L2_down
+    still has the same positive spectrum, so there is no L1_up path and no
+    fallback.
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
@@ -733,13 +733,13 @@ def _phi_sweep(
     deadline = now + budget_seconds if budget_seconds is not None else math.inf
     next_save = now + _SAVE_SECONDS
 
-    def visit(node: _Carried, k: int, codegree: Counter) -> None:
+    def visit(node: _Carried, k: int) -> None:
         nonlocal last, next_save
         tris = node.tris
         last = tris
         s = len(tris)
         solved = None  # this node's (lambda, tau), solved at most once
-        if not (prune and _size_beyond_reach(best, codegree, s, k, s)):
+        if not (prune and _size_beyond_reach(best, node, k, s)):
             solved = _sweep_solve(node)
             if s not in best or solved[0] > best[s][0] + IMPROVE_EPS:
                 best[s] = (solved[0], tris)
@@ -753,34 +753,31 @@ def _phi_sweep(
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
         for tri, k2 in _candidates(tris, k, cap):
-            child = tris + (tri,)
-            if child < start[: s + 1]:
+            if tris + (tri,) < start[: s + 1]:
                 continue
-            child_codegree = codegree.copy()
-            child_codegree.update(combinations(tri, 2))
+            child = _extend(node, tri)
             if s + 1 < t and not (prune and all(
-                _size_beyond_reach(best, child_codegree, s + 1, k2, r) for r in range(s + 2, t + 1)
+                _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
             )):
-                if _is_lex_min(child, k2):
-                    visit(_extend(node, tri), k2, child_codegree)
+                if _is_lex_min(child.tris, k2):
+                    visit(child, k2)
                 continue
             cur = best.get(s + 1)
             if prune and cur is not None:
-                if _size_beyond_reach(best, child_codegree, s + 1, k2, s + 1):
+                if _size_beyond_reach(best, child, k2, s + 1):
                     continue
                 if solved is None:
                     solved = _sweep_solve(node)
-                # A triangle on a new support edge grows the rank.
-                new_edge = any(edge not in codegree for edge in combinations(tri, 2))
-                if solved[0 if new_edge else 1] <= cur[0] - CEIL_GUARD:
+                grew = len(child.echelon) > len(node.echelon)
+                if solved[0 if grew else 1] <= cur[0] - CEIL_GUARD:
                     continue
-            lam = _sweep_solve(_extend(node, tri))[0]
-            if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child, k2):
-                best[s + 1] = (lam, child)
+            lam = _sweep_solve(child)[0]
+            if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child.tris, k2):
+                best[s + 1] = (lam, child.tris)
 
     completed = True
     try:
-        visit(_extend(_EMPTY, (1, 2, 3)), 3, Counter(combinations((1, 2, 3), 2)))
+        visit(_extend(_EMPTY, (1, 2, 3)), 3)
     except _BudgetExceeded:
         completed = False
     finally:

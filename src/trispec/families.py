@@ -100,10 +100,12 @@ class TriangleFamily:
         return support_graph(self)
 
     @cached_property
-    def components(self) -> tuple[tuple[Triangle, ...], ...]:
-        """The triangles of each connected component of the support, in family
-        order, by union-find; kept like `support`.  Components come in order
-        of least vertex, which starts each one's first triangle."""
+    def components(self) -> tuple[TriangleFamily, ...]:
+        """The connected components of the support as families, by one
+        union-find; kept like `support`.  Components come in order of least
+        vertex, which starts each one's first triangle.  A connected family
+        is its own only component, and each part of a disconnected one is
+        made with its components already set, so no union-find reruns."""
         root = {v: v for v in self.vertices()}
 
         def find(v: int) -> int:
@@ -119,7 +121,15 @@ class TriangleFamily:
         parts: dict[int, list[Triangle]] = {}
         for tri in self.triangles:
             parts.setdefault(find(tri[0]), []).append(tri)
-        return tuple(map(tuple, parts.values()))
+        if len(parts) == 1:
+            return (self,)
+        out = []
+        for tris in parts.values():
+            # Sublists of a sorted, validated family: skip __post_init__.
+            part = object.__new__(TriangleFamily)
+            vars(part).update(triangles=tuple(tris), components=(part,))
+            out.append(part)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

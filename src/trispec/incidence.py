@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .families import SupportGraph, TriangleFamily, sign_edge_vertex, sign_triangle_edge
+from .families import SupportGraph, TriangleFamily, sign_edge_vertex
 
 LAPLACIAN_KINDS = ("L0_up", "L1_down", "L1_up", "L2_down", "L1_total")
 
@@ -41,13 +41,12 @@ def build_delta0(graph: SupportGraph) -> np.ndarray:
 
 
 def build_delta1(family: TriangleFamily) -> np.ndarray:
-    """Triangle-edge boundary matrix, |F| x |E|, rows in family order."""
+    """Triangle-edge boundary matrix, |F| x |E|, rows in family order, with
+    signs +1, -1, +1 on each row's ascending edges (a, b), (a, c), (b, c)."""
     eidx = {e: i for i, e in enumerate(family.support.edges)}
     m = np.zeros((len(family), len(eidx)), dtype=np.int64)
-    for r, tri in enumerate(family):
-        a, b, c = tri
-        for e in ((a, b), (a, c), (b, c)):
-            m[r, eidx[e]] = sign_triangle_edge(tri, e)
+    cols = [eidx[e] for a, b, c in family for e in ((a, b), (a, c), (b, c))]
+    m[np.repeat(np.arange(len(family)), 3), cols] = np.tile((1, -1, 1), len(family))
     return _frozen(m)
 
 

@@ -120,11 +120,11 @@ class _Block:
 
 
 def _blocks(family: TriangleFamily) -> list[_Block]:
-    """One block per connected component; a connected family (every family
-    the phi search evaluates) is its own only block."""
-    parts = family.components
-    pieces = [family] if len(parts) == 1 else [TriangleFamily(part) for part in parts]
-    return [_Block(part.support, build_delta1(part), delta1_rank(part)) for part in pieces]
+    """One block per connected component; a connected family is its own
+    only component."""
+    return [
+        _Block(part.support, build_delta1(part), delta1_rank(part)) for part in family.components
+    ]
 
 
 def lambda_of(family: TriangleFamily) -> float:

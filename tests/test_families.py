@@ -89,8 +89,15 @@ def test_support_is_built_once_and_kept_out_of_equality():
 
 def test_connected_components_split():
     fam = TriangleFamily(((1, 2, 3), (4, 5, 6), (3, 7, 8)))
-    assert fam.components == (((1, 2, 3), (3, 7, 8)), ((4, 5, 6),))
+    assert fam.components == (
+        TriangleFamily(((1, 2, 3), (3, 7, 8))),
+        TriangleFamily(((4, 5, 6),)),
+    )
     assert fam.components is fam.components
+    # Each part is connected, its own only component, found by the one split.
+    assert all(part.components == (part,) and "components" in vars(part) for part in fam.components)
+    connected = fam.components[0]
+    assert TriangleFamily(connected.triangles).components == (connected,)
     assert TriangleFamily(()).components == ()
 
 

@@ -24,6 +24,7 @@ from trispec import (
     write_matrix_market,
 )
 from trispec import incidence
+from trispec.families import sign_triangle_edge
 from trispec.incidence import _reduce_row
 
 
@@ -204,6 +205,16 @@ def test_delta1_kills_delta0(fam):
     assert not np.any(build_delta1(fam) @ build_delta0(fam.support))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_families_unions_and_relabelings())
+def test_build_delta1_entries_are_the_incidence_signs(fam):
+    # build_delta1 writes +1, -1, +1 by position; each entry must be the sign.
+    d1 = build_delta1(fam)
+    for r, tri in enumerate(fam):
+        for j, e in enumerate(fam.support.edges):
+            assert d1[r, j] == sign_triangle_edge(tri, e)
+
+
 def _grid(n: int, m: int, torus: bool) -> TriangleFamily:
     """Each square of an n x m grid cut into two triangles, periodic in the
     n direction (a cylinder), and in the m direction too for a torus."""
@@ -248,7 +259,7 @@ def test_delta1_rank_stops_at_the_cycle_space_bound_on_phi_lb_3000(monkeypatch):
     # so 592 of the 3000 rows are reduced; without the stop all would be.
     fam = phi_lower_bound_family(3000).family
     calls, ranks = 0, []
-    for part in map(TriangleFamily, fam.components):
+    for part in fam.components:
         rank, n = _counted_delta1_rank(monkeypatch, part)
         assert rank == len(part.support.edges) - len(part.support.vertices) + 1
         ranks.append(rank)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -111,6 +112,25 @@ def test_lambda_of_disjoint_union_is_minimum():
         union = disjoint_union(fam_a, fam_b)
         want = min(lambda_of(fam_a), lambda_of(fam_b))
         assert abs(lambda_of(union) - want) < 1e-9
+
+
+def test_spectral_report_splits_a_disconnected_family_once(monkeypatch):
+    # The union-find runs once, on the family; its parts already know they
+    # are connected, so neither _blocks nor delta1_rank splits them again.
+    split = TriangleFamily.__dict__["components"].func
+    calls = []
+
+    def counted(fam):
+        calls.append(fam)
+        return split(fam)
+
+    prop = cached_property(counted)
+    prop.__set_name__(TriangleFamily, "components")
+    monkeypatch.setattr(TriangleFamily, "components", prop)
+    fam = disjoint_union(disjoint_union(complete_family(4), complete_family(5)), complete_family(3))
+    report = spectral_report(fam)
+    assert calls == [fam]
+    assert abs(report.lam - 3.0) < 1e-9
 
 
 def test_min_gap_identity_on_random_families():
