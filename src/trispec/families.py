@@ -99,13 +99,17 @@ class TriangleFamily:
         still read only `triangles`); EmptyFamilyError for an empty family."""
         return support_graph(self)
 
-    @cached_property
+    @property
     def components(self) -> tuple[TriangleFamily, ...]:
-        """The connected components of the support as families, by one
-        union-find; kept like `support`.  Components come in order of least
-        vertex, which starts each one's first triangle.  A connected family
-        is its own only component, and each part of a disconnected one is
-        made with its components already set, so no union-find reruns."""
+        """The connected components of the support as families, in order of
+        least vertex; a connected family is its own only component."""
+        return (self,) if self._parts is None else self._parts
+
+    @cached_property
+    def _parts(self) -> tuple[TriangleFamily, ...] | None:
+        """The components by one union-find, kept like `support`; None when
+        connected, as a kept `(self,)` would be a cycle only gc can free.
+        Each part is made with `_parts` already None, so none is split again."""
         root = {v: v for v in self.vertices()}
 
         def find(v: int) -> int:
@@ -122,14 +126,12 @@ class TriangleFamily:
         for tri in self.triangles:
             parts.setdefault(find(tri[0]), []).append(tri)
         if len(parts) == 1:
-            return (self,)
-        out = []
-        for tris in parts.values():
+            return None
+        out = tuple(object.__new__(TriangleFamily) for _ in parts)
+        for part, tris in zip(out, parts.values()):
             # Sublists of a sorted, validated family: skip __post_init__.
-            part = object.__new__(TriangleFamily)
-            vars(part).update(triangles=tuple(tris), components=(part,))
-            out.append(part)
-        return tuple(out)
+            vars(part).update(triangles=tuple(tris), _parts=None)
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -95,10 +97,26 @@ def test_connected_components_split():
     )
     assert fam.components is fam.components
     # Each part is connected, its own only component, found by the one split.
-    assert all(part.components == (part,) and "components" in vars(part) for part in fam.components)
+    for part in fam.components:
+        assert part.components == (part,) and vars(part)["_parts"] is None
     connected = fam.components[0]
     assert TriangleFamily(connected.triangles).components == (connected,)
     assert TriangleFamily(()).components == ()
+
+
+def test_reading_components_leaves_no_reference_cycle():
+    # A family that kept itself in its own cache would live on, with its
+    # support graph, until the cyclic garbage collector ran.
+    gc.disable()
+    try:
+        for tris in (((1, 2, 3), (3, 4, 5)), ((1, 2, 3), (4, 5, 6))):
+            fam = TriangleFamily(tris)
+            refs = [weakref.ref(fam)] + [weakref.ref(part) for part in fam.components]
+            assert all(part.support for part in fam.components)
+            del fam
+            assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def _grown_components(tris) -> list[list]:

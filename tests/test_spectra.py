@@ -117,7 +117,7 @@ def test_lambda_of_disjoint_union_is_minimum():
 def test_spectral_report_splits_a_disconnected_family_once(monkeypatch):
     # The union-find runs once, on the family; its parts already know they
     # are connected, so neither _blocks nor delta1_rank splits them again.
-    split = TriangleFamily.__dict__["components"].func
+    split = TriangleFamily.__dict__["_parts"].func
     calls = []
 
     def counted(fam):
@@ -125,8 +125,8 @@ def test_spectral_report_splits_a_disconnected_family_once(monkeypatch):
         return split(fam)
 
     prop = cached_property(counted)
-    prop.__set_name__(TriangleFamily, "components")
-    monkeypatch.setattr(TriangleFamily, "components", prop)
+    prop.__set_name__(TriangleFamily, "_parts")
+    monkeypatch.setattr(TriangleFamily, "_parts", prop)
     fam = disjoint_union(disjoint_union(complete_family(4), complete_family(5)), complete_family(3))
     report = spectral_report(fam)
     assert calls == [fam]
