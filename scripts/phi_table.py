@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 scripts/phi_table.py 10 > phi_table_10.json
 
-The counters are the spectral solves of the sweep and its canonicity
-tests; both are deterministic, so a rerun reproduces the file.
+The counters are the families the sweep solves (a stacked solve counts
+each family in its stack) and its canonicity tests; both are
+deterministic, so a rerun reproduces the file.
 """
 
 import json
@@ -15,17 +16,17 @@ from trispec import extremal, phi_table
 def main(t: int) -> dict:
     counts = {"sweep_solves": 0, "canonicity_tests": 0}
 
-    def counted(name: str, key: str) -> None:
+    def counted(name: str, key: str, weight) -> None:
         inner = getattr(extremal, name)
 
         def wrapper(*args):
-            counts[key] += 1
+            counts[key] += weight(*args)
             return inner(*args)
 
         setattr(extremal, name, wrapper)
 
-    counted("_sweep_solve", "sweep_solves")
-    counted("_is_lex_min", "canonicity_tests")
+    counted("_sweep_solve", "sweep_solves", lambda nodes, grams: len(nodes))
+    counted("_is_lex_min", "canonicity_tests", lambda tris, k: 1)
     table = phi_table(t).to_dict()
     return {
         "command": f"PYTHONPATH=src python3 scripts/phi_table.py {t} > phi_table_{t}.json",

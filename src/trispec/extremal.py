@@ -26,6 +26,10 @@ codegrees the cuts read, and the echelon rows of its exact rank; a child
 extends both by its one new row of d1.  The sweep solves d1 d1^T, the
 form `spectra` picks when t <= |E|; by Kruskal-Katona that holds for every
 family of at most 14 triangles, so its lambdas are those of `lambda_of`.
+The childless children of a node that survive the cuts wait in a queue
+and are solved together, by one stacked eigensolve of the node's d1 d1^T
+bordered by each child's new row, before the sweep enters a child with a
+subtree and after the node's last candidate.
 """
 
 from __future__ import annotations
@@ -656,20 +660,52 @@ def _extend(node: _Carried, tri: tuple) -> _Carried:
     return _Carried(node.tris + (tri,), columns, echelon)
 
 
-def _sweep_solve(node: _Carried) -> tuple[float, float]:
-    """(lambda, tau) of a connected sweep node from its carried state, tau
-    infinite at rank 1: the L2_down solve of `spectra._lambda_tau_spectrum`
-    on the same exact d1 d1^T (formed in float64 from the columns), with
-    the exact nullity t - rank and the same zero-band check."""
+def _d1(node: _Carried) -> np.ndarray:
+    """The node's d1 in float64 from its columns: a row per triangle and a
+    column per support edge, the edge with key -j in column j."""
     d1 = np.zeros((len(node.tris), len(node.columns)))
     for j, (_, entries) in enumerate(node.columns.values()):
         for i, sign in entries:
             d1[i, j] = sign
-    eigs = eigenvalues_symmetric(d1 @ d1.T)
-    rank = len(node.echelon)
-    nullity = len(node.tris) - rank
-    _check_bands(eigs, nullity, "L2_down")
-    return float(eigs[nullity]), float(eigs[nullity + 1]) if rank > 1 else math.inf
+    return d1
+
+
+def _child_grams(node: _Carried, d1: np.ndarray, gram: np.ndarray, children) -> np.ndarray:
+    """The children's Gram matrices d1 d1^T, stacked: the node's `gram`
+    (its d1 d1^T) bordered by one row and column per child.
+
+    A child's new row of d1 has signs +1, -1, +1 on the ascending edges of
+    its new triangle, so the corner is 3 and the border entry of triangle i
+    is the sum of sign products over the edges the two share: the node's d1
+    times the new row restricted to the node's columns.  Every entry is a
+    small integer, so each matrix equals the child's own d1 d1^T exactly.
+    """
+    s = len(node.tris)
+    rows = np.zeros((len(children), len(node.columns)))
+    for n, child in enumerate(children):
+        for sign, e in zip((1, -1, 1), combinations(child.tris[-1], 2)):
+            if e in node.columns:
+                rows[n, -node.columns[e][0]] = sign
+    stack = np.empty((len(children), s + 1, s + 1))
+    stack[:, :s, :s] = gram
+    stack[:, :s, s] = stack[:, s, :s] = rows @ d1.T
+    stack[:, s, s] = 3.0
+    return stack
+
+
+def _sweep_solve(nodes: list[_Carried], grams: np.ndarray) -> list[tuple[float, float]]:
+    """(lambda, tau) of each connected sweep node, tau infinite at rank 1,
+    from its Gram matrix d1 d1^T in the stack `grams`: one
+    `eigenvalues_symmetric` call, then the L2_down reading of
+    `spectra._lambda_tau_spectrum` with the exact nullity t - rank and the
+    same zero-band check."""
+    solved = []
+    for node, eigs in zip(nodes, eigenvalues_symmetric(grams).tolist()):
+        rank = len(node.echelon)
+        nullity = len(node.tris) - rank
+        _check_bands(eigs, nullity, "L2_down")
+        solved.append((eigs[nullity], eigs[nullity + 1] if rank > 1 else math.inf))
+    return solved
 
 
 def _phi_sweep(
@@ -711,13 +747,24 @@ def _phi_sweep(
 
     No family is rebuilt per child: `_extend` derives the child's
     `_Carried` state from its node's, and `_sweep_solve` solves d1 d1^T
-    (L2_down), formed from its columns, with the exact nullity and
-    `spectra`'s zero-band check.  `spectra` picks L2_down whenever
-    t <= |E|, and by Kruskal-Katona t triangles span at least t edges for
-    t <= 14 (the least shadow of 15 is 14), so each lambda and tau is
-    bit-identical to `_lambda_tau_spectrum`'s; above 14 triangles L2_down
-    still has the same positive spectrum, so there is no L1_up path and no
-    fallback.
+    (L2_down) with the exact nullity and `spectra`'s zero-band check.
+    `spectra` picks L2_down whenever t <= |E|, and by Kruskal-Katona t
+    triangles span at least t edges for t <= 14 (the least shadow of 15
+    is 14), so each lambda and tau is bit-identical to
+    `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
+    same positive spectrum, so there is no L1_up path and no fallback.
+
+    Each node forms its d1 (from its columns) and d1 d1^T once.  A
+    childless child that survives the cuts joins the node's queue, and a
+    flush solves the whole queue as one stack, each child's Gram matrix
+    the node's bordered by its new row (`_child_grams`).  The queue is
+    flushed before the sweep enters a child with a subtree and after the
+    node's last candidate, so none is pending when a node is entered or a
+    checkpoint written.  A flush decides the children in candidate order
+    as the unqueued sweep would: the incumbent of size s+1 changes only
+    in a flush, so a child's cuts read the incumbent its turn would have
+    read unless an earlier child of the same queue replaced it, and then
+    the cuts are applied again before the replace rule.
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
@@ -738,9 +785,11 @@ def _phi_sweep(
         tris = node.tris
         last = tris
         s = len(tris)
+        d1 = _d1(node)
+        gram = d1 @ d1.T
         solved = None  # this node's (lambda, tau), solved at most once
         if not (prune and _size_beyond_reach(best, node, k, s)):
-            solved = _sweep_solve(node)
+            (solved,) = _sweep_solve([node], gram[None])
             if s not in best or solved[0] > best[s][0] + IMPROVE_EPS:
                 best[s] = (solved[0], tris)
         if s == t:
@@ -752,6 +801,34 @@ def _phi_sweep(
             if ckpt and now > next_save:
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
+
+        def cut(child: _Carried, k2: int, cur) -> bool:
+            """True when a cut proves the childless child cannot replace `cur`."""
+            nonlocal solved
+            if not prune or cur is None:
+                return False
+            if _size_beyond_reach(best, child, k2, s + 1):
+                return True
+            if solved is None:
+                (solved,) = _sweep_solve([node], gram[None])
+            grew = len(child.echelon) > len(node.echelon)
+            return solved[0 if grew else 1] <= cur[0] - CEIL_GUARD
+
+        queue = []  # (child, k2, the incumbent its cuts read)
+
+        def flush() -> None:
+            if not queue:
+                return
+            children = [child for child, _, _ in queue]
+            lams = _sweep_solve(children, _child_grams(node, d1, gram, children))
+            for (child, k2, seen), (lam, _) in zip(queue, lams):
+                cur = best.get(s + 1)
+                if cur is not seen and cut(child, k2, cur):
+                    continue
+                if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child.tris, k2):
+                    best[s + 1] = (lam, child.tris)
+            queue.clear()
+
         for tri, k2 in _candidates(tris, k, cap):
             if tris + (tri,) < start[: s + 1]:
                 continue
@@ -760,20 +837,13 @@ def _phi_sweep(
                 _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
             )):
                 if _is_lex_min(child.tris, k2):
+                    flush()
                     visit(child, k2)
                 continue
             cur = best.get(s + 1)
-            if prune and cur is not None:
-                if _size_beyond_reach(best, child, k2, s + 1):
-                    continue
-                if solved is None:
-                    solved = _sweep_solve(node)
-                grew = len(child.echelon) > len(node.echelon)
-                if solved[0 if grew else 1] <= cur[0] - CEIL_GUARD:
-                    continue
-            lam = _sweep_solve(child)[0]
-            if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child.tris, k2):
-                best[s + 1] = (lam, child.tris)
+            if not cut(child, k2, cur):
+                queue.append((child, k2, cur))
+        flush()
 
     completed = True
     try:

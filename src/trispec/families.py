@@ -206,7 +206,7 @@ def parse_family(text: str) -> TriangleFamily:
     Each non-comment line holds three whitespace-separated non-negative
     integers.  Lines starting with '#' and blank lines are ignored.
     Triangles are sorted and deduplicated; a repeated vertex within a
-    line is an error.
+    line is an error, and so is text without a triangle (EmptyFamilyError).
     """
     tris: list[Triangle] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -227,6 +227,8 @@ def parse_family(text: str) -> TriangleFamily:
         if min(a, b, c) < 0:
             raise FamilyParseError(f"negative vertex label in {line!r}", lineno)
         tris.append(triangle(a, b, c))
+    if not tris:
+        raise EmptyFamilyError("the family text holds no triangle")
     return TriangleFamily(tuple(tris))
 
 

@@ -41,13 +41,17 @@ class SpectralError(RuntimeError):
 def eigenvalues_symmetric(matrix) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, by LAPACK ``eigvalsh``.
 
-    Non-square or asymmetric input is a ValueError; a LAPACK failure is a
+    A stack of shape (..., n, n) gives the eigenvalues of each matrix in it,
+    shape (..., n), from one ``eigvalsh`` call; LAPACK solves each slice on
+    its own, so a slice's eigenvalues equal those of solving it alone, bit
+    for bit.  Non-square or asymmetric input (any slice) is a ValueError,
+    found by one symmetry scan over the whole stack; a LAPACK failure is a
     SpectralError, so it reports as a numerical failure, not a usage error.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eigenvalues_symmetric expects a square matrix")
-    asym = float(np.abs(a - a.T).max(initial=0.0))
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("eigenvalues_symmetric expects a square matrix or a stack of them")
+    asym = float(np.abs(a - np.swapaxes(a, -1, -2)).max(initial=0.0))
     if asym >= SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     try:
@@ -56,11 +60,16 @@ def eigenvalues_symmetric(matrix) -> np.ndarray:
         raise SpectralError(f"eigvalsh failed: {exc}") from exc
 
 
-def _check_bands(eigs: np.ndarray, nullity: int, context: str) -> None:
+def _check_bands(eigs: list[float], nullity: int, context: str) -> None:
+    """Check a Gram matrix's ascending eigenvalues against its exact nullity.
+
+    They come as Python floats (``ndarray.tolist()``), which compare in the
+    same float64 arithmetic without a numpy scalar per element.
+    """
     band = ZERO_BAND_COEFF * (1.0 + (max(eigs) if len(eigs) else 0.0))
-    if len(eigs) and eigs[0] < -PSD_TOL_COEFF * (1.0 + max(float(eigs[-1]), 0.0)):
+    if len(eigs) and eigs[0] < -PSD_TOL_COEFF * (1.0 + max(eigs[-1], 0.0)):
         raise SpectralError(f"{context}: negative eigenvalue {eigs[0]:.3e} on a Gram matrix")
-    if nullity and float(np.abs(eigs[:nullity]).max()) >= band:
+    if nullity and max(abs(x) for x in eigs[:nullity]) >= band:
         raise SpectralError(
             f"{context}: eigenvalue inside the exact kernel exceeds the zero band"
         )
@@ -143,11 +152,11 @@ def _lambda_tau_spectrum(family: TriangleFamily):
     for b in blocks:
         d1 = b.d1.astype(float)
         gram = d1 @ d1.T if source == "L2_down" else d1.T @ d1
-        eigs = eigenvalues_symmetric(gram)
+        eigs = eigenvalues_symmetric(gram).tolist()
         block_nullity = gram.shape[0] - b.rank1
         _check_bands(eigs, block_nullity, source)
         nullity += block_nullity
-        merged.extend(float(x) for x in eigs)
+        merged.extend(eigs)
     merged.sort()
     rank = sum(b.rank1 for b in blocks)
     if rank == 0:
@@ -168,13 +177,13 @@ def spectral_report(family: TriangleFamily) -> SpectralReport:
         d0 = build_delta0(b.graph).astype(float)
         d1 = b.d1.astype(float)
         rank0 = len(b.graph.vertices) - 1
-        eigs0 = eigenvalues_symmetric(d0.T @ d0)
+        eigs0 = eigenvalues_symmetric(d0.T @ d0).tolist()
         _check_bands(eigs0, 1, "L0_up")  # nullity |V| - rank0 = 1
-        l0_min = min(l0_min, float(eigs0[1]))
-        eigs1 = eigenvalues_symmetric(d0 @ d0.T + d1.T @ d1)
+        l0_min = min(l0_min, eigs0[1])
+        eigs1 = eigenvalues_symmetric(d0 @ d0.T + d1.T @ d1).tolist()
         null1 = len(b.graph.edges) - rank0 - b.rank1
         _check_bands(eigs1, null1, "L1_total")
-        l1_min = min(l1_min, float(eigs1[null1]))
+        l1_min = min(l1_min, eigs1[null1])
 
     return SpectralReport(
         lam=lam,

@@ -54,6 +54,21 @@ def test_lambda_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_lambda_of_a_comment_only_file_is_a_parse_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no triangles here\n\n")
+    code, out, err = run(capsys, "lambda", str(empty))
+    assert (code, out) == (2, "")
+    assert "no triangle" in err
+
+
+def test_lambda_of_empty_stdin_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run(capsys, "lambda", "-")
+    assert (code, out) == (2, "")
+    assert "no triangle" in err
+
+
 def test_bad_construction_is_usage_error(capsys):
     code, _, err = run(capsys, "lambda", "frob:2,100")
     assert code == 2

@@ -237,16 +237,17 @@ def test_phi_prune_ab_invariant():
 
 def _counted_phi_six(monkeypatch) -> tuple[Counter, int]:
     """A fresh phi_exact(6) with every cut: how often each family is
-    solved, by the sweep's `_sweep_solve` or by `spectra._lambda_tau_spectrum`
-    (directly or through `lambda_of`), and how many canonicity tests ran."""
+    solved, by the sweep's stacked `_sweep_solve` (each family in a stack
+    counts) or by `spectra._lambda_tau_spectrum` (directly or through
+    `lambda_of`), and how many canonicity tests ran."""
     solved = Counter()
     lex_min_calls = 0
     sweep_solve, solve = extremal._sweep_solve, spectra._lambda_tau_spectrum
     is_lex_min = extremal._is_lex_min
 
-    def counted_sweep_solve(node):
-        solved[node.tris] += 1
-        return sweep_solve(node)
+    def counted_sweep_solve(nodes, grams):
+        solved.update(node.tris for node in nodes)
+        return sweep_solve(nodes, grams)
 
     def counted_solve(family):
         solved[family.triangles] += 1
@@ -356,8 +357,36 @@ def test_carried_state_matches_the_family_built_from_scratch(tris):
         # The cuts read each codegree as the number of d1 entries in its column.
         codegree = {e: len(entries) for e, (_, entries) in node.columns.items()}
         assert codegree == fam.support.edge_triangle_count
-        lam, tau = spectra._lambda_tau_spectrum(fam)[:2]
-        assert extremal._sweep_solve(node) == (lam, math.inf if tau is None else tau)
+        d1 = extremal._d1(node)
+        assert extremal._sweep_solve([node], (d1 @ d1.T)[None]) == [_lambda_tau(fam)]
+
+
+def _lambda_tau(family: TriangleFamily) -> tuple[float, float]:
+    """`spectra`'s (lambda, tau) of a family, tau infinite at rank 1 as the sweep reads it."""
+    lam, tau = spectra._lambda_tau_spectrum(family)[:2]
+    return lam, math.inf if tau is None else tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_paths(), st.data())
+def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
+    # The sweep solves a node's childless children in one stack, each Gram
+    # matrix the node's bordered by the child's new row; each (lambda, tau)
+    # must be exactly the one `spectra` finds for the child on its own.
+    node = extremal._EMPTY
+    for tri in tris:
+        node = extremal._extend(node, tri)
+    candidates = [tri for tri, _ in extremal._candidates(tris, max(max(tri) for tri in tris), 12)]
+    picked = data.draw(st.lists(st.sampled_from(candidates), unique=True) if candidates else st.just([]))
+    children = [extremal._extend(node, tri) for tri in sorted(picked)]
+    assume(children)
+    d1 = extremal._d1(node)
+    stack = extremal._child_grams(node, d1, d1 @ d1.T, children)
+    for child, gram in zip(children, stack):
+        child_d1 = extremal._d1(child)
+        assert np.array_equal(gram, child_d1 @ child_d1.T)
+    solved = extremal._sweep_solve(children, stack)
+    assert solved == [_lambda_tau(TriangleFamily(child.tris)) for child in children]
 
 
 def test_phi_table_seven_meets_the_staircase():
@@ -499,10 +528,11 @@ def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, 
 
     solve = extremal._sweep_solve
 
-    def interrupted(node):
-        if next(calls) == 5:
+    def interrupted(nodes, grams):
+        # Interrupt the stack that holds the fifth family solved.
+        if any(next(calls) == 5 for _ in nodes):
             raise KeyboardInterrupt
-        return solve(node)
+        return solve(nodes, grams)
 
     with monkeypatch.context() as patch:
         patch.setattr(extremal, "_sweep_solve", interrupted)
@@ -523,9 +553,9 @@ def test_checkpoint_is_saved_on_an_interval_during_the_sweep(tmp_path, monkeypat
         reads = count(step=step)
         seen = []
 
-        def spy(node):
-            seen.append(path.exists())
-            return solve(node)
+        def spy(nodes, grams):
+            seen.extend(path.exists() for _ in nodes)
+            return solve(nodes, grams)
 
         with monkeypatch.context() as patch:
             patch.setattr(extremal, "time", SimpleNamespace(monotonic=lambda: next(reads)))

@@ -200,6 +200,12 @@ def test_parse_family_round_trip_and_comments():
     assert parse_family(family_to_text(fam)) == fam
 
 
+def test_parse_family_without_a_triangle_is_empty_family_error():
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(EmptyFamilyError):
+            parse_family(text)
+
+
 def test_parse_family_reports_line_numbers():
     with pytest.raises(FamilyParseError) as err:
         parse_family("1 2 3\n1 2\n")

@@ -48,6 +48,29 @@ def test_jacobi_rejects_asymmetric_input():
         eigenvalues_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_a_stack_solves_each_slice_as_it_would_alone():
+    # Gram matrices of random 0/+-1 matrices: the shapes the phi sweep stacks.
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 9):
+        d = rng.integers(-1, 2, size=(6, n, 2 * n)).astype(float)
+        stack = d @ np.swapaxes(d, -1, -2)
+        eigs = eigenvalues_symmetric(stack)
+        assert eigs.shape == (6, n)
+        for slice_, got in zip(stack, eigs):
+            assert np.array_equal(got, eigenvalues_symmetric(slice_))
+
+
+def test_a_stack_with_one_bad_slice_is_rejected():
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 0, 1] = 1.0  # one asymmetric slice
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigenvalues_symmetric(stack)
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues_symmetric(np.zeros((4, 3, 2)))  # non-square slices
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues_symmetric(np.zeros(3))
+
+
 def test_intro_table():
     fams = {
         3.0: TriangleFamily(((1, 2, 3),)),
