@@ -6,20 +6,24 @@ time and a candidate is kept only when it is the canonical representative,
 i.e. the minimum of its relabeling orbit.  Deleting the largest triangle
 of a canonical family leaves a canonical family, so every class is
 reached exactly once.  Each new triangle meets the labels already used,
-so every node of the tree is connected.  The canonicity test searches
-relabelings depth first, and gives each next label only to vertices a
-minimum can give it: labels 1, 2 to an edge of maximum codegree, then
-to a vertex of a triangle with the least optimistic image, and one
-vertex per class of twins (vertices whose transposition is an
-automorphism).
+so every node of the tree is connected.  Nor is a triangle generated
+unless it is least in its orbit under the family's classes of twins
+(vertices whose transposition is an automorphism): any other gives a
+child that is not canonical.  The canonicity test searches relabelings
+depth first, and gives each next label only to vertices a minimum can
+give it: labels 1, 2 to an edge of maximum codegree, then to a vertex of
+a triangle with the least optimistic image, and one vertex per class of
+twins.  A node's twin classes are computed once and serve both its
+canonicity test and its candidates.
 
 The phi sweep tests canonicity only on a child it enters and on a child
 whose lambda would replace an incumbent.  A childless child (at the last
 depth, or with every descendant cut) is evaluated in place, canonical or
-not, unless a cut rules it out.  One cut is Cauchy interlacing: the
-child's Gram matrix borders its node's, so the child's lambda is at most
-the node's lambda when the new triangle grows the rank, and at most the
-node's tau otherwise.
+not (twin-orbit duplicates aside, which are never generated), unless a
+cut rules it out.  One cut is Cauchy interlacing: the child's Gram
+matrix borders its node's, so the child's lambda is at most the node's
+lambda when the new triangle grows the rank, and at most the node's tau
+otherwise.
 
 Each sweep node carries d1 by column, whose entry counts are the
 codegrees the cuts read, and the echelon rows of its exact rank; a child
@@ -295,9 +299,32 @@ def vertex_window_check(family: TriangleFamily, n: int) -> WindowVerdict:
 # ---------------------------------------------------------------------------
 # Orderly enumeration up to isomorphism.
 
+# Every search starts from this family, canonical on labels 1..3.
+_ROOT = ((1, 2, 3),)
 
-def _is_lex_min(tris: tuple, k: int) -> bool:
-    """True iff no relabeling of 1..k makes the sorted triangle list smaller.
+
+def _twins(tris: tuple, k: int) -> list[int]:
+    """The least member of each label's twin class, indexed 0..k.
+
+    Vertices u, w are twins when the transposition (u w) is an
+    automorphism, i.e. link(u) without the pairs through w equals link(w)
+    without the pairs through u.  Such transpositions compose to
+    automorphisms ((u x) = (u w)(w x)(u w)), so twins form classes.
+    """
+    link = [{tuple(x for x in tri if x != v) for tri in tris if v in tri} for v in range(k + 1)]
+    twin = list(range(k + 1))
+    for u, w in combinations(range(1, k + 1), 2):
+        # Both sides drop the codeg(u, w) pairs through u and w: sizes must match.
+        if twin[w] == w and len(link[u]) == len(link[w]) and (
+            {p for p in link[u] if w not in p} == {p for p in link[w] if u not in p}
+        ):
+            twin[w] = twin[u]
+    return twin
+
+
+def _is_lex_min(tris: tuple, k: int, twin: list[int]) -> bool:
+    """True iff no relabeling of 1..k makes the sorted triangle list smaller;
+    `twin` is `_twins(tris, k)`.
 
     Depth-first search for a smaller list, giving new labels 1, 2, ... to
     old vertices in turn.  Under labels 1..j a triangle's optimistic image
@@ -327,10 +354,7 @@ def _is_lex_min(tris: tuple, k: int) -> bool:
        at the next position, so it is not a minimum.  In a minimum, m is
        the image of a triangle whose true and optimistic images agree, so
        one of its open vertices holds j+1.
-    3. Twin classes.  Vertices u, w are twins when the transposition (u w)
-       is an automorphism, i.e. link(u) without the pairs through w equals
-       link(w) without the pairs through u.  Such transpositions compose to
-       automorphisms, so twins form classes.  While u and w are both open,
+    3. Twin classes (`_twins`).  While twins u and w are both open,
        composing with (u w) turns a completion giving j+1 to u into one
        giving it to w, with the same list and passing 1 and 2 alike, so
        one open member per class is tried.
@@ -341,14 +365,6 @@ def _is_lex_min(tris: tuple, k: int) -> bool:
     top = max(codegree.values())
     if codegree[(1, 2)] < top:
         return False
-    link = [{tuple(x for x in tri if x != v) for tri in tris if v in tri} for v in range(k + 1)]
-    twin = list(range(k + 1))  # the least member of each vertex's twin class
-    for u, w in combinations(range(1, k + 1), 2):
-        # Both sides drop the codeg(u, w) pairs through u and w: sizes must match.
-        if twin[w] == w and len(link[u]) == len(link[w]) and (
-            {p for p in link[u] if w not in p} == {p for p in link[w] if u not in p}
-        ):
-            twin[w] = twin[u]
     new_of = [0] * (k + 1)
 
     def bound_cmp(j: int) -> tuple[int, list[int]]:
@@ -403,29 +419,55 @@ def _is_lex_min(tris: tuple, k: int) -> bool:
     return not descend(0, sorted({v for edge, c in codegree.items() if c == top for v in edge}))
 
 
-def _candidates(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
+def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tuple[tuple, int]]:
     """Lex-ordered (triangle, support size) extensions of a family on labels
-    1..k: each triangle is lex-greater than the last, lies within
-    1..min(k+3, cap), meets 1..k, and its new labels, if any, are the next
-    consecutive ones.  An all-new triangle (k+1, k+2, k+3) is left out: it
-    would disconnect the family for good, since every later triangle is
-    lex-greater and so has its least vertex above k.  Every family the
-    candidates grow from (1, 2, 3) is therefore connected."""
+    1..k with twin classes `twin` (`_twins`): each triangle is lex-greater
+    than the last, lies within 1..min(k+3, cap), meets 1..k, its new
+    labels, if any, are the next consecutive ones, and it is least in its
+    orbit under the family's twin classes.
+
+    An all-new triangle (k+1, k+2, k+3) is left out: it would disconnect
+    the family for good, since every later triangle is lex-greater and so
+    has its least vertex above k.  Every family the candidates grow from
+    (1, 2, 3) is therefore connected.
+
+    A triangle holding a vertex v <= k with a twin w < v outside it is
+    left out too, since its child is not canonical: the permutation
+    sigma = (v w) is an automorphism of the family and fixes the new
+    labels, so it relabels the child as the family plus sigma(tri).
+    sigma(tri) is lex-smaller than tri (v's place gets the smaller w) and
+    is no triangle of the family (sigma maps those to themselves), and tri
+    is greater than every triangle of the family, so that sorted list is
+    lex-smaller than the child's.  It suffices to check each vertex's next
+    smaller twin: if that of every vertex of tri lies in tri, then so, by
+    induction down the class, does every smaller twin.  A search that only
+    enters and records canonical children therefore loses nothing."""
+    lower = [0] * (k + 1)  # each label's next smaller twin, 0 for none
+    latest: dict[int, int] = {}
+    for v in range(1, k + 1):
+        lower[v] = latest.get(twin[v], 0)
+        latest[twin[v]] = v
     for tri in combinations(range(1, min(k + 3, cap) + 1), 3):
         if tri <= tris[-1] or tri[0] > k:
             continue
         news = [v for v in tri if v > k]
         if news and news != list(range(k + 1, k + 1 + len(news))):
             continue
+        if any(v <= k and lower[v] and lower[v] not in tri for v in tri):
+            continue
         yield tri, max(k, tri[2])
 
 
-def _children(tris: tuple, k: int, cap: int) -> Iterator[tuple[tuple, int]]:
-    """Lex-ordered canonical children (child, support size) of a canonical family."""
-    for tri, k2 in _candidates(tris, k, cap):
+def _children(
+    tris: tuple, k: int, cap: int, twin: list[int]
+) -> Iterator[tuple[tuple, int, list[int]]]:
+    """Lex-ordered canonical children (child, support size, its twin
+    classes) of a canonical family with twin classes `twin`."""
+    for tri, k2 in _candidates(tris, k, cap, twin):
         child = tris + (tri,)
-        if _is_lex_min(child, k2):
-            yield child, k2
+        child_twin = _twins(child, k2)
+        if _is_lex_min(child, k2, child_twin):
+            yield child, k2, child_twin
 
 
 def _resolve_cap(t: int, max_vertices: int | None) -> int:
@@ -454,14 +496,14 @@ def enumerate_connected_families(
         raise ValueError(f"enumeration needs t >= 1, got {t}")
     cap = _resolve_cap(t, max_vertices)
 
-    def rec(tris: tuple, k: int) -> Iterator[TriangleFamily]:
+    def rec(tris: tuple, k: int, twin: list[int]) -> Iterator[TriangleFamily]:
         if len(tris) == t:
             yield TriangleFamily(tris)
             return
-        for child, k2 in _children(tris, k, cap):
-            yield from rec(child, k2)
+        for child, k2, child_twin in _children(tris, k, cap, twin):
+            yield from rec(child, k2, child_twin)
 
-    yield from rec(((1, 2, 3),), 3)
+    yield from rec(_ROOT, 3, _twins(_ROOT, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +569,15 @@ def _triangles(value, size: int) -> tuple:
 def _is_node(tris: tuple, t: int, cap: int) -> bool:
     """True iff `tris` is a node of the depth-t sweep within the vertex cap:
     the root followed by a chain of canonical children."""
-    if not 1 <= len(tris) <= t or tris[0] != (1, 2, 3):
+    if not 1 <= len(tris) <= t or tris[:1] != _ROOT:
         return False
-    k = 3
+    k, twin = 3, _twins(_ROOT, 3)
     for s in range(1, len(tris)):
-        k = next((k2 for child, k2 in _children(tris[:s], k, cap) if child == tris[: s + 1]), 0)
+        k, twin = next(
+            ((k2, tw) for child, k2, tw in _children(tris[:s], k, cap, twin)
+             if child == tris[: s + 1]),
+            (0, None),
+        )
         if not k:
             return False
     return True
@@ -718,23 +764,26 @@ def _phi_sweep(
     """One orderly sweep collecting the best connected family per size 1..t;
     returns the incumbents and whether the sweep completed in time.
 
-    Every node is connected (see `_candidates`).  A node is evaluated
-    unless `_size_beyond_reach` proves it cannot beat the incumbent of its
-    own size.  Each candidate child's state is extended from its node's
-    first.  A child has a subtree unless it is at depth t or that test
-    holds at every larger size, by the counting bound on its vertex count
-    or by the overlap theorem (each support edge lies in at least
-    ceil(lambda) - 2 triangles) on the codegrees it lacks.  Both need only
+    Every node is connected, and no candidate is a twin-orbit duplicate
+    (see `_candidates`); a node's twin classes are computed when it is
+    entered, for its canonicity test and its candidates.  A node is
+    evaluated unless `_size_beyond_reach` proves it cannot beat the
+    incumbent of its own size.  Each candidate child's state is extended
+    from its node's first.  A child has a subtree unless it is at depth t
+    or that test holds at every larger size, by the counting bound on its
+    vertex count or by the overlap theorem (each support edge lies in at
+    least ceil(lambda) - 2 triangles) on the codegrees it lacks.  Both need only
     the child's codegrees and label count, which relabeling keeps, so the
     test runs on every candidate, and only a child with a subtree is
     tested for canonicity and entered.
 
-    A childless child is evaluated in place, canonical or not, when it
-    survives its own-size cut and the interlacing cut.  The child's Gram
-    matrix d1 d1^T borders the node's, so by Cauchy interlacing its lambda
-    is at most the node's lambda when its rank grows (the nullity stays)
-    and at most the node's tau when it does not (the nullity grows by
-    one); the echelon rows tell which.  The node's (lambda, tau) is solved
+    A childless child is evaluated in place, canonical or not (except the
+    twin-orbit duplicates, which are not generated), when it survives its
+    own-size cut and the interlacing cut.  The child's Gram matrix
+    d1 d1^T borders the node's, so by Cauchy interlacing its lambda is at
+    most the node's lambda when its rank grows (the nullity stays) and at
+    most the node's tau when it does not (the nullity grows by one); the
+    echelon rows tell which.  The node's (lambda, tau) is solved
     once, by its own evaluation or by the first child that needs it.
 
     Only a child whose lambda would replace the incumbent is tested for
@@ -780,7 +829,7 @@ def _phi_sweep(
     deadline = now + budget_seconds if budget_seconds is not None else math.inf
     next_save = now + _SAVE_SECONDS
 
-    def visit(node: _Carried, k: int) -> None:
+    def visit(node: _Carried, k: int, twin: list[int]) -> None:
         nonlocal last, next_save
         tris = node.tris
         last = tris
@@ -825,20 +874,23 @@ def _phi_sweep(
                 cur = best.get(s + 1)
                 if cur is not seen and cut(child, k2, cur):
                     continue
-                if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(child.tris, k2):
+                if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(
+                    child.tris, k2, _twins(child.tris, k2)
+                ):
                     best[s + 1] = (lam, child.tris)
             queue.clear()
 
-        for tri, k2 in _candidates(tris, k, cap):
+        for tri, k2 in _candidates(tris, k, cap, twin):
             if tris + (tri,) < start[: s + 1]:
                 continue
             child = _extend(node, tri)
             if s + 1 < t and not (prune and all(
                 _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
             )):
-                if _is_lex_min(child.tris, k2):
+                child_twin = _twins(child.tris, k2)
+                if _is_lex_min(child.tris, k2, child_twin):
                     flush()
-                    visit(child, k2)
+                    visit(child, k2, child_twin)
                 continue
             cur = best.get(s + 1)
             if not cut(child, k2, cur):
@@ -847,7 +899,7 @@ def _phi_sweep(
 
     completed = True
     try:
-        visit(_extend(_EMPTY, (1, 2, 3)), 3)
+        visit(_extend(_EMPTY, _ROOT[0]), 3, _twins(_ROOT, 3))
     except _BudgetExceeded:
         completed = False
     finally:

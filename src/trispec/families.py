@@ -226,7 +226,7 @@ def parse_family(text: str) -> TriangleFamily:
             raise FamilyParseError(f"repeated vertex in triangle {line!r}", lineno)
         if min(a, b, c) < 0:
             raise FamilyParseError(f"negative vertex label in {line!r}", lineno)
-        tris.append(triangle(a, b, c))
+        tris.append(tuple(sorted((a, b, c))))
     if not tris:
         raise EmptyFamilyError("the family text holds no triangle")
     return TriangleFamily(tuple(tris))

@@ -152,7 +152,36 @@ def test_canonicity_test_equals_the_relabeling_oracle(case):
     # family's twins and codegrees.
     tris, k = case
     for fam in (tris, relabeled_min(tris, k)):
-        assert extremal._is_lex_min(fam, k) == (relabeled_min(fam, k) == fam)
+        canonical = relabeled_min(fam, k) == fam
+        assert extremal._is_lex_min(fam, k, extremal._twins(fam, k)) == canonical
+
+
+def _unfiltered_candidates(tris: tuple, k: int, cap: int) -> list[tuple]:
+    """The candidate rule without the twin-orbit filter: lex-greater than
+    the last triangle, within 1..min(k+3, cap), meeting 1..k, new labels
+    consecutive from k+1."""
+    return [
+        tri for tri in combinations(range(1, min(k + 3, cap) + 1), 3)
+        if tri > tris[-1] and tri[0] <= k
+        and [v for v in tri if v > k] == list(range(k + 1, max(k, tri[2]) + 1))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families_with_first_triangle())
+@example((((1, 2, 3),), 3))  # labels 1, 2, 3 are twins: (1, 3, 4) and (2, 3, 4) are dropped
+def test_twin_rule_drops_only_non_canonical_children(case):
+    # New labels stop at 7, so the oracle never relabels more than 7! ways.
+    # A dropped triangle's child is never lex-min, so every lex-min child of
+    # the unfiltered rule is kept.
+    tris, k = case
+    for fam in (tris, relabeled_min(tris, k)):
+        unfiltered = _unfiltered_candidates(fam, k, 7)
+        kept = [tri for tri, _ in extremal._candidates(fam, k, 7, extremal._twins(fam, k))]
+        assert set(kept) <= set(unfiltered)
+        for tri in set(unfiltered) - set(kept):
+            child = fam + (tri,)
+            assert relabeled_min(child, max(k, tri[2])) != child
 
 
 def test_enumeration_is_deterministic():
@@ -267,12 +296,13 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, int]:
 
 def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
     # Frozen counts for phi(6) with every cut.  Childless children are
-    # evaluated without a canonicity test, duplicates included, so lambda
-    # runs more often than there are classes; the canonicity test runs only
+    # evaluated without a canonicity test, so non-canonical copies are
+    # solved too (112 of the 556 families), except those `_candidates`
+    # drops as not least in their twin orbit; the canonicity test runs only
     # on children with a subtree and on would-be incumbents.  No candidate
     # is all-new, so no disconnected node is entered or solved.
     solved, lex_min_calls = _counted_phi_six(monkeypatch)
-    assert (sum(solved.values()), lex_min_calls) == (1087, 261)
+    assert (sum(solved.values()), lex_min_calls) == (556, 125)
 
 
 def test_phi_sweep_solves_each_family_once(monkeypatch):
@@ -296,7 +326,7 @@ def connected_family_and_candidate(draw):
         tris.append(tri)
         k = max(k, tri[2])
     tris = tuple(sorted(tris))
-    candidates = [tri for tri, _ in extremal._candidates(tris, k, 12)]
+    candidates = [tri for tri, _ in extremal._candidates(tris, k, 12, extremal._twins(tris, k))]
     edges = {edge for old in tris for edge in combinations(old, 2)}
     closing = [tri for tri in candidates if edges.issuperset(combinations(tri, 2))]
     if closing and draw(st.booleans()):
@@ -330,7 +360,7 @@ def sweep_paths(draw):
     pick any candidate."""
     tris, k = ((1, 2, 3),), 3
     for _ in range(draw(st.integers(0, 11))):
-        options = list(extremal._candidates(tris, k, 12))
+        options = list(extremal._candidates(tris, k, 12, extremal._twins(tris, k)))
         if not options:
             break
         if draw(st.booleans()):
@@ -376,7 +406,8 @@ def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
     node = extremal._EMPTY
     for tri in tris:
         node = extremal._extend(node, tri)
-    candidates = [tri for tri, _ in extremal._candidates(tris, max(max(tri) for tri in tris), 12)]
+    k = max(max(tri) for tri in tris)
+    candidates = [tri for tri, _ in extremal._candidates(tris, k, 12, extremal._twins(tris, k))]
     picked = data.draw(st.lists(st.sampled_from(candidates), unique=True) if candidates else st.just([]))
     children = [extremal._extend(node, tri) for tri in sorted(picked)]
     assume(children)
@@ -389,6 +420,9 @@ def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
     assert solved == [_lambda_tau(TriangleFamily(child.tris)) for child in children]
 
 
+_PHI_TABLE_10 = os.path.join(os.path.dirname(__file__), os.pardir, "phi_table_10.json")
+
+
 def test_phi_table_seven_meets_the_staircase():
     # The abstract's theorem: the best value within budget t is the largest
     # n with comb(n, 3) <= t; at budget 4 only the clique K_4 reaches 4.
@@ -399,13 +433,16 @@ def test_phi_table_seven_meets_the_staircase():
         assert envelope[t] == pytest.approx(lambda_staircase(t), abs=1e-8)
         assert table.entries[t].phi <= lambda_staircase(t) + 1e-8
     assert table.entries[4].witness == complete_family(4)
+    # The budgets 1..7 of the committed phi_table_10.json, witnesses included.
+    with open(_PHI_TABLE_10, encoding="utf-8") as handle:
+        committed = json.load(handle)["table"]
+    assert table.to_dict() == {str(t): committed[str(t)] for t in range(1, 8)}
 
 
 def test_committed_phi_table_ten_holds_its_witnesses():
     # phi_table_10.json is the output of scripts/phi_table.py 10; it is read
     # here, not recomputed.  The table peaks at K_5 and is not monotone.
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "phi_table_10.json")
-    with open(path, encoding="utf-8") as handle:
+    with open(_PHI_TABLE_10, encoding="utf-8") as handle:
         doc = json.load(handle)
     assert "scripts/phi_table.py 10" in doc["command"]
     assert set(doc["counters"]) == {"sweep_solves", "canonicity_tests"}
