@@ -30,10 +30,9 @@ codegrees the cuts read, and the echelon rows of its exact rank; a child
 extends both by its one new row of d1.  The sweep solves d1 d1^T, the
 form `spectra` picks when t <= |E|; by Kruskal-Katona that holds for every
 family of at most 14 triangles, so its lambdas are those of `lambda_of`.
-The childless children of a node that survive the cuts wait in a queue
-and are solved together, by one stacked eigensolve of the node's d1 d1^T
-bordered by each child's new row, before the sweep enters a child with a
-subtree and after the node's last candidate.
+A node's children that survive the cuts are solved together, by one
+stacked eigensolve of the node's d1 d1^T bordered by each child's new
+row, and a child is entered with its (lambda, tau) from that stack.
 """
 
 from __future__ import annotations
@@ -716,9 +715,9 @@ def _d1(node: _Carried) -> np.ndarray:
     return d1
 
 
-def _child_grams(node: _Carried, d1: np.ndarray, gram: np.ndarray, children) -> np.ndarray:
-    """The children's Gram matrices d1 d1^T, stacked: the node's `gram`
-    (its d1 d1^T) bordered by one row and column per child.
+def _child_grams(node: _Carried, children) -> np.ndarray:
+    """The children's Gram matrices d1 d1^T, stacked: the node's d1 d1^T
+    bordered by one row and column per child.
 
     A child's new row of d1 has signs +1, -1, +1 on the ascending edges of
     its new triangle, so the corner is 3 and the border entry of triangle i
@@ -727,13 +726,14 @@ def _child_grams(node: _Carried, d1: np.ndarray, gram: np.ndarray, children) -> 
     small integer, so each matrix equals the child's own d1 d1^T exactly.
     """
     s = len(node.tris)
+    d1 = _d1(node)
     rows = np.zeros((len(children), len(node.columns)))
     for n, child in enumerate(children):
         for sign, e in zip((1, -1, 1), combinations(child.tris[-1], 2)):
             if e in node.columns:
                 rows[n, -node.columns[e][0]] = sign
     stack = np.empty((len(children), s + 1, s + 1))
-    stack[:, :s, :s] = gram
+    stack[:, :s, :s] = d1 @ d1.T
     stack[:, :s, s] = stack[:, s, :s] = rows @ d1.T
     stack[:, s, s] = 3.0
     return stack
@@ -767,7 +767,7 @@ def _phi_sweep(
     Every node is connected, and no candidate is a twin-orbit duplicate
     (see `_candidates`); a node's twin classes are computed when it is
     entered, for its canonicity test and its candidates.  A node is
-    evaluated unless `_size_beyond_reach` proves it cannot beat the
+    recorded unless `_size_beyond_reach` proves it cannot beat the
     incumbent of its own size.  Each candidate child's state is extended
     from its node's first.  A child has a subtree unless it is at depth t
     or that test holds at every larger size, by the counting bound on its
@@ -783,8 +783,7 @@ def _phi_sweep(
     d1 d1^T borders the node's, so by Cauchy interlacing its lambda is at
     most the node's lambda when its rank grows (the nullity stays) and at
     most the node's tau when it does not (the nullity grows by one); the
-    echelon rows tell which.  The node's (lambda, tau) is solved
-    once, by its own evaluation or by the first child that needs it.
+    echelon rows tell which.
 
     Only a child whose lambda would replace the incumbent is tested for
     canonicity.  A non-canonical copy cannot beat the incumbent: its
@@ -803,17 +802,14 @@ def _phi_sweep(
     `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
     same positive spectrum, so there is no L1_up path and no fallback.
 
-    Each node forms its d1 (from its columns) and d1 d1^T once.  A
-    childless child that survives the cuts joins the node's queue, and a
-    flush solves the whole queue as one stack, each child's Gram matrix
-    the node's bordered by its new row (`_child_grams`).  The queue is
-    flushed before the sweep enters a child with a subtree and after the
-    node's last candidate, so none is pending when a node is entered or a
-    checkpoint written.  A flush decides the children in candidate order
-    as the unqueued sweep would: the incumbent of size s+1 changes only
-    in a flush, so a child's cuts read the incumbent its turn would have
-    read unless an earlier child of the same queue replaced it, and then
-    the cuts are applied again before the replace rule.
+    An entered node first drops each childless child that a cut already
+    rules out, then solves the rest as one stack (`_child_grams`), and
+    then decides them in candidate order, entering a child with its
+    (lambda, tau) from the stack; the root is the one child of the empty
+    node.  The cuts only tighten as incumbents grow, so a child dropped
+    before the stack would be cut at its turn; the rest have their
+    subtree test and cuts read again at their turn, so each decision is
+    the one a sweep solving each child on its own would make.
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
@@ -829,16 +825,13 @@ def _phi_sweep(
     deadline = now + budget_seconds if budget_seconds is not None else math.inf
     next_save = now + _SAVE_SECONDS
 
-    def visit(node: _Carried, k: int, twin: list[int]) -> None:
+    def visit(node: _Carried, k: int, twin: list[int], solved: tuple[float, float]) -> None:
+        """Enter a canonical node whose (lambda, tau) is `solved`."""
         nonlocal last, next_save
         tris = node.tris
         last = tris
         s = len(tris)
-        d1 = _d1(node)
-        gram = d1 @ d1.T
-        solved = None  # this node's (lambda, tau), solved at most once
         if not (prune and _size_beyond_reach(best, node, k, s)):
-            (solved,) = _sweep_solve([node], gram[None])
             if s not in best or solved[0] > best[s][0] + IMPROVE_EPS:
                 best[s] = (solved[0], tris)
         if s == t:
@@ -851,55 +844,51 @@ def _phi_sweep(
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
 
-        def cut(child: _Carried, k2: int, cur) -> bool:
-            """True when a cut proves the childless child cannot replace `cur`."""
-            nonlocal solved
+        def childless(child: _Carried, k2: int) -> bool:
+            return s + 1 == t or (prune and all(
+                _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
+            ))
+
+        def cut(child: _Carried, k2: int) -> bool:
+            """True when a cut proves the child cannot replace best[s+1]."""
+            cur = best.get(s + 1)
             if not prune or cur is None:
                 return False
             if _size_beyond_reach(best, child, k2, s + 1):
                 return True
-            if solved is None:
-                (solved,) = _sweep_solve([node], gram[None])
             grew = len(child.echelon) > len(node.echelon)
             return solved[0 if grew else 1] <= cur[0] - CEIL_GUARD
 
-        queue = []  # (child, k2, the incumbent its cuts read)
-
-        def flush() -> None:
-            if not queue:
-                return
-            children = [child for child, _, _ in queue]
-            lams = _sweep_solve(children, _child_grams(node, d1, gram, children))
-            for (child, k2, seen), (lam, _) in zip(queue, lams):
-                cur = best.get(s + 1)
-                if cur is not seen and cut(child, k2, cur):
-                    continue
-                if (cur is None or lam > cur[0] + IMPROVE_EPS) and _is_lex_min(
-                    child.tris, k2, _twins(child.tris, k2)
-                ):
-                    best[s + 1] = (lam, child.tris)
-            queue.clear()
-
+        kept = []
         for tri, k2 in _candidates(tris, k, cap, twin):
             if tris + (tri,) < start[: s + 1]:
                 continue
             child = _extend(node, tri)
-            if s + 1 < t and not (prune and all(
-                _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
-            )):
+            if not (childless(child, k2) and cut(child, k2)):
+                kept.append((child, k2))
+        if not kept:
+            return
+        children = [child for child, _ in kept]
+        stack = _sweep_solve(children, _child_grams(node, children))
+        for (child, k2), child_solved in zip(kept, stack):
+            if not childless(child, k2):
                 child_twin = _twins(child.tris, k2)
                 if _is_lex_min(child.tris, k2, child_twin):
-                    flush()
-                    visit(child, k2, child_twin)
+                    visit(child, k2, child_twin, child_solved)
+                continue
+            if cut(child, k2):
                 continue
             cur = best.get(s + 1)
-            if not cut(child, k2, cur):
-                queue.append((child, k2, cur))
-        flush()
+            if (cur is None or child_solved[0] > cur[0] + IMPROVE_EPS) and _is_lex_min(
+                child.tris, k2, _twins(child.tris, k2)
+            ):
+                best[s + 1] = (child_solved[0], child.tris)
 
     completed = True
+    root = _extend(_EMPTY, _ROOT[0])
     try:
-        visit(_extend(_EMPTY, _ROOT[0]), 3, _twins(_ROOT, 3))
+        (solved,) = _sweep_solve([root], _child_grams(_EMPTY, [root]))
+        visit(root, 3, _twins(_ROOT, 3), solved)
     except _BudgetExceeded:
         completed = False
     finally:

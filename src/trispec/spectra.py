@@ -116,8 +116,8 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class _Block:
-    """One connected component: its support graph, delta1 (kept for the Gram
-    matrices) and rank(delta1) from `delta1_rank`.
+    """One connected component: its support graph, delta1 in float64 (kept
+    for the Gram matrices) and rank(delta1) from `delta1_rank`.
 
     The component is connected, so rank(delta0) is len(graph.vertices) - 1
     without elimination.
@@ -132,7 +132,8 @@ def _blocks(family: TriangleFamily) -> list[_Block]:
     """One block per connected component; a connected family is its own
     only component."""
     return [
-        _Block(part.support, build_delta1(part), delta1_rank(part)) for part in family.components
+        _Block(part.support, build_delta1(part).astype(float), delta1_rank(part))
+        for part in family.components
     ]
 
 
@@ -150,8 +151,7 @@ def _lambda_tau_spectrum(family: TriangleFamily):
     merged: list[float] = []
     nullity = 0
     for b in blocks:
-        d1 = b.d1.astype(float)
-        gram = d1 @ d1.T if source == "L2_down" else d1.T @ d1
+        gram = b.d1 @ b.d1.T if source == "L2_down" else b.d1.T @ b.d1
         eigs = eigenvalues_symmetric(gram).tolist()
         block_nullity = gram.shape[0] - b.rank1
         _check_bands(eigs, block_nullity, source)
@@ -175,12 +175,11 @@ def spectral_report(family: TriangleFamily) -> SpectralReport:
     l1_min = math.inf
     for b in blocks:
         d0 = build_delta0(b.graph).astype(float)
-        d1 = b.d1.astype(float)
         rank0 = len(b.graph.vertices) - 1
         eigs0 = eigenvalues_symmetric(d0.T @ d0).tolist()
         _check_bands(eigs0, 1, "L0_up")  # nullity |V| - rank0 = 1
         l0_min = min(l0_min, eigs0[1])
-        eigs1 = eigenvalues_symmetric(d0 @ d0.T + d1.T @ d1).tolist()
+        eigs1 = eigenvalues_symmetric(d0 @ d0.T + b.d1.T @ b.d1).tolist()
         null1 = len(b.graph.edges) - rank0 - b.rank1
         _check_bands(eigs1, null1, "L1_total")
         l1_min = min(l1_min, eigs1[null1])

@@ -264,17 +264,24 @@ def test_phi_prune_ab_invariant():
         assert phi_exact(t, prune=True).to_dict() == phi_exact(t, prune=False).to_dict()
 
 
-def _counted_phi_six(monkeypatch) -> tuple[Counter, int]:
+def _counted_phi_six(monkeypatch) -> tuple[Counter, Counter]:
     """A fresh phi_exact(6) with every cut: how often each family is
     solved, by the sweep's stacked `_sweep_solve` (each family in a stack
     counts) or by `spectra._lambda_tau_spectrum` (directly or through
-    `lambda_of`), and how many canonicity tests ran."""
+    `lambda_of`), and how many `_sweep_solve` stacks and canonicity tests
+    (`_is_lex_min`) ran.
+
+    Each entered node's children that can still matter are solved in one
+    stack, and a child is entered with the (lambda, tau) of that stack, so
+    a child with a subtree is solved even when it turns out not canonical
+    or its own-size cut skips recording it."""
     solved = Counter()
-    lex_min_calls = 0
+    calls = Counter()
     sweep_solve, solve = extremal._sweep_solve, spectra._lambda_tau_spectrum
     is_lex_min = extremal._is_lex_min
 
     def counted_sweep_solve(nodes, grams):
+        calls["_sweep_solve"] += 1
         solved.update(node.tris for node in nodes)
         return sweep_solve(nodes, grams)
 
@@ -283,26 +290,28 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, int]:
         return solve(family)
 
     def counted_lex_min(*args):
-        nonlocal lex_min_calls
-        lex_min_calls += 1
+        calls["_is_lex_min"] += 1
         return is_lex_min(*args)
 
     monkeypatch.setattr(extremal, "_sweep_solve", counted_sweep_solve)
     monkeypatch.setattr(spectra, "_lambda_tau_spectrum", counted_solve)
     monkeypatch.setattr(extremal, "_is_lex_min", counted_lex_min)
     assert phi_exact(6).exhaustive
-    return solved, lex_min_calls
+    return solved, calls
 
 
 def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
-    # Frozen counts for phi(6) with every cut.  Childless children are
-    # evaluated without a canonicity test, so non-canonical copies are
-    # solved too (112 of the 556 families), except those `_candidates`
-    # drops as not least in their twin orbit; the canonicity test runs only
-    # on children with a subtree and on would-be incumbents.  No candidate
-    # is all-new, so no disconnected node is entered or solved.
-    solved, lex_min_calls = _counted_phi_six(monkeypatch)
-    assert (sum(solved.values()), lex_min_calls) == (556, 125)
+    # Frozen counts for phi(6) with every cut.  A node's children are
+    # solved together before it enters any, so every child with a subtree
+    # is solved, canonical or not, and so is every childless child that
+    # survives the cuts, without a canonicity test; `_candidates` drops
+    # the copies not least in their twin orbit.  The canonicity test runs
+    # only on children with a subtree and on would-be incumbents.  There
+    # is one stack per entered node with a child left after the cuts, plus
+    # the root's.  No candidate is all-new, so no disconnected node is
+    # entered or solved.
+    solved, calls = _counted_phi_six(monkeypatch)
+    assert (sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"]) == (594, 125, 58)
 
 
 def test_phi_sweep_solves_each_family_once(monkeypatch):
@@ -400,9 +409,14 @@ def _lambda_tau(family: TriangleFamily) -> tuple[float, float]:
 @settings(max_examples=200, deadline=None)
 @given(sweep_paths(), st.data())
 def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
-    # The sweep solves a node's childless children in one stack, each Gram
-    # matrix the node's bordered by the child's new row; each (lambda, tau)
-    # must be exactly the one `spectra` finds for the child on its own.
+    # The sweep solves a node's children in one stack, each Gram matrix the
+    # node's bordered by the child's new row; each (lambda, tau) must be
+    # exactly the one `spectra` finds for the child on its own.  The root is
+    # solved as the one child of the empty node.
+    root = extremal._extend(extremal._EMPTY, (1, 2, 3))
+    assert extremal._sweep_solve([root], extremal._child_grams(extremal._EMPTY, [root])) == [
+        (3.0, math.inf)
+    ]
     node = extremal._EMPTY
     for tri in tris:
         node = extremal._extend(node, tri)
@@ -411,8 +425,7 @@ def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
     picked = data.draw(st.lists(st.sampled_from(candidates), unique=True) if candidates else st.just([]))
     children = [extremal._extend(node, tri) for tri in sorted(picked)]
     assume(children)
-    d1 = extremal._d1(node)
-    stack = extremal._child_grams(node, d1, d1 @ d1.T, children)
+    stack = extremal._child_grams(node, children)
     for child, gram in zip(children, stack):
         child_d1 = extremal._d1(child)
         assert np.array_equal(gram, child_d1 @ child_d1.T)

@@ -26,9 +26,8 @@ from trispec import (
 from trispec.spectra import SpectralError, _blocks, _check_bands
 
 
-def test_jacobi_handles_converged_looking_integer_matrix():
-    # Regression: the off-diagonal norm must be measured directly, not as a
-    # difference of Frobenius norms, or small matrices like this stall.
+def test_eigenvalues_symmetric_solves_an_integer_matrix_with_a_double_eigenvalue():
+    # A graph Laplacian with spectrum 0, 2, 4, 5, 5.
     m = np.array(
         [
             [4, -1, -1, -1, -1],
@@ -43,7 +42,7 @@ def test_jacobi_handles_converged_looking_integer_matrix():
     assert np.max(np.abs(eigs - np.array([0.0, 2.0, 4.0, 5.0, 5.0]))) < 1e-9
 
 
-def test_jacobi_rejects_asymmetric_input():
+def test_eigenvalues_symmetric_rejects_an_asymmetric_matrix():
     with pytest.raises(ValueError):
         eigenvalues_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
