@@ -19,11 +19,11 @@ canonicity test and its candidates.
 The phi sweep tests canonicity only on a child it enters and on a child
 whose lambda would replace an incumbent.  A childless child (at the last
 depth, or with every descendant cut) is evaluated in place, canonical or
-not (twin-orbit duplicates aside, which are never generated), unless a
-cut rules it out.  One cut is Cauchy interlacing: the child's Gram
-matrix borders its node's, so the child's lambda is at most the node's
-lambda when the new triangle grows the rank, and at most the node's tau
-otherwise.
+not (twin-orbit duplicates aside, which are never generated), unless
+Cauchy interlacing rules it out: the child's Gram matrix borders its
+node's, so the child's lambda is at most the node's lambda when the new
+triangle grows the rank, and at most the node's tau otherwise.  Every
+solved family is recorded by the replace rule alone.
 
 Each sweep node carries d1 by column, whose entry counts are the
 codegrees the cuts read, and the echelon rows of its exact rank; a child
@@ -649,7 +649,7 @@ def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -
 def _size_beyond_reach(
     best: dict[int, tuple[float, tuple]], node: _Carried, k: int, r: int
 ) -> bool:
-    """True when no family of r >= s triangles that contains the sweep node
+    """True when no family of r > s triangles that contains the sweep node
     (s triangles on labels 1..k) can beat best[r].
 
     Size r is out of reach by the vertex-count cut (`_beyond_reach`; such
@@ -766,32 +766,31 @@ def _phi_sweep(
 
     Every node is connected, and no candidate is a twin-orbit duplicate
     (see `_candidates`); a node's twin classes are computed when it is
-    entered, for its canonicity test and its candidates.  A node is
-    recorded unless `_size_beyond_reach` proves it cannot beat the
-    incumbent of its own size.  Each candidate child's state is extended
-    from its node's first.  A child has a subtree unless it is at depth t
-    or that test holds at every larger size, by the counting bound on its
-    vertex count or by the overlap theorem (each support edge lies in at
-    least ceil(lambda) - 2 triangles) on the codegrees it lacks.  Both need only
-    the child's codegrees and label count, which relabeling keeps, so the
-    test runs on every candidate, and only a child with a subtree is
-    tested for canonicity and entered.
+    entered, for its canonicity test and its candidates.  Each candidate
+    child's state is extended from its node's first.  A child has a
+    subtree unless it is at depth t or `_size_beyond_reach` holds at every
+    larger size, by the counting bound on its vertex count or by the
+    overlap theorem (each support edge lies in at least ceil(lambda) - 2
+    triangles) on the codegrees it lacks.  Both need only the child's
+    codegrees and label count, which relabeling keeps, so the test runs on
+    every candidate, and only a child with a subtree is tested for
+    canonicity and entered.
 
     A childless child is evaluated in place, canonical or not (except the
-    twin-orbit duplicates, which are not generated), when it survives its
-    own-size cut and the interlacing cut.  The child's Gram matrix
-    d1 d1^T borders the node's, so by Cauchy interlacing its lambda is at
-    most the node's lambda when its rank grows (the nullity stays) and at
-    most the node's tau when it does not (the nullity grows by one); the
-    echelon rows tell which.
+    twin-orbit duplicates, which are not generated), when it survives the
+    interlacing cut.  The child's Gram matrix d1 d1^T borders the node's,
+    so by Cauchy interlacing its lambda is at most the node's lambda when
+    its rank grows (the nullity stays) and at most the node's tau when it
+    does not (the nullity grows by one); the echelon rows tell which.
 
     Only a child whose lambda would replace the incumbent is tested for
     canonicity.  A non-canonical copy cannot beat the incumbent: its
     canonical form is lex-smaller, and nodes are entered in lex order, so
     that form was already evaluated or cut under an incumbent no larger.
-    A skipped family or cut subtree holds no family that would replace an
-    incumbent, so recorded maxima and witnesses are those of the unpruned
-    sweep; `prune=False` turns every cut off.
+    Every solved family is recorded by the replace rule alone, and a cut
+    child or subtree holds no family that would replace an incumbent, so
+    recorded maxima and witnesses are those of the unpruned sweep;
+    `prune=False` turns every cut off.
 
     No family is rebuilt per child: `_extend` derives the child's
     `_Carried` state from its node's, and `_sweep_solve` solves d1 d1^T
@@ -802,14 +801,14 @@ def _phi_sweep(
     `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
     same positive spectrum, so there is no L1_up path and no fallback.
 
-    An entered node first drops each childless child that a cut already
-    rules out, then solves the rest as one stack (`_child_grams`), and
-    then decides them in candidate order, entering a child with its
+    An entered node first drops each childless child that interlacing
+    already rules out, then solves the rest as one stack (`_child_grams`),
+    and then decides them in candidate order, entering a child with its
     (lambda, tau) from the stack; the root is the one child of the empty
     node.  The cuts only tighten as incumbents grow, so a child dropped
-    before the stack would be cut at its turn; the rest have their
-    subtree test and cuts read again at their turn, so each decision is
-    the one a sweep solving each child on its own would make.
+    before the stack could not replace the incumbent at its turn; the
+    rest have their subtree test read again at their turn, so each
+    decision is the one a sweep solving each child on its own would make.
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
@@ -831,9 +830,8 @@ def _phi_sweep(
         tris = node.tris
         last = tris
         s = len(tris)
-        if not (prune and _size_beyond_reach(best, node, k, s)):
-            if s not in best or solved[0] > best[s][0] + IMPROVE_EPS:
-                best[s] = (solved[0], tris)
+        if s not in best or solved[0] > best[s][0] + IMPROVE_EPS:
+            best[s] = (solved[0], tris)
         if s == t:
             return
         if tris > start:
@@ -849,13 +847,11 @@ def _phi_sweep(
                 _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
             ))
 
-        def cut(child: _Carried, k2: int) -> bool:
-            """True when a cut proves the child cannot replace best[s+1]."""
+        def interlaced(child: _Carried) -> bool:
+            """True when Cauchy interlacing proves the child cannot replace best[s+1]."""
             cur = best.get(s + 1)
             if not prune or cur is None:
                 return False
-            if _size_beyond_reach(best, child, k2, s + 1):
-                return True
             grew = len(child.echelon) > len(node.echelon)
             return solved[0 if grew else 1] <= cur[0] - CEIL_GUARD
 
@@ -864,7 +860,7 @@ def _phi_sweep(
             if tris + (tri,) < start[: s + 1]:
                 continue
             child = _extend(node, tri)
-            if not (childless(child, k2) and cut(child, k2)):
+            if not (childless(child, k2) and interlaced(child)):
                 kept.append((child, k2))
         if not kept:
             return
@@ -875,8 +871,6 @@ def _phi_sweep(
                 child_twin = _twins(child.tris, k2)
                 if _is_lex_min(child.tris, k2, child_twin):
                     visit(child, k2, child_twin, child_solved)
-                continue
-            if cut(child, k2):
                 continue
             cur = best.get(s + 1)
             if (cur is None or child_solved[0] > cur[0] + IMPROVE_EPS) and _is_lex_min(

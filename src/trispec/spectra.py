@@ -66,7 +66,7 @@ def _check_bands(eigs: list[float], nullity: int, context: str) -> None:
     They come as Python floats (``ndarray.tolist()``), which compare in the
     same float64 arithmetic without a numpy scalar per element.
     """
-    band = ZERO_BAND_COEFF * (1.0 + (max(eigs) if len(eigs) else 0.0))
+    band = ZERO_BAND_COEFF * (1.0 + (eigs[-1] if len(eigs) else 0.0))
     if len(eigs) and eigs[0] < -PSD_TOL_COEFF * (1.0 + max(eigs[-1], 0.0)):
         raise SpectralError(f"{context}: negative eigenvalue {eigs[0]:.3e} on a Gram matrix")
     if nullity and max(abs(x) for x in eigs[:nullity]) >= band:

@@ -260,7 +260,7 @@ def test_vertex_cap_stays_non_exhaustive_when_the_bound_does_not_apply():
 
 
 def test_phi_prune_ab_invariant():
-    for t in (3, 4, 5):
+    for t in (3, 4, 5, 6):
         assert phi_exact(t, prune=True).to_dict() == phi_exact(t, prune=False).to_dict()
 
 
@@ -271,10 +271,12 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, Counter]:
     `lambda_of`), and how many `_sweep_solve` stacks and canonicity tests
     (`_is_lex_min`) ran.
 
-    Each entered node's children that can still matter are solved in one
-    stack, and a child is entered with the (lambda, tau) of that stack, so
-    a child with a subtree is solved even when it turns out not canonical
-    or its own-size cut skips recording it."""
+    Each entered node's children are solved in one stack, except the
+    childless ones that Cauchy interlacing drops before it, and a child is
+    entered with the (lambda, tau) of that stack, so a child with a
+    subtree is solved even when it turns out not canonical.  No family is
+    skipped at its own size: the replace rule alone decides whether a
+    solved family is recorded."""
     solved = Counter()
     calls = Counter()
     sweep_solve, solve = extremal._sweep_solve, spectra._lambda_tau_spectrum
@@ -304,14 +306,15 @@ def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
     # Frozen counts for phi(6) with every cut.  A node's children are
     # solved together before it enters any, so every child with a subtree
     # is solved, canonical or not, and so is every childless child that
-    # survives the cuts, without a canonicity test; `_candidates` drops
+    # interlacing does not drop before the stack, without a canonicity
+    # test; no family is skipped at its own size.  `_candidates` drops
     # the copies not least in their twin orbit.  The canonicity test runs
     # only on children with a subtree and on would-be incumbents.  There
-    # is one stack per entered node with a child left after the cuts, plus
-    # the root's.  No candidate is all-new, so no disconnected node is
+    # is one stack per entered node with a child left after interlacing,
+    # plus the root's.  No candidate is all-new, so no disconnected node is
     # entered or solved.
     solved, calls = _counted_phi_six(monkeypatch)
-    assert (sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"]) == (594, 125, 58)
+    assert (sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"]) == (601, 125, 59)
 
 
 def test_phi_sweep_solves_each_family_once(monkeypatch):
