@@ -330,6 +330,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("--seed is required for randomized suites")
     if args.suite in _RANDOMIZED_SUITES and args.max_vertices < 4:
         raise ValueError(f"random families need --max-vertices >= 4, got {args.max_vertices}")
+    if args.suite in _RANDOMIZED_SUITES and args.random < 0:
+        raise ValueError(f"--random must be at least 0, got {args.random}")
     if "rigidity" in names and min(_parse_range(args.n)) < 4:
         # kn:3 minus a triangle is empty, so it has no lambda.
         raise ValueError(f"the rigidity suite needs n >= 4, got --n {args.n}")

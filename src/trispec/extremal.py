@@ -27,12 +27,14 @@ solved family is recorded by the replace rule alone.
 
 Each sweep node carries d1 by column, whose entry counts are the
 codegrees the cuts read, and the echelon rows of its exact rank; a child
-extends both by its one new row of d1.  The sweep solves d1 d1^T, the
-form `spectra` picks when t <= |E|; by Kruskal-Katona that holds for every
-family of at most 14 triangles, so its lambdas are those of `lambda_of`.
-A node's children that survive the cuts are solved together, by one
-stacked eigensolve of the node's d1 d1^T bordered by each child's new
-row, and a child is entered with its (lambda, tau) from that stack.
+extends both by its one new row of d1, and the same pass over that row's
+edges gives its border, the row's inner products with the node's rows.
+The sweep solves d1 d1^T, the form `spectra` picks when t <= |E|; by
+Kruskal-Katona that holds for every family of at most 14 triangles, so its
+lambdas are those of `lambda_of`.  A node's children that survive the cuts
+are solved together, by one stacked eigensolve of the node's d1 d1^T
+bordered by each child's border, and a child is entered with its (lambda,
+tau) and its d1 d1^T from that stack, so no node's d1 is ever formed.
 """
 
 from __future__ import annotations
@@ -674,18 +676,20 @@ class _Carried:
     one new row of d1 instead of rebuilding it.
 
     `columns` maps each support edge to its key and its d1 entries
-    ((row, sign), ...), one per triangle on the edge; an edge's key is
-    minus the number of edges found before it, so a new edge leads every
-    row it is in.  `echelon` holds the rows `_reduce_row` kept (their
-    number is rank d1).
+    ((row, sign), ...), one per triangle on the edge.  The key only orders
+    the echelon: it is minus the number of edges found before it, so a new
+    edge leads every row it is in.  `echelon` holds the rows `_reduce_row`
+    kept (their number is rank d1).  `border` is the last row of d1 d1^T
+    left of the diagonal: the new row's inner product with each older one.
     """
 
     tris: tuple
     columns: dict
     echelon: dict
+    border: list
 
 
-_EMPTY = _Carried((), {}, {})
+_EMPTY = _Carried((), {}, {}, [])
 
 
 def _extend(node: _Carried, tri: tuple) -> _Carried:
@@ -696,45 +700,27 @@ def _extend(node: _Carried, tri: tuple) -> _Carried:
     s = len(node.tris)
     columns = dict(node.columns)
     row = {}
+    border = [0] * s
     for sign, e in zip((1, -1, 1), combinations(tri, 2)):
         key, entries = columns.get(e, (-len(columns), ()))
+        for i, other in entries:
+            border[i] += sign * other
         columns[e] = (key, entries + ((s, sign),))
         row[key] = sign
     echelon = dict(node.echelon)
     _reduce_row(echelon, row)
-    return _Carried(node.tris + (tri,), columns, echelon)
+    return _Carried(node.tris + (tri,), columns, echelon, border)
 
 
-def _d1(node: _Carried) -> np.ndarray:
-    """The node's d1 in float64 from its columns: a row per triangle and a
-    column per support edge, the edge with key -j in column j."""
-    d1 = np.zeros((len(node.tris), len(node.columns)))
-    for j, (_, entries) in enumerate(node.columns.values()):
-        for i, sign in entries:
-            d1[i, j] = sign
-    return d1
-
-
-def _child_grams(node: _Carried, children) -> np.ndarray:
-    """The children's Gram matrices d1 d1^T, stacked: the node's d1 d1^T
-    bordered by one row and column per child.
-
-    A child's new row of d1 has signs +1, -1, +1 on the ascending edges of
-    its new triangle, so the corner is 3 and the border entry of triangle i
-    is the sum of sign products over the edges the two share: the node's d1
-    times the new row restricted to the node's columns.  Every entry is a
+def _child_grams(gram: np.ndarray, children) -> np.ndarray:
+    """The children's Gram matrices d1 d1^T, stacked: the node's `gram`
+    bordered by each child's `border` and a corner of 3.  Every entry is a
     small integer, so each matrix equals the child's own d1 d1^T exactly.
     """
-    s = len(node.tris)
-    d1 = _d1(node)
-    rows = np.zeros((len(children), len(node.columns)))
-    for n, child in enumerate(children):
-        for sign, e in zip((1, -1, 1), combinations(child.tris[-1], 2)):
-            if e in node.columns:
-                rows[n, -node.columns[e][0]] = sign
+    s = len(gram)
     stack = np.empty((len(children), s + 1, s + 1))
-    stack[:, :s, :s] = d1 @ d1.T
-    stack[:, :s, s] = stack[:, s, :s] = rows @ d1.T
+    stack[:, :s, :s] = gram
+    stack[:, :s, s] = stack[:, s, :s] = [child.border for child in children]
     stack[:, s, s] = 3.0
     return stack
 
@@ -793,18 +779,19 @@ def _phi_sweep(
     `prune=False` turns every cut off.
 
     No family is rebuilt per child: `_extend` derives the child's
-    `_Carried` state from its node's, and `_sweep_solve` solves d1 d1^T
-    (L2_down) with the exact nullity and `spectra`'s zero-band check.
-    `spectra` picks L2_down whenever t <= |E|, and by Kruskal-Katona t
-    triangles span at least t edges for t <= 14 (the least shadow of 15
-    is 14), so each lambda and tau is bit-identical to
+    `_Carried` state, border included, from its node's, and `_sweep_solve`
+    solves d1 d1^T (L2_down) with the exact nullity and `spectra`'s
+    zero-band check.  `spectra` picks L2_down whenever t <= |E|, and by
+    Kruskal-Katona t triangles span at least t edges for t <= 14 (the
+    least shadow of 15 is 14), so each lambda and tau is bit-identical to
     `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
     same positive spectrum, so there is no L1_up path and no fallback.
 
     An entered node first drops each childless child that interlacing
-    already rules out, then solves the rest as one stack (`_child_grams`),
-    and then decides them in candidate order, entering a child with its
-    (lambda, tau) from the stack; the root is the one child of the empty
+    already rules out, then solves the rest as one stack (`_child_grams`:
+    its own d1 d1^T bordered by each child's border), and then decides
+    them in candidate order, entering a child with its (lambda, tau) and
+    its matrix from the stack; the root is the one child of the empty
     node.  The cuts only tighten as incumbents grow, so a child dropped
     before the stack could not replace the incumbent at its turn; the
     rest have their subtree test read again at their turn, so each
@@ -824,8 +811,11 @@ def _phi_sweep(
     deadline = now + budget_seconds if budget_seconds is not None else math.inf
     next_save = now + _SAVE_SECONDS
 
-    def visit(node: _Carried, k: int, twin: list[int], solved: tuple[float, float]) -> None:
-        """Enter a canonical node whose (lambda, tau) is `solved`."""
+    def visit(
+        node: _Carried, k: int, twin: list[int], solved: tuple[float, float], gram: np.ndarray
+    ) -> None:
+        """Enter a canonical node whose (lambda, tau) is `solved` and whose
+        d1 d1^T is `gram`."""
         nonlocal last, next_save
         tris = node.tris
         last = tris
@@ -865,12 +855,13 @@ def _phi_sweep(
         if not kept:
             return
         children = [child for child, _ in kept]
-        stack = _sweep_solve(children, _child_grams(node, children))
-        for (child, k2), child_solved in zip(kept, stack):
+        grams = _child_grams(gram, children)
+        stack = _sweep_solve(children, grams)
+        for (child, k2), child_solved, child_gram in zip(kept, stack, grams):
             if not childless(child, k2):
                 child_twin = _twins(child.tris, k2)
                 if _is_lex_min(child.tris, k2, child_twin):
-                    visit(child, k2, child_twin, child_solved)
+                    visit(child, k2, child_twin, child_solved, child_gram)
                 continue
             cur = best.get(s + 1)
             if (cur is None or child_solved[0] > cur[0] + IMPROVE_EPS) and _is_lex_min(
@@ -881,8 +872,9 @@ def _phi_sweep(
     completed = True
     root = _extend(_EMPTY, _ROOT[0])
     try:
-        (solved,) = _sweep_solve([root], _child_grams(_EMPTY, [root]))
-        visit(root, 3, _twins(_ROOT, 3), solved)
+        grams = _child_grams(np.zeros((0, 0)), [root])
+        (solved,) = _sweep_solve([root], grams)
+        visit(root, 3, _twins(_ROOT, 3), solved, grams[0])
     except _BudgetExceeded:
         completed = False
     finally:

@@ -31,15 +31,6 @@ class FamilyParseError(ValueError):
         self.line_number = line_number
 
 
-def edge(x: int, y: int) -> Edge:
-    if x == y:
-        raise ValueError(f"edge endpoints must be distinct, got {x!r} twice")
-    for v in (x, y):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"vertex labels must be non-negative integers, got {v!r}")
-    return (x, y) if x < y else (y, x)
-
-
 def triangle(a: int, b: int, c: int) -> Triangle:
     if len({a, b, c}) != 3:
         raise ValueError(f"triangle vertices must be distinct, got ({a}, {b}, {c})")

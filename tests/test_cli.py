@@ -129,6 +129,18 @@ def test_verify_random_families_reject_max_vertices_below_four(capsys, suite):
     assert run(capsys, "verify", "hodge", "--seed", "1", "--random", "2", "--max-vertices", "4")[0] == 0
 
 
+def test_verify_rejects_a_negative_random_count(capsys):
+    # A negative count would draw no families and report checks=0 as a pass.
+    code, out, err = run(capsys, "verify", "hodge", "--seed", "1", "--random", "-3")
+    assert code == 2
+    assert "--random must be at least 0, got -3" in err
+    assert out == ""
+    # Zero is valid: the hodge suite reads only random families.
+    code, out, _ = run(capsys, "verify", "hodge", "--seed", "1", "--random", "0")
+    assert code == 0
+    assert "suite=hodge checks=0 failures=0" in out
+
+
 def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
     calls = {"spectral_report": 0, "lambda_of": 0, "support_graph": 0}
 

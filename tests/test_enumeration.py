@@ -399,8 +399,15 @@ def test_carried_state_matches_the_family_built_from_scratch(tris):
         # The cuts read each codegree as the number of d1 entries in its column.
         codegree = {e: len(entries) for e, (_, entries) in node.columns.items()}
         assert codegree == fam.support.edge_triangle_count
-        d1 = extremal._d1(node)
-        assert extremal._sweep_solve([node], (d1 @ d1.T)[None]) == [_lambda_tau(fam)]
+        gram = _gram(fam)
+        assert node.border == gram[s - 1, : s - 1].tolist()
+        assert extremal._sweep_solve([node], gram[None]) == [_lambda_tau(fam)]
+
+
+def _gram(family: TriangleFamily) -> np.ndarray:
+    """The family's d1 d1^T in float64, built without the sweep's state."""
+    d1 = build_delta1(family).astype(float)
+    return d1 @ d1.T
 
 
 def _lambda_tau(family: TriangleFamily) -> tuple[float, float]:
@@ -417,7 +424,7 @@ def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
     # exactly the one `spectra` finds for the child on its own.  The root is
     # solved as the one child of the empty node.
     root = extremal._extend(extremal._EMPTY, (1, 2, 3))
-    assert extremal._sweep_solve([root], extremal._child_grams(extremal._EMPTY, [root])) == [
+    assert extremal._sweep_solve([root], extremal._child_grams(np.zeros((0, 0)), [root])) == [
         (3.0, math.inf)
     ]
     node = extremal._EMPTY
@@ -428,10 +435,9 @@ def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
     picked = data.draw(st.lists(st.sampled_from(candidates), unique=True) if candidates else st.just([]))
     children = [extremal._extend(node, tri) for tri in sorted(picked)]
     assume(children)
-    stack = extremal._child_grams(node, children)
+    stack = extremal._child_grams(_gram(TriangleFamily(tris)), children)
     for child, gram in zip(children, stack):
-        child_d1 = extremal._d1(child)
-        assert np.array_equal(gram, child_d1 @ child_d1.T)
+        assert np.array_equal(gram, _gram(TriangleFamily(child.tris)))
     solved = extremal._sweep_solve(children, stack)
     assert solved == [_lambda_tau(TriangleFamily(child.tris)) for child in children]
 
@@ -575,24 +581,36 @@ def test_repeated_tiny_budget_runs_reach_the_fresh_result(tmp_path):
 
 
 def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, monkeypatch):
-    fresh = phi_exact(5).to_dict()
-    path = tmp_path / "phi5.ckpt"
-    calls = count(1)
-
+    # Run n interrupts phi 6 at its n-th stack, until a run has no n-th
+    # stack and completes.  Every interrupt after the root's stack leaves a
+    # checkpoint at the last node entered, and each resumes to the fresh
+    # result along the Gram matrices of the path it enters again.
+    fresh = phi_exact(6).to_dict()
     solve = extremal._sweep_solve
+    cursors = []
+    for n in count(1):
+        path = tmp_path / f"{n}.ckpt"
+        calls = count(1)
 
-    def interrupted(nodes, grams):
-        # Interrupt the stack that holds the fifth family solved.
-        if any(next(calls) == 5 for _ in nodes):
-            raise KeyboardInterrupt
-        return solve(nodes, grams)
+        def interrupted(nodes, grams):
+            if next(calls) == n:
+                raise KeyboardInterrupt
+            return solve(nodes, grams)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(extremal, "_sweep_solve", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            phi_exact(5, checkpoint=str(path))
-    assert len(json.loads(path.read_text())["cursor"]) > 1
-    assert phi_exact(5, checkpoint=str(path)).to_dict() == fresh
+        with monkeypatch.context() as patch:
+            patch.setattr(extremal, "_sweep_solve", interrupted)
+            try:
+                entry = phi_exact(6, checkpoint=str(path))
+            except KeyboardInterrupt:
+                pass
+            else:
+                break
+        assert path.exists() is (n > 1)
+        if n > 1:
+            cursors.append(json.loads(path.read_text())["cursor"])
+            assert phi_exact(6, checkpoint=str(path)).to_dict() == fresh
+    assert entry.to_dict() == fresh
+    assert cursors == sorted(cursors) and max(map(len, cursors)) == 5
 
 
 def test_checkpoint_is_saved_on_an_interval_during_the_sweep(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from trispec import (
     support_graph,
     vertex_triangle_counts,
 )
-from trispec.families import edge, random_family, sign_edge_vertex, sign_triangle_edge, triangle
+from trispec.families import random_family, sign_edge_vertex, sign_triangle_edge, triangle
 
 
 def test_triangle_normalizes_and_validates():
@@ -33,9 +33,9 @@ def test_triangle_normalizes_and_validates():
 
 
 def test_edge_vertex_signs():
-    assert sign_edge_vertex(edge(2, 5), 5) == 1
-    assert sign_edge_vertex(edge(2, 5), 2) == -1
-    assert sign_edge_vertex(edge(2, 5), 3) == 0
+    assert sign_edge_vertex((2, 5), 5) == 1
+    assert sign_edge_vertex((2, 5), 2) == -1
+    assert sign_edge_vertex((2, 5), 3) == 0
 
 
 def test_triangle_edge_signs_follow_opposite_vertex():
