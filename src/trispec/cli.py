@@ -225,7 +225,7 @@ def _suite_counting(args, audited) -> _Suite:
 
 def _suite_rigidity(args, audited) -> _Suite:
     suite = _Suite("rigidity")
-    for n in _parse_range(args.n):
+    for n in args.n:
         full = complete_family(n)
         at_budget = check_rigidity(n, full)
         suite.check(
@@ -283,8 +283,8 @@ def _check_gcb_cell(suite: _Suite, c: int, b: int) -> None:
 
 def _suite_gcb(args, audited) -> _Suite:
     suite = _Suite("gcb")
-    for c in _parse_range(args.c):
-        for b in _parse_range(args.b):
+    for c in args.c:
+        for b in args.b:
             _check_gcb_cell(suite, c, b)
     return suite
 
@@ -300,14 +300,15 @@ _SUITES = {
 
 
 def _parse_range(text: str) -> list[int]:
-    """'3..5' -> [3, 4, 5]; '4' -> [4]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = list(range(int(lo), int(hi) + 1))
-        if not out:
-            raise ValueError(f"empty range {text!r}")
-        return out
-    return [int(text)]
+    """'3..5' -> [3, 4, 5]; '4' -> [4]; argparse names the option on error."""
+    lo, sep, hi = text.partition("..")
+    try:
+        out = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        out = []
+    if not out:
+        raise argparse.ArgumentTypeError(f"expected an integer or a nonempty range like 3..5, got {text!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +333,9 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"random families need --max-vertices >= 4, got {args.max_vertices}")
     if args.suite in _RANDOMIZED_SUITES and args.random < 0:
         raise ValueError(f"--random must be at least 0, got {args.random}")
-    if "rigidity" in names and min(_parse_range(args.n)) < 4:
+    if "rigidity" in names and min(args.n) < 4:
         # kn:3 minus a triangle is empty, so it has no lambda.
-        raise ValueError(f"the rigidity suite needs n >= 4, got --n {args.n}")
+        raise ValueError(f"the rigidity suite needs n >= 4, got --n {min(args.n)}")
 
     # One report per grid and random family, shared by the suites that read
     # lambda and made when the first of them asks, so a SpectralError still
@@ -430,9 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--random", type=int, default=50, help="number of random families")
     sp.add_argument("--seed", type=int, help="PRNG seed (required for randomized suites)")
     sp.add_argument("--max-vertices", type=int, default=8)
-    sp.add_argument("--c", default="3..5", help="clique sizes for the gcb suite, e.g. 3..5")
-    sp.add_argument("--b", default="1..3", help="apex counts for the gcb suite")
-    sp.add_argument("--n", default="4..6", help="vertex counts for the rigidity suite")
+    # Ranges are parsed with the other arguments, before any suite prints.
+    sp.add_argument("--c", type=_parse_range, default="3..5", help="clique sizes for the gcb suite, e.g. 3..5")
+    sp.add_argument("--b", type=_parse_range, default="1..3", help="apex counts for the gcb suite")
+    sp.add_argument("--n", type=_parse_range, default="4..6", help="vertex counts for the rigidity suite")
     sp.add_argument("--manifest", metavar="PATH")
     sp.set_defaults(func=_cmd_verify)
 

@@ -16,14 +16,12 @@ a triangle with the least optimistic image, and one vertex per class of
 twins.  A node's twin classes are computed once and serve both its
 canonicity test and its candidates.
 
-The phi sweep tests canonicity only on a child it enters and on a child
-whose lambda would replace an incumbent.  A childless child (at the last
-depth, or with every descendant cut) is evaluated in place, canonical or
-not (twin-orbit duplicates aside, which are never generated), unless
-Cauchy interlacing rules it out: the child's Gram matrix borders its
-node's, so the child's lambda is at most the node's lambda when the new
-triangle grows the rank, and at most the node's tau otherwise.  Every
-solved family is recorded by the replace rule alone.
+The phi sweep tests canonicity only on a child with a subtree, before
+its node's stack, and solves and enters it only when canonical.  A
+childless child (at the last depth, or with every descendant cut) is
+solved in place, canonical or not, unless Cauchy interlacing rules it
+out (see `_phi_sweep`).  Every solved family is recorded by the replace
+rule alone, which a non-canonical copy never passes.
 
 Each sweep node carries d1 by column, whose entry counts are the
 codegrees the cuts read, and the echelon rows of its exact rank; a child
@@ -422,15 +420,16 @@ def _is_lex_min(tris: tuple, k: int, twin: list[int]) -> bool:
 
 def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tuple[tuple, int]]:
     """Lex-ordered (triangle, support size) extensions of a family on labels
-    1..k with twin classes `twin` (`_twins`): each triangle is lex-greater
-    than the last, lies within 1..min(k+3, cap), meets 1..k, its new
+    1..k with twin classes `twin` (`_twins`): each triangle (a, b, c) is
+    lex-greater than the last, lies within 1..cap, meets 1..k, its new
     labels, if any, are the next consecutive ones, and it is least in its
     orbit under the family's twin classes.
 
-    An all-new triangle (k+1, k+2, k+3) is left out: it would disconnect
-    the family for good, since every later triangle is lex-greater and so
-    has its least vertex above k.  Every family the candidates grow from
-    (1, 2, 3) is therefore connected.
+    The label ranges give the consecutive-label and no-all-new rules: a <
+    b <= k+1, and c <= max(b, k) + 1 is new only as k+1, or as k+2 after
+    b = k+1.  An all-new triangle would disconnect the family for good,
+    since every later triangle is lex-greater and so has its least vertex
+    above k.  So every family grown from (1, 2, 3) is connected.
 
     A triangle holding a vertex v <= k with a twin w < v outside it is
     left out too, since its child is not canonical: the permutation
@@ -448,15 +447,12 @@ def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tupl
     for v in range(1, k + 1):
         lower[v] = latest.get(twin[v], 0)
         latest[twin[v]] = v
-    for tri in combinations(range(1, min(k + 3, cap) + 1), 3):
-        if tri <= tris[-1] or tri[0] > k:
-            continue
-        news = [v for v in tri if v > k]
-        if news and news != list(range(k + 1, k + 1 + len(news))):
-            continue
-        if any(v <= k and lower[v] and lower[v] not in tri for v in tri):
-            continue
-        yield tri, max(k, tri[2])
+    for a, b in combinations(range(1, min(k + 1, cap) + 1), 2):
+        for c in range(b + 1, min(max(b, k) + 1, cap) + 1):
+            tri = (a, b, c)
+            if tri <= tris[-1] or any(v <= k and lower[v] and lower[v] not in tri for v in tri):
+                continue
+            yield tri, max(k, c)
 
 
 def _children(
@@ -490,12 +486,12 @@ def enumerate_connected_families(
 ) -> Iterator[TriangleFamily]:
     """One representative per isomorphism class of connected t-triangle families.
 
-    A connected family of t triangles has at most 2t+1 vertices, so the
-    default vertex budget is exhaustive for connected classes.
+    A connected family of t triangles has at most 2t+1 vertices, the
+    default vertex budget, so by default every connected class is yielded.
     """
     if t < 1:
         raise ValueError(f"enumeration needs t >= 1, got {t}")
-    cap = _resolve_cap(t, max_vertices)
+    cap = 2 * t + 1 if max_vertices is None else _resolve_cap(t, max_vertices)
 
     def rec(tris: tuple, k: int, twin: list[int]) -> Iterator[TriangleFamily]:
         if len(tris) == t:
@@ -590,9 +586,10 @@ class _Checkpoint:
 
     A file of another budget, vertex cap, prune setting or layout is
     refused, since it would skip subtrees never searched for this budget;
-    so is one that does not parse, lacks a key, has a wrong type or whose
-    cursor is not a node of this search, since reading part of it could
-    drop an incumbent or skip unsearched subtrees and report a wrong maximum.
+    so is one that does not parse, lacks a key, has a wrong type, stores a
+    lambda not `_sweep_lambda` of its witness, or whose cursor is not a
+    node of this search, since reading part of it could drop an incumbent
+    or skip unsearched subtrees and report a wrong maximum.
     """
 
     def __init__(self, path, t: int, cap: int, prune: bool):
@@ -606,9 +603,11 @@ class _Checkpoint:
             if doc["search"] != self.search:
                 raise ValueError(f"found search {doc['search']!r}")
             for s, (lam, witness) in doc["best"].items():
-                if type(lam) is not float:
-                    raise ValueError(f"lambda {lam!r} is not a float")
-                self.best[int(s)] = (lam, _triangles(witness, int(s)))
+                tris = _triangles(witness, int(s))
+                # The solved lambda is finite, so this refuses Infinity and NaN too.
+                if type(lam) is not float or lam != _sweep_lambda(TriangleFamily(tris).triangles):
+                    raise ValueError(f"lambda {lam!r} is not the float lambda of its witness {tris!r}")
+                self.best[int(s)] = (lam, tris)
             self.cursor = _triangles(doc["cursor"], len(doc["cursor"]))
             if not _is_node(self.cursor, t, cap):
                 raise ValueError(f"cursor {self.cursor!r} is not a node of this search")
@@ -740,6 +739,16 @@ def _sweep_solve(nodes: list[_Carried], grams: np.ndarray) -> list[tuple[float, 
     return solved
 
 
+def _sweep_lambda(tris: tuple) -> float:
+    """The lambda the sweep solves for the sorted family `tris`, bordering its
+    Gram matrix a triangle at a time (past 14 triangles `lambda_of` may differ)."""
+    node, gram = _EMPTY, np.zeros((0, 0))
+    for tri in tris:
+        node = _extend(node, tri)
+        gram = _child_grams(gram, [node])[0]
+    return _sweep_solve([node], gram[None])[0][0]
+
+
 def _phi_sweep(
     t: int,
     cap: int,
@@ -760,19 +769,18 @@ def _phi_sweep(
     triangles) on the codegrees it lacks.  Both need only the child's
     codegrees and label count, which relabeling keeps, so the test runs on
     every candidate, and only a child with a subtree is tested for
-    canonicity and entered.
+    canonicity, and solved and entered only when canonical.
 
     A childless child is evaluated in place, canonical or not (except the
     twin-orbit duplicates, which are not generated), when it survives the
     interlacing cut.  The child's Gram matrix d1 d1^T borders the node's,
     so by Cauchy interlacing its lambda is at most the node's lambda when
     its rank grows (the nullity stays) and at most the node's tau when it
-    does not (the nullity grows by one); the echelon rows tell which.
+    does not (the nullity grows by one); the echelon rows tell which.  A
+    non-canonical copy cannot beat the incumbent: its canonical form is
+    lex-smaller, and nodes are entered in lex order, so that form was
+    already evaluated or cut under an incumbent no larger.
 
-    Only a child whose lambda would replace the incumbent is tested for
-    canonicity.  A non-canonical copy cannot beat the incumbent: its
-    canonical form is lex-smaller, and nodes are entered in lex order, so
-    that form was already evaluated or cut under an incumbent no larger.
     Every solved family is recorded by the replace rule alone, and a cut
     child or subtree holds no family that would replace an incumbent, so
     recorded maxima and witnesses are those of the unpruned sweep;
@@ -787,15 +795,15 @@ def _phi_sweep(
     `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
     same positive spectrum, so there is no L1_up path and no fallback.
 
-    An entered node first drops each childless child that interlacing
-    already rules out, then solves the rest as one stack (`_child_grams`:
-    its own d1 d1^T bordered by each child's border), and then decides
-    them in candidate order, entering a child with its (lambda, tau) and
-    its matrix from the stack; the root is the one child of the empty
-    node.  The cuts only tighten as incumbents grow, so a child dropped
-    before the stack could not replace the incumbent at its turn; the
-    rest have their subtree test read again at their turn, so each
-    decision is the one a sweep solving each child on its own would make.
+    An entered node decides each candidate once, before its stack, solves
+    the kept children as one stack (`_child_grams`: its own d1 d1^T
+    bordered by each child's border), then walks them in candidate order,
+    records each by the replace rule and enters each child with a subtree,
+    with its (lambda, tau) and its matrix from the stack; the root is the
+    one child of the empty node.  The cuts only tighten as incumbents
+    grow, so a child dropped before the stack could not replace the
+    incumbent at its turn, and a child entered after its subtree was cut
+    holds no family that can replace one.
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
@@ -815,14 +823,12 @@ def _phi_sweep(
         node: _Carried, k: int, twin: list[int], solved: tuple[float, float], gram: np.ndarray
     ) -> None:
         """Enter a canonical node whose (lambda, tau) is `solved` and whose
-        d1 d1^T is `gram`."""
+        d1 d1^T is `gram`, deciding each candidate child once."""
         nonlocal last, next_save
         tris = node.tris
         last = tris
         s = len(tris)
-        if s not in best or solved[0] > best[s][0] + IMPROVE_EPS:
-            best[s] = (solved[0], tris)
-        if s == t:
+        if s == t:  # only the root, when t = 1
             return
         if tris > start:
             now = time.monotonic()
@@ -831,50 +837,41 @@ def _phi_sweep(
             if ckpt and now > next_save:
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
-
-        def childless(child: _Carried, k2: int) -> bool:
-            return s + 1 == t or (prune and all(
-                _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
-            ))
-
-        def interlaced(child: _Carried) -> bool:
-            """True when Cauchy interlacing proves the child cannot replace best[s+1]."""
-            cur = best.get(s + 1)
-            if not prune or cur is None:
-                return False
-            grew = len(child.echelon) > len(node.echelon)
-            return solved[0 if grew else 1] <= cur[0] - CEIL_GUARD
-
         kept = []
         for tri, k2 in _candidates(tris, k, cap, twin):
             if tris + (tri,) < start[: s + 1]:
                 continue
             child = _extend(node, tri)
-            if not (childless(child, k2) and interlaced(child)):
-                kept.append((child, k2))
-        if not kept:
-            return
-        children = [child for child, _ in kept]
-        grams = _child_grams(gram, children)
-        stack = _sweep_solve(children, grams)
-        for (child, k2), child_solved, child_gram in zip(kept, stack, grams):
-            if not childless(child, k2):
+            if s + 1 < t and not (prune and all(
+                _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
+            )):
                 child_twin = _twins(child.tris, k2)
                 if _is_lex_min(child.tris, k2, child_twin):
-                    visit(child, k2, child_twin, child_solved, child_gram)
-                continue
-            cur = best.get(s + 1)
-            if (cur is None or child_solved[0] > cur[0] + IMPROVE_EPS) and _is_lex_min(
-                child.tris, k2, _twins(child.tris, k2)
-            ):
-                best[s + 1] = (child_solved[0], child.tris)
+                    kept.append((child, k2, child_twin))
+            else:  # Cauchy interlacing bounds the childless child by its node
+                bound = solved[0] if len(child.echelon) > len(node.echelon) else solved[1]
+                if not (prune and s + 1 in best and bound <= best[s + 1][0] - CEIL_GUARD):
+                    kept.append((child, k2, None))
+        if kept:
+            solve(gram, kept)
+
+    def solve(gram: np.ndarray, kept: list) -> None:
+        """Solve a node's kept (child, k, twin classes) as one stack bordering
+        its d1 d1^T `gram`, record each child, and enter those with twins."""
+        children = [child for child, _, _ in kept]
+        grams = _child_grams(gram, children)
+        for (child, k2, child_twin), child_solved, child_gram in zip(
+            kept, _sweep_solve(children, grams), grams
+        ):
+            r = len(child.tris)
+            if r not in best or child_solved[0] > best[r][0] + IMPROVE_EPS:
+                best[r] = (child_solved[0], child.tris)
+            if child_twin is not None:
+                visit(child, k2, child_twin, child_solved, child_gram)
 
     completed = True
-    root = _extend(_EMPTY, _ROOT[0])
     try:
-        grams = _child_grams(np.zeros((0, 0)), [root])
-        (solved,) = _sweep_solve([root], grams)
-        visit(root, 3, _twins(_ROOT, 3), solved, grams[0])
+        solve(np.zeros((0, 0)), [(_extend(_EMPTY, _ROOT[0]), 3, _twins(_ROOT, 3))])
     except _BudgetExceeded:
         completed = False
     finally:

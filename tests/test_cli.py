@@ -141,6 +141,14 @@ def test_verify_rejects_a_negative_random_count(capsys):
     assert "suite=hodge checks=0 failures=0" in out
 
 
+@pytest.mark.parametrize("option,value", [("--c", "abc"), ("--b", "1..x"), ("--n", "5..3")])
+def test_verify_parses_every_range_before_any_suite_prints(capsys, option, value):
+    code, out, err = run(capsys, "verify", "all", "--seed", "1", "--random", "2", option, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: expected an integer or a nonempty range like 3..5, got {value!r}" in err
+
+
 def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
     calls = {"spectral_report": 0, "lambda_of": 0, "support_graph": 0}
 

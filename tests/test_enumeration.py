@@ -212,6 +212,11 @@ def test_class_count_and_order_at_t5():
     assert all(a < b for a, b in zip(fams, fams[1:]))
 
 
+def test_default_vertex_budget_yields_every_connected_class_at_t6():
+    # 19 of the 3,683 classes need 13 = 2t + 1 vertices.
+    assert sum(1 for _ in enumerate_connected_families(6)) == 3683
+
+
 def test_vertex_cap_argument():
     with pytest.raises(ValueError):
         list(enumerate_connected_families(5, max_vertices=13))
@@ -271,12 +276,13 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, Counter]:
     `lambda_of`), and how many `_sweep_solve` stacks and canonicity tests
     (`_is_lex_min`) ran.
 
-    Each entered node's children are solved in one stack, except the
-    childless ones that Cauchy interlacing drops before it, and a child is
-    entered with the (lambda, tau) of that stack, so a child with a
-    subtree is solved even when it turns out not canonical.  No family is
-    skipped at its own size: the replace rule alone decides whether a
-    solved family is recorded."""
+    Each candidate child is decided once, before its node's stack: a child
+    with a subtree is kept only when it is canonical, and a childless one
+    unless Cauchy interlacing drops it.  The kept children are solved in
+    one stack, and a child with a subtree is entered with the (lambda, tau)
+    of that stack even when the incumbents grown meanwhile have cut its
+    whole subtree.  No family is skipped at its own size: the replace rule
+    alone decides whether a solved family is recorded."""
     solved = Counter()
     calls = Counter()
     sweep_solve, solve = extremal._sweep_solve, spectra._lambda_tau_spectrum
@@ -303,18 +309,34 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, Counter]:
 
 
 def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
-    # Frozen counts for phi(6) with every cut.  A node's children are
-    # solved together before it enters any, so every child with a subtree
-    # is solved, canonical or not, and so is every childless child that
-    # interlacing does not drop before the stack, without a canonicity
-    # test; no family is skipped at its own size.  `_candidates` drops
-    # the copies not least in their twin orbit.  The canonicity test runs
-    # only on children with a subtree and on would-be incumbents.  There
-    # is one stack per entered node with a child left after interlacing,
-    # plus the root's.  No candidate is all-new, so no disconnected node is
-    # entered or solved.
+    # Frozen counts for phi(6) with every cut.  Each candidate is decided
+    # once, before its node's stack: the canonicity test runs on every
+    # child with a subtree, and no other, and only a canonical one is
+    # solved; every childless child that interlacing does not drop is
+    # solved without a canonicity test; no family is skipped at its own
+    # size.  `_candidates` drops the copies not least in their twin orbit.
+    # There is one stack per entered node with a child left, plus the
+    # root's, and a child is entered by the subtree test read before the
+    # stack.  No candidate is all-new, so no disconnected node is entered
+    # or solved.
     solved, calls = _counted_phi_six(monkeypatch)
-    assert (sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"]) == (601, 125, 59)
+    assert (sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"]) == (580, 129, 57)
+
+
+@pytest.mark.parametrize("t,prune", [(t, True) for t in range(1, 8)] + [(t, False) for t in range(1, 6)])
+def test_phi_sweep_records_only_canonical_incumbents(t, prune):
+    # A non-canonical child is solved only when childless, and it cannot
+    # replace an incumbent: its canonical form is lex-smaller and was
+    # solved or cut first.  Each incumbent's lambda is its witness's.
+    best, completed = extremal._phi_sweep(t, extremal._resolve_cap(t, None), prune, None, None)
+    assert completed and sorted(best) == list(range(1, t + 1))
+    for lam, tris in best.values():
+        k = max(tri[2] for tri in tris)
+        if k <= 8:
+            assert relabeled_min(tris, k) == tris
+        else:
+            assert extremal._is_lex_min(tris, k, extremal._twins(tris, k))
+        assert lam == lambda_of(TriangleFamily(tris))
 
 
 def test_phi_sweep_solves_each_family_once(monkeypatch):
@@ -538,6 +560,34 @@ def test_checkpoint_without_header_is_refused(tmp_path):
     path.write_text("1,2,3;1,2,4\n")
     with pytest.raises(ValueError, match="another search"):
         phi_exact(3, checkpoint=str(path))
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, 1e308, math.nextafter(3.0, 4.0), 3])
+def test_checkpoint_whose_lambda_is_not_its_witnesses_is_refused(tmp_path, lam):
+    # A stored incumbent too large would cut subtrees that beat the true
+    # one; the file as written resumes.
+    path = tmp_path / "phi.ckpt"
+    phi_exact(6, budget_seconds=1e-9, checkpoint=str(path))
+    doc = json.loads(path.read_text())
+    assert doc["best"]["1"] == [3.0, [[1, 2, 3]]]
+    assert phi_exact(6, checkpoint=str(path)).to_dict() == phi_exact(6).to_dict()
+    doc["best"]["1"][0] = lam
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="another search.*is not the float lambda of its witness"):
+        phi_exact(6, checkpoint=str(path))
+
+
+def test_checkpoint_compares_a_large_incumbent_with_the_sweeps_own_lambda(tmp_path):
+    # K_6 has 20 triangles on 15 edges, so lambda_of solves L1_up, whose last
+    # bits differ from the sweep's d1 d1^T; the file must still resume.
+    tris = complete_family(6).triangles
+    lam = extremal._sweep_lambda(tris)
+    assert lam != lambda_of(complete_family(6)) and lam == pytest.approx(6.0)
+    path = tmp_path / "phi.ckpt"
+    search = {"t": 20, "cap": 12, "prune": True, "layout": extremal._CHECKPOINT_LAYOUT}
+    best = {"20": [lam, [list(tri) for tri in tris]]}
+    path.write_text(json.dumps({"search": search, "best": best, "cursor": [[1, 2, 3]]}))
+    assert extremal._Checkpoint(str(path), 20, 12, True).best == {20: (lam, tris)}
 
 
 def test_completed_checkpoint_rerun_equals_fresh(tmp_path):
