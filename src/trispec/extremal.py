@@ -17,16 +17,20 @@ twins.  A node's twin classes are computed once and serve both its
 canonicity test and its candidates.
 
 The phi sweep tests canonicity only on a child with a subtree, before
-its node's stack, and solves and enters it only when canonical.  A
-childless child (at the last depth, or with every descendant cut) is
-solved in place, canonical or not, unless Cauchy interlacing rules it
-out (see `_phi_sweep`).  Every solved family is recorded by the replace
-rule alone, which a non-canonical copy never passes.
+its node's stack, and solves and enters it only when canonical; a child
+at depth t - 1 is entered untested, since none of its children, all at
+depth t, is canonical unless it is.  A childless child (at the last
+depth, or with every descendant cut) is solved in place, canonical or
+not, unless Cauchy interlacing rules it out (see `_phi_sweep`).  Every
+solved family is recorded by the replace rule alone, which a
+non-canonical copy never passes.
 
 Each sweep node carries d1 by column, whose entry counts are the
 codegrees the cuts read, and the echelon rows of its exact rank; a child
 extends both by its one new row of d1, and the same pass over that row's
 edges gives its border, the row's inner products with the node's rows.
+A child at depth t needs only its rank and border: it reduces its row
+against its node's echelon without keeping it, and copies nothing.
 The sweep solves d1 d1^T, the form `spectra` picks when t <= |E|; by
 Kruskal-Katona that holds for every family of at most 14 triangles, so its
 lambdas are those of `lambda_of`.  A node's children that survive the cuts
@@ -41,11 +45,14 @@ import json
 import math
 import os
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, islice
 from math import comb
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -310,11 +317,16 @@ def _twins(tris: tuple, k: int) -> list[int]:
     without the pairs through u.  Such transpositions compose to
     automorphisms ((u x) = (u w)(w x)(u w)), so twins form classes.
     """
-    link = [{tuple(x for x in tri if x != v) for tri in tris if v in tri} for v in range(k + 1)]
+    link: list[set] = [set() for _ in range(k + 1)]
+    for a, b, c in tris:
+        link[a].add((b, c))
+        link[b].add((a, c))
+        link[c].add((a, b))
+    size = [len(pairs) for pairs in link]
     twin = list(range(k + 1))
     for u, w in combinations(range(1, k + 1), 2):
         # Both sides drop the codeg(u, w) pairs through u and w: sizes must match.
-        if twin[w] == w and len(link[u]) == len(link[w]) and (
+        if twin[w] == w and size[u] == size[w] and (
             {p for p in link[u] if w not in p} == {p for p in link[w] if u not in p}
         ):
             twin[w] = twin[u]
@@ -418,6 +430,21 @@ def _is_lex_min(tris: tuple, k: int, twin: list[int]) -> bool:
     return not descend(0, sorted({v for edge, c in codegree.items() if c == top for v in edge}))
 
 
+@cache
+def _candidate_table(k: int, cap: int) -> tuple[tuple[tuple, int], ...]:
+    """Every (triangle, support size) a family on labels 1..k may add
+    within 1..cap, lex-sorted: (a, b, c) with a < b <= k+1 and c <= max(b,
+    k) + 1, so new labels, if any, are the next consecutive ones and at
+    least one label is old.  It depends on (k, cap) alone, so it is built
+    once per pair; the sweep's k and cap never exceed 12, so the pairs are
+    few."""
+    return tuple(
+        ((a, b, c), max(k, c))
+        for a, b in combinations(range(1, min(k + 1, cap) + 1), 2)
+        for c in range(b + 1, min(max(b, k) + 1, cap) + 1)
+    )
+
+
 def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tuple[tuple, int]]:
     """Lex-ordered (triangle, support size) extensions of a family on labels
     1..k with twin classes `twin` (`_twins`): each triangle (a, b, c) is
@@ -425,11 +452,12 @@ def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tupl
     labels, if any, are the next consecutive ones, and it is least in its
     orbit under the family's twin classes.
 
-    The label ranges give the consecutive-label and no-all-new rules: a <
-    b <= k+1, and c <= max(b, k) + 1 is new only as k+1, or as k+2 after
-    b = k+1.  An all-new triangle would disconnect the family for good,
-    since every later triangle is lex-greater and so has its least vertex
-    above k.  So every family grown from (1, 2, 3) is connected.
+    All but the twin rule are read from `_candidate_table(k, cap)`, past
+    the family's last triangle by bisection.  Its label ranges give the
+    consecutive-label and no-all-new rules.  An all-new triangle would
+    disconnect the family for good, since every later triangle is
+    lex-greater and so has its least vertex above k.  So every family
+    grown from (1, 2, 3) is connected.
 
     A triangle holding a vertex v <= k with a twin w < v outside it is
     left out too, since its child is not canonical: the permutation
@@ -442,17 +470,17 @@ def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tupl
     smaller twin: if that of every vertex of tri lies in tri, then so, by
     induction down the class, does every smaller twin.  A search that only
     enters and records canonical children therefore loses nothing."""
-    lower = [0] * (k + 1)  # each label's next smaller twin, 0 for none
+    lower = [0] * (k + 3)  # each label's next smaller twin, 0 for none and for new labels
     latest: dict[int, int] = {}
     for v in range(1, k + 1):
         lower[v] = latest.get(twin[v], 0)
         latest[twin[v]] = v
-    for a, b in combinations(range(1, min(k + 1, cap) + 1), 2):
-        for c in range(b + 1, min(max(b, k) + 1, cap) + 1):
-            tri = (a, b, c)
-            if tri <= tris[-1] or any(v <= k and lower[v] and lower[v] not in tri for v in tri):
-                continue
-            yield tri, max(k, c)
+    table = _candidate_table(k, cap)
+    for tri, k2 in islice(table, bisect_right(table, tris[-1], key=itemgetter(0)), None):
+        a, b, c = tri
+        # A smaller twin lies in tri only as a smaller vertex of tri.
+        if not (lower[a] or lower[b] not in (0, a) or lower[c] not in (0, a, b)):
+            yield tri, k2
 
 
 def _children(
@@ -687,8 +715,22 @@ class _Carried:
     echelon: dict
     border: list
 
+    @property
+    def rank(self) -> int:
+        return len(self.echelon)
+
 
 _EMPTY = _Carried((), {}, {}, [])
+
+
+class _Leaf(NamedTuple):
+    """A child at the sweep's last depth: its triangles (for a witness),
+    the rank of its d1 and its border, all that `_sweep_solve` and
+    `_child_grams` read."""
+
+    tris: tuple
+    rank: int
+    border: list
 
 
 def _extend(node: _Carried, tri: tuple) -> _Carried:
@@ -711,6 +753,38 @@ def _extend(node: _Carried, tri: tuple) -> _Carried:
     return _Carried(node.tris + (tri,), columns, echelon, border)
 
 
+def _leaves(node: _Carried, candidates, keep: tuple[bool, bool]) -> list[_Leaf]:
+    """The children of `node` by the (lex-greater triangle, support size)
+    `candidates` that `keep` keeps, `keep[grows]` for a child whose rank
+    grows (True) or stays, as `_Leaf`s: what `_extend` would give, without
+    copying the node's state.
+
+    The rank grows when a new support edge leads the child's row;
+    otherwise the row is reduced against the node's echelon and the one
+    row `_reduce_row` may add is popped again.  Only a kept child's
+    border is built."""
+    columns, echelon = node.columns, node.echelon
+    s, rank = len(node.tris), len(echelon)
+    leaves = []
+    for tri, _ in candidates:
+        a, b, c = tri
+        cols = (columns.get((a, b)), columns.get((a, c)), columns.get((b, c)))
+        if None in cols:
+            grows = True
+        else:
+            grows = _reduce_row(echelon, {cols[0][0]: 1, cols[1][0]: -1, cols[2][0]: 1})
+            if grows:
+                echelon.popitem()  # the row it kept, the last key inserted
+        if keep[grows]:
+            border = [0] * s
+            for sign, col in zip((1, -1, 1), cols):
+                if col:
+                    for i, other in col[1]:
+                        border[i] += sign * other
+            leaves.append(_Leaf(node.tris + (tri,), rank + grows, border))
+    return leaves
+
+
 def _child_grams(gram: np.ndarray, children) -> np.ndarray:
     """The children's Gram matrices d1 d1^T, stacked: the node's `gram`
     bordered by each child's `border` and a corner of 3.  Every entry is a
@@ -724,7 +798,7 @@ def _child_grams(gram: np.ndarray, children) -> np.ndarray:
     return stack
 
 
-def _sweep_solve(nodes: list[_Carried], grams: np.ndarray) -> list[tuple[float, float]]:
+def _sweep_solve(nodes: list[_Carried | _Leaf], grams: np.ndarray) -> list[tuple[float, float]]:
     """(lambda, tau) of each connected sweep node, tau infinite at rank 1,
     from its Gram matrix d1 d1^T in the stack `grams`: one
     `eigenvalues_symmetric` call, then the L2_down reading of
@@ -732,7 +806,7 @@ def _sweep_solve(nodes: list[_Carried], grams: np.ndarray) -> list[tuple[float, 
     same zero-band check."""
     solved = []
     for node, eigs in zip(nodes, eigenvalues_symmetric(grams).tolist()):
-        rank = len(node.echelon)
+        rank = node.rank
         nullity = len(node.tris) - rank
         _check_bands(eigs, nullity, "L2_down")
         solved.append((eigs[nullity], eigs[nullity + 1] if rank > 1 else math.inf))
@@ -761,15 +835,22 @@ def _phi_sweep(
 
     Every node is connected, and no candidate is a twin-orbit duplicate
     (see `_candidates`); a node's twin classes are computed when it is
-    entered, for its canonicity test and its candidates.  Each candidate
-    child's state is extended from its node's first.  A child has a
-    subtree unless it is at depth t or `_size_beyond_reach` holds at every
-    larger size, by the counting bound on its vertex count or by the
-    overlap theorem (each support edge lies in at least ceil(lambda) - 2
-    triangles) on the codegrees it lacks.  Both need only the child's
-    codegrees and label count, which relabeling keeps, so the test runs on
-    every candidate, and only a child with a subtree is tested for
-    canonicity, and solved and entered only when canonical.
+    entered, for its canonicity test and its candidates.  Above depth
+    t - 1 each candidate child's state is extended from its node's first.
+    A child has a subtree unless it is at depth t or `_size_beyond_reach`
+    holds at every larger size, by the counting bound on its vertex count
+    or by the overlap theorem (each support edge lies in at least
+    ceil(lambda) - 2 triangles) on the codegrees it lacks.  Both need only
+    the child's codegrees and label count, which relabeling keeps, so the
+    test runs on every candidate, and only a child with a subtree is
+    tested for canonicity, and solved and entered only when canonical.
+
+    A child with a subtree at depth t - 1 is solved and entered untested
+    (its twin classes are still computed, for its candidates).  Its
+    children are all at depth t, so childless, and a non-canonical node
+    has no canonical child (deleting the last triangle of a canonical
+    family leaves a canonical family), so none of them can replace an
+    incumbent; nor can the node itself, by the argument below.
 
     A childless child is evaluated in place, canonical or not (except the
     twin-orbit duplicates, which are not generated), when it survives the
@@ -777,9 +858,12 @@ def _phi_sweep(
     so by Cauchy interlacing its lambda is at most the node's lambda when
     its rank grows (the nullity stays) and at most the node's tau when it
     does not (the nullity grows by one); the echelon rows tell which.  A
-    non-canonical copy cannot beat the incumbent: its canonical form is
-    lex-smaller, and nodes are entered in lex order, so that form was
-    already evaluated or cut under an incumbent no larger.
+    node at depth t - 1 copies nothing for its children: `_leaves` reads
+    each one's rank growth from the node's echelon and builds the border
+    only of a child that interlacing keeps.  A non-canonical copy cannot
+    beat the incumbent: its canonical form is lex-smaller, and nodes are
+    entered in lex order, so that form was already evaluated or cut under
+    an incumbent no larger.
 
     Every solved family is recorded by the replace rule alone, and a cut
     child or subtree holds no family that would replace an incumbent, so
@@ -787,9 +871,9 @@ def _phi_sweep(
     `prune=False` turns every cut off.
 
     No family is rebuilt per child: `_extend` derives the child's
-    `_Carried` state, border included, from its node's, and `_sweep_solve`
-    solves d1 d1^T (L2_down) with the exact nullity and `spectra`'s
-    zero-band check.  `spectra` picks L2_down whenever t <= |E|, and by
+    `_Carried` state, border included, from its node's (`_leaves` a last
+    child's rank and border), and `_sweep_solve` solves d1 d1^T (L2_down)
+    with the exact nullity and `spectra`'s zero-band check.  `spectra` picks L2_down whenever t <= |E|, and by
     Kruskal-Katona t triangles span at least t edges for t <= 14 (the
     least shadow of 15 is 14), so each lambda and tau is bit-identical to
     `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
@@ -807,9 +891,12 @@ def _phi_sweep(
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
-    again (a resume redoes the cursor's childless children, which cannot
-    replace an incumbent twice).  The deadline is checked only past the
-    cursor, so each run moves the cursor forward.
+    again (a resume redoes the cursor's stack and the untested children
+    it entered, which cannot replace an incumbent twice).  Only a node whose canonicity is known,
+    the root or one at depth t - 2 or less, becomes the cursor, since a
+    cursor must pass `_is_node` on resume; the deadline is checked, and a
+    periodic save made, only at such a node past the cursor, so each run
+    moves the cursor forward.
     """
     ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
@@ -822,35 +909,45 @@ def _phi_sweep(
     def visit(
         node: _Carried, k: int, twin: list[int], solved: tuple[float, float], gram: np.ndarray
     ) -> None:
-        """Enter a canonical node whose (lambda, tau) is `solved` and whose
-        d1 d1^T is `gram`, deciding each candidate child once."""
+        """Enter a node, canonical unless at depth t - 1, whose (lambda, tau)
+        is `solved` and whose d1 d1^T is `gram`, deciding each candidate
+        child once."""
         nonlocal last, next_save
         tris = node.tris
-        last = tris
         s = len(tris)
+        tested = s == 1 or s + 2 <= t  # the root, or canonicity tested before entry
+        if tested:
+            last = tris
         if s == t:  # only the root, when t = 1
             return
-        if tris > start:
+        if tested and tris > start:
             now = time.monotonic()
             if now > deadline:
                 raise _BudgetExceeded
             if ckpt and now > next_save:
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
+        candidates = _candidates(tris, k, cap, twin)
+        if len(start) > s and start[:s] == tris:  # on the cursor's path
+            candidates = [(tri, k2) for tri, k2 in candidates if tri >= start[s]]
+        # Cauchy interlacing bounds a childless child by its node: whether
+        # one whose rank stays (tau) or grows (lambda) can beat best[s + 1].
+        limit = best[s + 1][0] - CEIL_GUARD if prune and s + 1 in best else -math.inf
+        keep = (solved[1] > limit, solved[0] > limit)
         kept = []
-        for tri, k2 in _candidates(tris, k, cap, twin):
-            if tris + (tri,) < start[: s + 1]:
-                continue
-            child = _extend(node, tri)
-            if s + 1 < t and not (prune and all(
-                _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
-            )):
-                child_twin = _twins(child.tris, k2)
-                if _is_lex_min(child.tris, k2, child_twin):
-                    kept.append((child, k2, child_twin))
-            else:  # Cauchy interlacing bounds the childless child by its node
-                bound = solved[0] if len(child.echelon) > len(node.echelon) else solved[1]
-                if not (prune and s + 1 in best and bound <= best[s + 1][0] - CEIL_GUARD):
+        if s + 1 == t:
+            if keep[False]:  # else, as tau >= lambda, interlacing cuts every child
+                kept = [(leaf, 0, None) for leaf in _leaves(node, candidates, keep)]
+        else:
+            for tri, k2 in candidates:
+                child = _extend(node, tri)
+                if not (prune and all(
+                    _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
+                )):
+                    child_twin = _twins(child.tris, k2)
+                    if s + 2 == t or _is_lex_min(child.tris, k2, child_twin):
+                        kept.append((child, k2, child_twin))
+                elif keep[child.rank > node.rank]:
                     kept.append((child, k2, None))
         if kept:
             solve(gram, kept)

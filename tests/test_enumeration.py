@@ -167,6 +167,42 @@ def _unfiltered_candidates(tris: tuple, k: int, cap: int) -> list[tuple]:
     ]
 
 
+def _nested_loop_candidates(tris: tuple, k: int, cap: int, twin: list[int]):
+    """The candidate rule as a loop over every triple, each tested against
+    the last triangle and the twin rule one by one."""
+    lower = [0] * (k + 1)  # each label's next smaller twin, 0 for none
+    latest: dict[int, int] = {}
+    for v in range(1, k + 1):
+        lower[v] = latest.get(twin[v], 0)
+        latest[twin[v]] = v
+    for a, b in combinations(range(1, min(k + 1, cap) + 1), 2):
+        for c in range(b + 1, min(max(b, k) + 1, cap) + 1):
+            tri = (a, b, c)
+            if tri <= tris[-1] or any(v <= k and lower[v] and lower[v] not in tri for v in tri):
+                continue
+            yield tri, max(k, c)
+
+
+@st.composite
+def candidate_cases(draw):
+    """(tris, k, cap, twin): a last triangle within 1..k+2, a cap, and twin
+    classes of 1..k given by their least members."""
+    k = draw(st.integers(3, 13))
+    cap = draw(st.integers(3, 12))
+    twin = [0]
+    for v in range(1, k + 1):
+        u = draw(st.integers(1, v))  # v starts a class, or joins that of u < v
+        twin.append(v if u == v else twin[u])
+    last = tuple(sorted(draw(st.lists(st.integers(1, k + 2), min_size=3, max_size=3, unique=True))))
+    return ((1, 2, 3), last), k, cap, twin
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_cases())
+def test_candidate_table_yields_what_the_nested_loop_yields(case):
+    assert list(extremal._candidates(*case)) == list(_nested_loop_candidates(*case))
+
+
 @settings(max_examples=100, deadline=None)
 @given(families_with_first_triangle())
 @example((((1, 2, 3),), 3))  # labels 1, 2, 3 are twins: (1, 3, 4) and (2, 3, 4) are dropped
@@ -277,8 +313,8 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, Counter]:
     (`_is_lex_min`) ran.
 
     Each candidate child is decided once, before its node's stack: a child
-    with a subtree is kept only when it is canonical, and a childless one
-    unless Cauchy interlacing drops it.  The kept children are solved in
+    with a subtree is kept only when it is canonical (at depth 5 untested),
+    and a childless one unless Cauchy interlacing drops it.  The kept children are solved in
     one stack, and a child with a subtree is entered with the (lambda, tau)
     of that stack even when the incumbents grown meanwhile have cut its
     whole subtree.  No family is skipped at its own size: the replace rule
@@ -311,16 +347,17 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, Counter]:
 def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
     # Frozen counts for phi(6) with every cut.  Each candidate is decided
     # once, before its node's stack: the canonicity test runs on every
-    # child with a subtree, and no other, and only a canonical one is
-    # solved; every childless child that interlacing does not drop is
-    # solved without a canonicity test; no family is skipped at its own
-    # size.  `_candidates` drops the copies not least in their twin orbit.
+    # child with a subtree below depth 5, and no other, and only a
+    # canonical one is solved; a child with a subtree at depth 5 is solved
+    # and entered untested, and every childless child that interlacing
+    # does not drop is solved without a canonicity test; no family is
+    # skipped at its own size.  `_candidates` drops the copies not least in their twin orbit.
     # There is one stack per entered node with a child left, plus the
     # root's, and a child is entered by the subtree test read before the
     # stack.  No candidate is all-new, so no disconnected node is entered
     # or solved.
     solved, calls = _counted_phi_six(monkeypatch)
-    assert (sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"]) == (580, 129, 57)
+    assert (sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"]) == (610, 36, 60)
 
 
 @pytest.mark.parametrize("t,prune", [(t, True) for t in range(1, 8)] + [(t, False) for t in range(1, 6)])
@@ -387,14 +424,18 @@ def test_interlacing_bounds_a_child_by_its_node(case):
 
 
 @st.composite
-def sweep_paths(draw):
+def sweep_paths(draw, canonical=False):
     """A root-to-node path of the sweep: up to 12 triangles, each one of the
-    `_candidates` of the triangles before it.  Half the steps pick among the
-    first few candidates, which close triangles on few new labels; the rest
-    pick any candidate."""
+    `_candidates` of the triangles before it, or with `canonical` one whose
+    child is canonical.  Half the steps pick among the first few candidates,
+    which close triangles on few new labels; the rest pick any candidate."""
     tris, k = ((1, 2, 3),), 3
     for _ in range(draw(st.integers(0, 11))):
-        options = list(extremal._candidates(tris, k, 12, extremal._twins(tris, k)))
+        twin = extremal._twins(tris, k)
+        if canonical:
+            options = [(child[-1], k2) for child, k2, _ in extremal._children(tris, k, 12, twin)]
+        else:
+            options = list(extremal._candidates(tris, k, 12, twin))
         if not options:
             break
         if draw(st.booleans()):
@@ -424,6 +465,39 @@ def test_carried_state_matches_the_family_built_from_scratch(tris):
         gram = _gram(fam)
         assert node.border == gram[s - 1, : s - 1].tolist()
         assert extremal._sweep_solve([node], gram[None]) == [_lambda_tau(fam)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sweep_paths(), sweep_paths(canonical=True)), st.tuples(st.booleans(), st.booleans()))
+# A closing triangle (2, 4, 5) whose boundary cycle no old triangle fills:
+# the rank grows.  The closing (2, 3, 4) completes the boundary of K_4,
+# whose row the old rows span: the rank stays.
+@example(((1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5)), (False, True))
+@example(((1, 2, 3), (1, 2, 4), (1, 3, 4)), (True, False))
+@example(((1, 2, 3), (1, 2, 4), (1, 3, 4)), (False, True))
+def test_leaf_path_equals_extend_and_solve(tris, keep):
+    # A node at the last depth but one reads each child's rank growth and
+    # border from its own state without copying it: the leaves `keep` keeps
+    # are the `_extend` children with the same keep rule, with their rank,
+    # border and stacked (lambda, tau), and the node's echelon is left as
+    # it was, order included.  The leaf path also runs on nodes entered
+    # without a canonicity test, so the paths need not be canonical.
+    node = extremal._EMPTY
+    for tri in tris:
+        node = extremal._extend(node, tri)
+    k = max(tri[2] for tri in tris)
+    candidates = list(extremal._candidates(tris, k, 12, extremal._twins(tris, k)))
+    echelon = list(node.echelon.items())
+    leaves = extremal._leaves(node, candidates, keep)
+    assert list(node.echelon.items()) == echelon
+    children = [extremal._extend(node, tri) for tri, _ in candidates]
+    kept = [child for child in children if keep[child.rank > node.rank]]
+    assert [tuple(leaf) for leaf in leaves] == [(c.tris, c.rank, c.border) for c in kept]
+    if kept:
+        gram = _gram(TriangleFamily(tris))
+        assert extremal._sweep_solve(leaves, extremal._child_grams(gram, leaves)) == (
+            extremal._sweep_solve(kept, extremal._child_grams(gram, kept))
+        )
 
 
 def _gram(family: TriangleFamily) -> np.ndarray:
@@ -633,8 +707,10 @@ def test_repeated_tiny_budget_runs_reach_the_fresh_result(tmp_path):
 def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, monkeypatch):
     # Run n interrupts phi 6 at its n-th stack, until a run has no n-th
     # stack and completes.  Every interrupt after the root's stack leaves a
-    # checkpoint at the last node entered, and each resumes to the fresh
-    # result along the Gram matrices of the path it enters again.
+    # checkpoint at the last node entered whose canonicity is known, at
+    # depth 4 or less (a node at depth 5 is entered untested), and each
+    # resumes to the fresh result along the Gram matrices of the path it
+    # enters again.
     fresh = phi_exact(6).to_dict()
     solve = extremal._sweep_solve
     cursors = []
@@ -660,7 +736,18 @@ def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, 
             cursors.append(json.loads(path.read_text())["cursor"])
             assert phi_exact(6, checkpoint=str(path)).to_dict() == fresh
     assert entry.to_dict() == fresh
-    assert cursors == sorted(cursors) and max(map(len, cursors)) == 5
+    assert cursors == sorted(cursors) and max(map(len, cursors)) == 4
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_checkpoint_of_a_sweep_without_tested_children_rests_on_the_root(tmp_path, t):
+    # At t <= 2 the sweep tests no child's canonicity, and the root, known
+    # canonical, is the cursor; the file resumes to the fresh result.
+    path = tmp_path / "phi.ckpt"
+    fresh = phi_exact(t).to_dict()
+    assert phi_exact(t, checkpoint=str(path)).to_dict() == fresh
+    assert json.loads(path.read_text())["cursor"] == [[1, 2, 3]]
+    assert phi_exact(t, checkpoint=str(path)).to_dict() == fresh
 
 
 def test_checkpoint_is_saved_on_an_interval_during_the_sweep(tmp_path, monkeypatch):
