@@ -166,7 +166,7 @@ def _named_random(args) -> list[tuple[str, TriangleFamily]]:
 
 def _suite_hodge(args, audited) -> _Suite:
     suite = _Suite("hodge")
-    for label, fam in _named_random(args):
+    for label, fam in args.randoms:
         d0 = build_delta0(fam.support)
         d1 = build_delta1(fam)
         r0 = len(fam.support.vertices) - len(fam.components)
@@ -320,7 +320,8 @@ def _cmd_lambda(args) -> int:
     fam = _load_source(args.source)
     report = spectral_report(fam)
     print(report.to_json())
-    _write_manifest(args.manifest, args, family_to_text(fam), [], started)
+    if args.manifest:
+        _write_manifest(args.manifest, args, family_to_text(fam), [], started)
     return 0
 
 
@@ -337,12 +338,15 @@ def _cmd_verify(args) -> int:
         # kn:3 minus a triangle is empty, so it has no lambda.
         raise ValueError(f"the rigidity suite needs n >= 4, got --n {min(args.n)}")
 
+    # One list of random families per run, read by hodge and by the reports.
+    args.randoms = _named_random(args) if args.suite in _RANDOMIZED_SUITES else []
+
     # One report per grid and random family, shared by the suites that read
     # lambda and made when the first of them asks, so a SpectralError still
     # surfaces after the earlier suites' lines have printed.
     @functools.cache
     def audited() -> list[tuple[str, TriangleFamily, SpectralReport]]:
-        fams = _grid_families() + _named_random(args)
+        fams = _grid_families() + args.randoms
         return [(label, fam, spectral_report(fam)) for label, fam in fams]
 
     total_failures = 0

@@ -5,7 +5,9 @@ follow the sign conventions in `families`: delta0 rows are edges (one -1
 at the smaller endpoint, one +1 at the larger), delta1 rows are triangles
 (+1, -1, +1 on their ascending edge list).  Ranks are computed over the
 rationals by one exact row reduction on Python integers, never by
-floating point.
+floating point.  `edge_columns` is the one map from a triangle to its
+three edge columns: `build_delta1` fills delta1 from it, and `spectra`
+scatter-adds L1_up = delta1^T delta1 from it without a dense delta1.
 
 `delta1_rank` is the rank of a family's delta1.  It reduces the triangle
 rows in family order, each edge keyed by minus its discovery index, so a
@@ -40,14 +42,27 @@ def build_delta0(graph: SupportGraph) -> np.ndarray:
     return _frozen(m)
 
 
+def edge_columns(family: TriangleFamily) -> np.ndarray:
+    """Each triangle's edge columns, |F| x 3 intp, rows in family order: the
+    positions in the support's edge list of its ascending edges (a, b),
+    (a, c), (b, c), where its delta1 row holds +1, -1, +1."""
+    eidx = {e: i for i, e in enumerate(family.support.edges)}
+    cols = [eidx[e] for a, b, c in family for e in ((a, b), (a, c), (b, c))]
+    return np.array(cols, dtype=np.intp).reshape(len(family), 3)
+
+
+def delta1_from_columns(columns: np.ndarray, edges: int, dtype=np.int64) -> np.ndarray:
+    """delta1, len(columns) x `edges`, with +1, -1, +1 at each row's
+    `edge_columns`."""
+    m = np.zeros((len(columns), edges), dtype=dtype)
+    m[np.arange(len(columns))[:, None], columns] = (1, -1, 1)
+    return m
+
+
 def build_delta1(family: TriangleFamily) -> np.ndarray:
     """Triangle-edge boundary matrix, |F| x |E|, rows in family order, with
     signs +1, -1, +1 on each row's ascending edges (a, b), (a, c), (b, c)."""
-    eidx = {e: i for i, e in enumerate(family.support.edges)}
-    m = np.zeros((len(family), len(eidx)), dtype=np.int64)
-    cols = [eidx[e] for a, b, c in family for e in ((a, b), (a, c), (b, c))]
-    m[np.repeat(np.arange(len(family)), 3), cols] = np.tile((1, -1, 1), len(family))
-    return _frozen(m)
+    return _frozen(delta1_from_columns(edge_columns(family), len(family.support.edges)))
 
 
 def build_laplacian(kind: str, family: TriangleFamily) -> np.ndarray:

@@ -9,9 +9,12 @@ by thresholding the floating spectrum; a zero band of
 1e-7 * (1 + lambda_max) is kept as a sanity assertion only.
 
 Eigenvalues come from LAPACK ``eigvalsh``; exact rank decides how many of
-them are zero, so the solver only has to be accurate.  Gram products are
-formed in float64 so that BLAS computes them; their entries are small
-integer sums, so they equal the int64 products exactly.  Everything is
+them are zero, so the solver only has to be accurate.  Gram matrices are
+float64 with small integer entries, so they equal the int64 products
+exactly.  A block's L1_up = delta1^T delta1 is scatter-added from its
+triangles' edge columns, nine signed entries per triangle, and made once,
+for lambda and for L1_total alike; the other Gram matrices (L2_down, L0_up,
+delta0 delta0^T) are float products through BLAS.  Everything is
 computed per connected component of the support graph: all five
 Laplacians are block-diagonal across components, so merging block spectra
 is exact and keeps the dense eigensolver on small matrices.
@@ -22,11 +25,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .families import SupportGraph, TriangleFamily
-from .incidence import build_delta0, build_delta1, delta1_rank
+from .incidence import build_delta0, delta1_from_columns, delta1_rank, edge_columns
 
 ZERO_BAND_COEFF = 1e-7
 PSD_TOL_COEFF = 1e-9
@@ -114,25 +118,44 @@ class SpectralReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
+# Entry (i, j) of one triangle's delta1^T delta1, i and j over its three
+# edge columns, flattened row-major.
+_TRIANGLE_GRAM = np.outer((1.0, -1.0, 1.0), (1.0, -1.0, 1.0)).ravel()
+
+
 @dataclass(frozen=True)
 class _Block:
-    """One connected component: its support graph, delta1 in float64 (kept
-    for the Gram matrices) and rank(delta1) from `delta1_rank`.
+    """One connected component: its support graph, its triangles' edge
+    columns (`incidence.edge_columns`) and rank(delta1) from `delta1_rank`.
 
     The component is connected, so rank(delta0) is len(graph.vertices) - 1
     without elimination.
     """
 
     graph: SupportGraph
-    d1: np.ndarray
+    columns: np.ndarray
     rank1: int
+
+    @cached_property
+    def l1_up(self) -> np.ndarray:
+        """delta1^T delta1 in float64, made once: each triangle adds its
+        3 x 3 sign products at its edge columns, in one ``bincount``."""
+        edges = len(self.graph.edges)
+        flat = self.columns[:, :, None] * edges + self.columns[:, None, :]
+        weights = np.tile(_TRIANGLE_GRAM, len(self.columns))
+        return np.bincount(flat.ravel(), weights, edges * edges).reshape(edges, edges)
+
+    def l2_down(self) -> np.ndarray:
+        """delta1 delta1^T in float64, from a dense delta1."""
+        d1 = delta1_from_columns(self.columns, len(self.graph.edges), float)
+        return d1 @ d1.T
 
 
 def _blocks(family: TriangleFamily) -> list[_Block]:
     """One block per connected component; a connected family is its own
     only component."""
     return [
-        _Block(part.support, build_delta1(part).astype(float), delta1_rank(part))
+        _Block(part.support, edge_columns(part), delta1_rank(part))
         for part in family.components
     ]
 
@@ -151,7 +174,7 @@ def _lambda_tau_spectrum(family: TriangleFamily):
     merged: list[float] = []
     nullity = 0
     for b in blocks:
-        gram = b.d1 @ b.d1.T if source == "L2_down" else b.d1.T @ b.d1
+        gram = b.l2_down() if source == "L2_down" else b.l1_up
         eigs = eigenvalues_symmetric(gram).tolist()
         block_nullity = gram.shape[0] - b.rank1
         _check_bands(eigs, block_nullity, source)
@@ -179,7 +202,7 @@ def spectral_report(family: TriangleFamily) -> SpectralReport:
         eigs0 = eigenvalues_symmetric(d0.T @ d0).tolist()
         _check_bands(eigs0, 1, "L0_up")  # nullity |V| - rank0 = 1
         l0_min = min(l0_min, eigs0[1])
-        eigs1 = eigenvalues_symmetric(d0 @ d0.T + b.d1.T @ b.d1).tolist()
+        eigs1 = eigenvalues_symmetric(d0 @ d0.T + b.l1_up).tolist()
         null1 = len(b.graph.edges) - rank0 - b.rank1
         _check_bands(eigs1, null1, "L1_total")
         l1_min = min(l1_min, eigs1[null1])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -150,7 +151,7 @@ def test_verify_parses_every_range_before_any_suite_prints(capsys, option, value
 
 
 def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
-    calls = {"spectral_report": 0, "lambda_of": 0, "support_graph": 0}
+    calls = {"spectral_report": 0, "lambda_of": 0, "support_graph": 0, "random_families": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -164,6 +165,7 @@ def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
     counted(cli, "spectral_report")
     counted(extremal, "lambda_of")
     counted(families, "support_graph")
+    counted(cli, "random_families")
     suite_builds = {}
 
     def measured(name):
@@ -188,6 +190,8 @@ def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
     # the overlap and counting certificates reuse the graph each family
     # built for its report.
     assert calls["spectral_report"] == 19 + 5 and calls["lambda_of"] == 9
+    # hodge and the reports read one list of random families.
+    assert calls["random_families"] == 1
     assert calls["support_graph"] > 0
     assert suite_builds == {"overlap": 0, "counting": 0}
 
@@ -364,6 +368,22 @@ def test_manifest_determinism(tmp_path, capsys):
     assert t1 >= 0 and t2 >= 0
     assert first["version"]
     assert len(first["input_sha256"]) == 64
+
+
+def test_lambda_formats_the_family_only_for_a_manifest(tmp_path, capsys, monkeypatch):
+    texts = []
+
+    def recorded(fam):
+        texts.append(families.family_to_text(fam))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "family_to_text", recorded)
+    plain = run(capsys, "lambda", "gcb:4,2")
+    assert plain[0] == 0 and texts == []
+    path = tmp_path / "run.json"
+    assert run(capsys, "lambda", "gcb:4,2", "--manifest", str(path)) == plain
+    manifest = json.loads(path.read_text())
+    assert texts and manifest["input_sha256"] == hashlib.sha256(texts[0].encode("utf-8")).hexdigest()
 
 
 def test_export_determinism(tmp_path, capsys):

@@ -1,22 +1,28 @@
 import itertools
 import json
+import math
 import random
 from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trispec import (
+    GcbSpec,
     TriangleFamily,
     build_delta0,
     build_delta1,
+    build_laplacian,
     complete_family,
+    delta1_rank,
     disjoint_union,
     eigenvalues_symmetric,
     exact_rank,
+    gcb_family,
     lambda_of,
+    phi_lower_bound_family,
     random_families,
     relabel,
     spectral_report,
@@ -194,3 +200,75 @@ def test_block_rank0_is_vertices_minus_one(tris):
     for block in _blocks(TriangleFamily(tuple(tris))):
         vertices = len(block.graph.vertices)
         assert exact_rank(build_delta0(block.graph)) == vertices - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_TRIANGLES), min_size=1, max_size=14))
+@example([(1, 2, 3), (4, 5, 6)])
+@example([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (5, 6, 7), (5, 6, 8)])
+def test_block_gram_matrices_equal_the_integer_products(tris):
+    # Connected and disconnected families on labels 1..8: each block's
+    # scattered L1_up and its L2_down product are the int64 products of its
+    # component's delta1, entry for entry.
+    fam = TriangleFamily(tuple(tris))
+    blocks = _blocks(fam)
+    assert len(blocks) == len(fam.components)
+    for block, part in zip(blocks, fam.components):
+        assert block.l1_up.dtype == np.float64
+        assert np.array_equal(block.l1_up, build_laplacian("L1_up", part))
+        assert np.array_equal(block.l2_down(), build_laplacian("L2_down", part))
+
+
+def _dense_report_json(family: TriangleFamily) -> str:
+    """spectral_report(family).to_json() as dense products give it: each
+    component's delta1 built dense in float64, L1_up = d1^T d1 and
+    L2_down = d1 d1^T by matrix products, L1_total = d0 d0^T + d1^T d1."""
+    parts = family.components
+    d1s = [build_delta1(part).astype(float) for part in parts]
+    ranks = [delta1_rank(part) for part in parts]
+    edges = sum(d1.shape[1] for d1 in d1s)
+    source = "L2_down" if len(family) <= edges else "L1_up"
+    merged, nullity = [], 0
+    for d1, rank1 in zip(d1s, ranks):
+        gram = d1 @ d1.T if source == "L2_down" else d1.T @ d1
+        merged += np.linalg.eigvalsh(gram).tolist()
+        nullity += gram.shape[0] - rank1
+    merged.sort()
+    l0_min = l1_min = math.inf
+    for part, d1, rank1 in zip(parts, d1s, ranks):
+        d0 = build_delta0(part.support).astype(float)
+        l0_min = min(l0_min, np.linalg.eigvalsh(d0.T @ d0).tolist()[1])
+        null1 = d0.shape[0] - (d0.shape[1] - 1) - rank1
+        l1_min = min(l1_min, np.linalg.eigvalsh(d0 @ d0.T + d1.T @ d1).tolist()[null1])
+    data = {
+        "lambda": merged[nullity],
+        "tau": merged[nullity + 1] if sum(ranks) > 1 else None,
+        "nullity": nullity,
+        "spectrum": merged,
+        "lambda_min_plus_L0": l0_min,
+        "lambda_min_plus_L1_total": l1_min,
+        "dims": {
+            "vertices": sum(len(part.support.vertices) for part in parts),
+            "edges": edges,
+            "triangles": len(family),
+            "spectrum_source": source,
+        },
+    }
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
+def test_spectral_report_is_byte_equal_to_the_dense_products():
+    fams = [complete_family(n) for n in range(3, 9)]
+    fams += [gcb_family(GcbSpec(c, b)) for c in range(3, 6) for b in range(1, 4)]
+    fams += random_families(200, 24)
+    fams += [disjoint_union(a, b) for a, b in zip(random_families(20, 25), random_families(20, 26))]
+    fams.append(disjoint_union(disjoint_union(complete_family(7), complete_family(6)), complete_family(5)))
+    big = phi_lower_bound_family(3000).family
+    labels = list(big.vertices())
+    fams.append(relabel(big, dict(zip(labels, random.Random(3).sample(labels, len(labels))))))
+    sources = set()
+    for fam in fams:
+        want = _dense_report_json(fam)
+        assert spectral_report(fam).to_json() == want, fam.triangles
+        sources.add(json.loads(want)["dims"]["spectrum_source"])
+    assert sources == {"L1_up", "L2_down"}
