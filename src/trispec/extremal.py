@@ -25,18 +25,20 @@ not, unless Cauchy interlacing rules it out (see `_phi_sweep`).  Every
 solved family is recorded by the replace rule alone, which a
 non-canonical copy never passes.
 
-Each sweep node carries d1 by column, whose entry counts are the
-codegrees the cuts read, and the echelon rows of its exact rank; a child
-extends both by its one new row of d1, and the same pass over that row's
-edges gives its border, the row's inner products with the node's rows.
-A child at depth t needs only its rank and border: it reduces its row
-against its node's echelon without keeping it, and copies nothing.
-The sweep solves d1 d1^T, the form `spectra` picks when t <= |E|; by
-Kruskal-Katona that holds for every family of at most 14 triangles, so its
-lambdas are those of `lambda_of`.  A node's children that survive the cuts
-are solved together, by one stacked eigensolve of the node's d1 d1^T
-bordered by each child's border, and a child is entered with its (lambda,
-tau) and its d1 d1^T from that stack, so no node's d1 is ever formed.
+Each node the sweep enters carries d1 by column, whose entry counts are
+the codegrees the cuts read, and the echelon rows of its exact rank.  Its
+candidate children are decided in one loop that reads that state without
+copying it: a child's three edge columns give its subtree test; a new
+edge, or else reducing its row against the echelon, gives its rank
+growth; and a kept child gets its border, the row's inner products with
+the node's rows.  Only a child the sweep enters copies the state and
+extends it by its row.  The sweep solves d1 d1^T, the form `spectra`
+picks when t <= |E|; by Kruskal-Katona that holds for every family of at
+most 14 triangles, so its lambdas are those of `lambda_of`.  A node's kept
+children are solved together, by one stacked eigensolve of the node's d1
+d1^T bordered by each child's border, and a child is entered with its
+(lambda, tau) and its d1 d1^T from that stack, so no node's d1 is ever
+formed.
 """
 
 from __future__ import annotations
@@ -52,12 +54,12 @@ from functools import cache
 from itertools import combinations, islice
 from math import comb
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .families import TriangleFamily, disjoint_union, vertex_triangle_counts
-from .incidence import _reduce_row
+from .incidence import _reduce_row, build_delta1, delta1_rank
 from .spectra import _check_bands, eigenvalues_symmetric, lambda_of
 
 # Round-off allowance on a computed lambda: one this close to an integer
@@ -633,7 +635,7 @@ class _Checkpoint:
             for s, (lam, witness) in doc["best"].items():
                 tris = _triangles(witness, int(s))
                 # The solved lambda is finite, so this refuses Infinity and NaN too.
-                if type(lam) is not float or lam != _sweep_lambda(TriangleFamily(tris).triangles):
+                if type(lam) is not float or lam != _sweep_lambda(tris):
                     raise ValueError(f"lambda {lam!r} is not the float lambda of its witness {tris!r}")
                 self.best[int(s)] = (lam, tris)
             self.cursor = _triangles(doc["cursor"], len(doc["cursor"]))
@@ -675,57 +677,72 @@ def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -
     return m > 0 and vertices * (m - 1) * (m - 2) > 6 * s
 
 
-def _size_beyond_reach(
-    best: dict[int, tuple[float, tuple]], node: _Carried, k: int, r: int
-) -> bool:
-    """True when no family of r > s triangles that contains the sweep node
-    (s triangles on labels 1..k) can beat best[r].
+def _subtree_test(
+    best: dict[int, tuple[float, tuple]], node: _Carried, t: int
+) -> Callable[[tuple, int], bool]:
+    """The subtree test of the children of the sweep node `node` (s
+    triangles), as a function of a child's three edge columns in
+    `node.columns` (None for a new edge) and its label count k: False when
+    no family of r triangles, s + 1 < r <= t, that contains the child can
+    beat best[r].
 
     Size r is out of reach by the vertex-count cut (`_beyond_reach`; such
     a family has at least k vertices) or by the overlap cut.  A family
-    beating best[r] has ceil(lambda) >= m, so by the overlap theorem each
-    of its support edges lies in at least m-2 of its triangles.  Each of
-    the r-s triangles added to the node raises the codegree of at most 3
-    edges, so size r is out of reach when the node's edges lack more than
-    3(r-s) in all: sum of max(0, m-2-codegree).
+    beating best[r] has ceil(lambda) >= m (`_ceiling_to_beat`, m >= 3), so
+    by the overlap theorem each of its support edges lies in at least m - 2
+    of its triangles.  Each of the r - s - 1 triangles added to the child
+    raises the codegree of at most 3 edges, so size r is out of reach when
+    the child's edges lack more than 3(r - s - 1) in all: its deficit, sum
+    of max(0, m - 2 - codegree).  That is the node's deficit, summed once
+    per size, less 1 for each old edge of the child below m - 2, plus
+    m - 3 for each new edge.
     """
-    if _beyond_reach(best, r, k):
-        return True
-    m = _ceiling_to_beat(best, r)
-    return m > 0 and sum(
-        max(0, m - 2 - len(entries)) for _, entries in node.columns.values()
-    ) > 3 * (r - len(node.tris))
+    s = len(node.tris)
+    sizes = [
+        (r, m, sum(max(0, m - 2 - len(entries)) for _, entries in node.columns.values()))
+        for r in range(s + 2, t + 1)
+        for m in (_ceiling_to_beat(best, r),)
+    ]
+
+    def has_subtree(cols: tuple, k: int) -> bool:
+        for r, m, deficit in sizes:
+            if not m:
+                return True
+            if _beyond_reach(best, r, k):
+                continue
+            for col in cols:
+                deficit += m - 3 if col is None else -(len(col[1]) < m - 2)
+            if deficit <= 3 * (r - s - 1):
+                return True
+        return False
+
+    return has_subtree
 
 
 @dataclass(frozen=True, eq=False)
 class _Carried:
-    """The incidence state of a sweep node, which a child extends by its
-    one new row of d1 instead of rebuilding it.
+    """The incidence state of a node the sweep enters, extended from its
+    parent's by one new row of d1 instead of rebuilt.
 
     `columns` maps each support edge to its key and its d1 entries
     ((row, sign), ...), one per triangle on the edge.  The key only orders
     the echelon: it is minus the number of edges found before it, so a new
     edge leads every row it is in.  `echelon` holds the rows `_reduce_row`
-    kept (their number is rank d1).  `border` is the last row of d1 d1^T
-    left of the diagonal: the new row's inner product with each older one.
+    kept (their number is rank d1).
     """
 
     tris: tuple
     columns: dict
     echelon: dict
-    border: list
-
-    @property
-    def rank(self) -> int:
-        return len(self.echelon)
 
 
-_EMPTY = _Carried((), {}, {}, [])
+_EMPTY = _Carried((), {}, {})
 
 
-class _Leaf(NamedTuple):
-    """A child at the sweep's last depth: its triangles (for a witness),
-    the rank of its d1 and its border, all that `_sweep_solve` and
+class _Child(NamedTuple):
+    """A child of a sweep node: its triangles, the rank of its d1 and its
+    border, the last row of its d1 d1^T left of the diagonal (the new
+    row's inner product with each older one); all that `_sweep_solve` and
     `_child_grams` read."""
 
     tris: tuple
@@ -741,51 +758,41 @@ def _extend(node: _Carried, tri: tuple) -> _Carried:
     s = len(node.tris)
     columns = dict(node.columns)
     row = {}
-    border = [0] * s
     for sign, e in zip((1, -1, 1), combinations(tri, 2)):
         key, entries = columns.get(e, (-len(columns), ()))
-        for i, other in entries:
-            border[i] += sign * other
         columns[e] = (key, entries + ((s, sign),))
         row[key] = sign
     echelon = dict(node.echelon)
     _reduce_row(echelon, row)
-    return _Carried(node.tris + (tri,), columns, echelon, border)
+    return _Carried(node.tris + (tri,), columns, echelon)
 
 
-def _leaves(node: _Carried, candidates, keep: tuple[bool, bool]) -> list[_Leaf]:
-    """The children of `node` by the (lex-greater triangle, support size)
-    `candidates` that `keep` keeps, `keep[grows]` for a child whose rank
-    grows (True) or stays, as `_Leaf`s: what `_extend` would give, without
-    copying the node's state.
+def _child_of(node: _Carried, tri: tuple, cols: tuple, keep: tuple[bool, bool]) -> _Child | None:
+    """The child of `node` by the lex-greater `tri`, whose edge columns in
+    `node.columns` are `cols` (None for a new edge), when `keep[grows]`
+    keeps it, `grows` telling whether its rank grows; the node's state is
+    read, not copied.
 
-    The rank grows when a new support edge leads the child's row;
-    otherwise the row is reduced against the node's echelon and the one
-    row `_reduce_row` may add is popped again.  Only a kept child's
-    border is built."""
-    columns, echelon = node.columns, node.echelon
-    s, rank = len(node.tris), len(echelon)
-    leaves = []
-    for tri, _ in candidates:
-        a, b, c = tri
-        cols = (columns.get((a, b)), columns.get((a, c)), columns.get((b, c)))
-        if None in cols:
-            grows = True
-        else:
-            grows = _reduce_row(echelon, {cols[0][0]: 1, cols[1][0]: -1, cols[2][0]: 1})
-            if grows:
-                echelon.popitem()  # the row it kept, the last key inserted
-        if keep[grows]:
-            border = [0] * s
-            for sign, col in zip((1, -1, 1), cols):
-                if col:
-                    for i, other in col[1]:
-                        border[i] += sign * other
-            leaves.append(_Leaf(node.tris + (tri,), rank + grows, border))
-    return leaves
+    The rank grows when a new edge leads the child's row; otherwise the
+    row is reduced against the node's echelon, and the one row
+    `_reduce_row` may keep is popped again, which leaves the echelon as it
+    was, order included.  Only a kept child's border is built."""
+    echelon = node.echelon
+    grows = None in cols
+    if not grows and _reduce_row(echelon, {cols[0][0]: 1, cols[1][0]: -1, cols[2][0]: 1}):
+        echelon.popitem()  # the row it kept, the last key inserted
+        grows = True
+    if not keep[grows]:
+        return None
+    border = [0] * len(node.tris)
+    for sign, col in zip((1, -1, 1), cols):
+        if col:
+            for i, other in col[1]:
+                border[i] += sign * other
+    return _Child(node.tris + (tri,), len(echelon) + grows, border)
 
 
-def _child_grams(gram: np.ndarray, children) -> np.ndarray:
+def _child_grams(gram: np.ndarray, children: list[_Child]) -> np.ndarray:
     """The children's Gram matrices d1 d1^T, stacked: the node's `gram`
     bordered by each child's `border` and a corner of 3.  Every entry is a
     small integer, so each matrix equals the child's own d1 d1^T exactly.
@@ -798,7 +805,7 @@ def _child_grams(gram: np.ndarray, children) -> np.ndarray:
     return stack
 
 
-def _sweep_solve(nodes: list[_Carried | _Leaf], grams: np.ndarray) -> list[tuple[float, float]]:
+def _sweep_solve(nodes: list[_Child], grams: np.ndarray) -> list[tuple[float, float]]:
     """(lambda, tau) of each connected sweep node, tau infinite at rank 1,
     from its Gram matrix d1 d1^T in the stack `grams`: one
     `eigenvalues_symmetric` call, then the L2_down reading of
@@ -814,13 +821,12 @@ def _sweep_solve(nodes: list[_Carried | _Leaf], grams: np.ndarray) -> list[tuple
 
 
 def _sweep_lambda(tris: tuple) -> float:
-    """The lambda the sweep solves for the sorted family `tris`, bordering its
-    Gram matrix a triangle at a time (past 14 triangles `lambda_of` may differ)."""
-    node, gram = _EMPTY, np.zeros((0, 0))
-    for tri in tris:
-        node = _extend(node, tri)
-        gram = _child_grams(gram, [node])[0]
-    return _sweep_solve([node], gram[None])[0][0]
+    """The lambda the sweep solves for the family `tris`, from its own
+    d1 d1^T and `delta1_rank` (past 14 triangles `lambda_of` may differ)."""
+    family = TriangleFamily(tris)
+    d1 = build_delta1(family).astype(float)
+    node = _Child(family.triangles, delta1_rank(family), [])
+    return _sweep_solve([node], (d1 @ d1.T)[None])[0][0]
 
 
 def _phi_sweep(
@@ -835,59 +841,50 @@ def _phi_sweep(
 
     Every node is connected, and no candidate is a twin-orbit duplicate
     (see `_candidates`); a node's twin classes are computed when it is
-    entered, for its canonicity test and its candidates.  Above depth
-    t - 1 each candidate child's state is extended from its node's first.
-    A child has a subtree unless it is at depth t or `_size_beyond_reach`
-    holds at every larger size, by the counting bound on its vertex count
-    or by the overlap theorem (each support edge lies in at least
-    ceil(lambda) - 2 triangles) on the codegrees it lacks.  Both need only
-    the child's codegrees and label count, which relabeling keeps, so the
-    test runs on every candidate, and only a child with a subtree is
-    tested for canonicity, and solved and entered only when canonical.
+    entered, for its canonicity test and its candidates.
 
-    A child with a subtree at depth t - 1 is solved and entered untested
-    (its twin classes are still computed, for its candidates).  Its
-    children are all at depth t, so childless, and a non-canonical node
-    has no canonical child (deleting the last triangle of a canonical
-    family leaves a canonical family), so none of them can replace an
-    incumbent; nor can the node itself, by the argument below.
+    An entered node decides each candidate child once, in one loop that
+    reads the node's state without copying it: the child's three edge
+    columns, its subtree test (`_subtree_test`), and for a kept child its
+    rank growth and border (`_child_of`).  A child has a subtree unless it
+    is at depth t or every larger size is out of reach, by the counting
+    bound on its vertex count or by the overlap theorem on the codegrees
+    it lacks.  Both read only codegrees and the label count, which
+    relabeling keeps, so only a child with a subtree is tested for
+    canonicity, and kept only when canonical.  At depth t - 1 a child with
+    a subtree is kept untested: its children are all at depth t, and a
+    non-canonical node has no canonical child (deleting the last triangle
+    of a canonical family leaves a canonical family), so none of them can
+    replace an incumbent; nor can the node itself, by the argument below.
 
-    A childless child is evaluated in place, canonical or not (except the
-    twin-orbit duplicates, which are not generated), when it survives the
-    interlacing cut.  The child's Gram matrix d1 d1^T borders the node's,
-    so by Cauchy interlacing its lambda is at most the node's lambda when
-    its rank grows (the nullity stays) and at most the node's tau when it
-    does not (the nullity grows by one); the echelon rows tell which.  A
-    node at depth t - 1 copies nothing for its children: `_leaves` reads
-    each one's rank growth from the node's echelon and builds the border
-    only of a child that interlacing keeps.  A non-canonical copy cannot
-    beat the incumbent: its canonical form is lex-smaller, and nodes are
-    entered in lex order, so that form was already evaluated or cut under
-    an incumbent no larger.
+    A childless child is kept, canonical or not, unless Cauchy interlacing
+    rules it out: its d1 d1^T borders the node's, so its lambda is at most
+    the node's lambda when its rank grows (the nullity stays) and at most
+    the node's tau when it does not.  A non-canonical copy cannot beat the
+    incumbent: its canonical form is lex-smaller, and nodes are entered in
+    lex order, so that form was already evaluated or cut under an
+    incumbent no larger.
 
-    Every solved family is recorded by the replace rule alone, and a cut
-    child or subtree holds no family that would replace an incumbent, so
-    recorded maxima and witnesses are those of the unpruned sweep;
-    `prune=False` turns every cut off.
+    The kept children are solved as one stack (`_child_grams`: the node's
+    d1 d1^T bordered by each child's border), walked in candidate order
+    and recorded by the replace rule alone; a child with a subtree is then
+    entered with its (lambda, tau) and its matrix from the stack, and only
+    then is the node's state copied and extended for it (`_extend`).  The
+    root is the one child of the empty node.  Incumbents change only in
+    that walk, so a node's candidates are all decided against the same
+    incumbents, and the cuts only tighten as incumbents grow: a child
+    dropped before the stack could not replace the incumbent at its turn,
+    and a child entered after its subtree was cut holds no family that can
+    replace one.  So recorded maxima and witnesses are those of the
+    unpruned sweep; `prune=False` turns every cut off.
 
-    No family is rebuilt per child: `_extend` derives the child's
-    `_Carried` state, border included, from its node's (`_leaves` a last
-    child's rank and border), and `_sweep_solve` solves d1 d1^T (L2_down)
-    with the exact nullity and `spectra`'s zero-band check.  `spectra` picks L2_down whenever t <= |E|, and by
-    Kruskal-Katona t triangles span at least t edges for t <= 14 (the
-    least shadow of 15 is 14), so each lambda and tau is bit-identical to
-    `_lambda_tau_spectrum`'s; above 14 triangles L2_down still has the
-    same positive spectrum, so there is no L1_up path and no fallback.
-
-    An entered node decides each candidate once, before its stack, solves
-    the kept children as one stack (`_child_grams`: its own d1 d1^T
-    bordered by each child's border), then walks them in candidate order,
-    records each by the replace rule and enters each child with a subtree,
-    with its (lambda, tau) and its matrix from the stack; the root is the
-    one child of the empty node.  The cuts only tighten as incumbents
-    grow, so a child dropped before the stack could not replace the
-    incumbent at its turn, and a child entered after its subtree was cut
-    holds no family that can replace one.
+    `_sweep_solve` solves d1 d1^T (L2_down) with the exact nullity and
+    `spectra`'s zero-band check.  `spectra` picks L2_down whenever t <=
+    |E|, and by Kruskal-Katona t triangles span at least t edges for t <=
+    14 (the least shadow of 15 is 14), so each lambda and tau is
+    bit-identical to `_lambda_tau_spectrum`'s; above 14 triangles L2_down
+    still has the same positive spectrum, so there is no L1_up path and no
+    fallback.
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
@@ -934,25 +931,22 @@ def _phi_sweep(
         # one whose rank stays (tau) or grows (lambda) can beat best[s + 1].
         limit = best[s + 1][0] - CEIL_GUARD if prune and s + 1 in best else -math.inf
         keep = (solved[1] > limit, solved[0] > limit)
+        has_subtree = _subtree_test(best if prune else {}, node, t)  # no incumbent, no cut
+        columns = node.columns
         kept = []
-        if s + 1 == t:
-            if keep[False]:  # else, as tau >= lambda, interlacing cuts every child
-                kept = [(leaf, 0, None) for leaf in _leaves(node, candidates, keep)]
-        else:
-            for tri, k2 in candidates:
-                child = _extend(node, tri)
-                if not (prune and all(
-                    _size_beyond_reach(best, child, k2, r) for r in range(s + 2, t + 1)
-                )):
-                    child_twin = _twins(child.tris, k2)
-                    if s + 2 == t or _is_lex_min(child.tris, k2, child_twin):
-                        kept.append((child, k2, child_twin))
-                elif keep[child.rank > node.rank]:
-                    kept.append((child, k2, None))
+        for tri, k2 in candidates:
+            a, b, c = tri
+            cols = (columns.get((a, b)), columns.get((a, c)), columns.get((b, c)))
+            if has_subtree(cols, k2):
+                child_twin = _twins(tris + (tri,), k2)
+                if s + 2 == t or _is_lex_min(tris + (tri,), k2, child_twin):
+                    kept.append((_child_of(node, tri, cols, (True, True)), k2, child_twin))
+            elif child := _child_of(node, tri, cols, keep):
+                kept.append((child, k2, None))
         if kept:
-            solve(gram, kept)
+            solve(node, gram, kept)
 
-    def solve(gram: np.ndarray, kept: list) -> None:
+    def solve(node: _Carried, gram: np.ndarray, kept: list) -> None:
         """Solve a node's kept (child, k, twin classes) as one stack bordering
         its d1 d1^T `gram`, record each child, and enter those with twins."""
         children = [child for child, _, _ in kept]
@@ -964,11 +958,11 @@ def _phi_sweep(
             if r not in best or child_solved[0] > best[r][0] + IMPROVE_EPS:
                 best[r] = (child_solved[0], child.tris)
             if child_twin is not None:
-                visit(child, k2, child_twin, child_solved, child_gram)
+                visit(_extend(node, child.tris[-1]), k2, child_twin, child_solved, child_gram)
 
     completed = True
     try:
-        solve(np.zeros((0, 0)), [(_extend(_EMPTY, _ROOT[0]), 3, _twins(_ROOT, 3))])
+        solve(_EMPTY, np.zeros((0, 0)), [(_Child(_ROOT, 1, []), 3, _twins(_ROOT, 3))])
     except _BudgetExceeded:
         completed = False
     finally:

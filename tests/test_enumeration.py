@@ -301,28 +301,32 @@ def test_vertex_cap_stays_non_exhaustive_when_the_bound_does_not_apply():
 
 
 def test_phi_prune_ab_invariant():
-    for t in (3, 4, 5, 6):
+    for t in (3, 4, 5, 6, 7):
         assert phi_exact(t, prune=True).to_dict() == phi_exact(t, prune=False).to_dict()
 
 
-def _counted_phi_six(monkeypatch) -> tuple[Counter, Counter]:
-    """A fresh phi_exact(6) with every cut: how often each family is
+def _counted_phi(t: int) -> tuple[Counter, Counter, Counter, Counter]:
+    """A fresh phi_exact(t) with every cut: how often each family is
     solved, by the sweep's stacked `_sweep_solve` (each family in a stack
     counts) or by `spectra._lambda_tau_spectrum` (directly or through
-    `lambda_of`), and how many `_sweep_solve` stacks and canonicity tests
-    (`_is_lex_min`) ran.
+    `lambda_of`); how many `_sweep_solve` stacks and canonicity tests
+    (`_is_lex_min`) ran; and the families `_extend` built and the nodes
+    entered (each entered node generates its candidates once).
 
     Each candidate child is decided once, before its node's stack: a child
-    with a subtree is kept only when it is canonical (at depth 5 untested),
-    and a childless one unless Cauchy interlacing drops it.  The kept children are solved in
-    one stack, and a child with a subtree is entered with the (lambda, tau)
-    of that stack even when the incumbents grown meanwhile have cut its
-    whole subtree.  No family is skipped at its own size: the replace rule
-    alone decides whether a solved family is recorded."""
+    with a subtree is kept only when it is canonical (at depth t - 1
+    untested), and a childless one unless Cauchy interlacing drops it.  The
+    kept children are solved in one stack, and a child with a subtree is
+    entered with the (lambda, tau) of that stack even when the incumbents
+    grown meanwhile have cut its whole subtree.  No family is skipped at
+    its own size: the replace rule alone decides whether a solved family
+    is recorded."""
     solved = Counter()
     calls = Counter()
+    extended = Counter()
+    entered = Counter()
     sweep_solve, solve = extremal._sweep_solve, spectra._lambda_tau_spectrum
-    is_lex_min = extremal._is_lex_min
+    is_lex_min, extend, candidates = extremal._is_lex_min, extremal._extend, extremal._candidates
 
     def counted_sweep_solve(nodes, grams):
         calls["_sweep_solve"] += 1
@@ -337,27 +341,47 @@ def _counted_phi_six(monkeypatch) -> tuple[Counter, Counter]:
         calls["_is_lex_min"] += 1
         return is_lex_min(*args)
 
-    monkeypatch.setattr(extremal, "_sweep_solve", counted_sweep_solve)
-    monkeypatch.setattr(spectra, "_lambda_tau_spectrum", counted_solve)
-    monkeypatch.setattr(extremal, "_is_lex_min", counted_lex_min)
-    assert phi_exact(6).exhaustive
-    return solved, calls
+    def counted_extend(node, tri):
+        child = extend(node, tri)
+        extended[child.tris] += 1
+        return child
+
+    def counted_candidates(tris, *args):
+        entered[tris] += 1
+        return candidates(tris, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extremal, "_sweep_solve", counted_sweep_solve)
+        patch.setattr(spectra, "_lambda_tau_spectrum", counted_solve)
+        patch.setattr(extremal, "_is_lex_min", counted_lex_min)
+        patch.setattr(extremal, "_extend", counted_extend)
+        patch.setattr(extremal, "_candidates", counted_candidates)
+        assert phi_exact(t).exhaustive
+    return solved, calls, extended, entered
 
 
-def test_phi_prune_cuts_lambda_evaluations(monkeypatch):
-    # Frozen counts for phi(6) with every cut.  Each candidate is decided
-    # once, before its node's stack: the canonicity test runs on every
-    # child with a subtree below depth 5, and no other, and only a
-    # canonical one is solved; a child with a subtree at depth 5 is solved
-    # and entered untested, and every childless child that interlacing
-    # does not drop is solved without a canonicity test; no family is
-    # skipped at its own size.  `_candidates` drops the copies not least in their twin orbit.
-    # There is one stack per entered node with a child left, plus the
-    # root's, and a child is entered by the subtree test read before the
-    # stack.  No candidate is all-new, so no disconnected node is entered
-    # or solved.
-    solved, calls = _counted_phi_six(monkeypatch)
-    assert (sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"]) == (610, 36, 60)
+def test_phi_prune_cuts_lambda_evaluations():
+    # Frozen counts for phi(t) with every cut: families solved, canonicity
+    # tests, stacks and `_extend` calls.  Each candidate is decided once,
+    # before its node's stack: the canonicity test runs on every child
+    # with a subtree below depth t - 1, and no other, and only a canonical
+    # one is solved; a child with a subtree at depth t - 1 is solved and
+    # entered untested, and every childless child that interlacing does
+    # not drop is solved without a canonicity test; no family is skipped
+    # at its own size.  `_candidates` drops the copies not least in their
+    # twin orbit.  There is one stack per entered node with a child left,
+    # plus the root's, and a child is entered by the subtree test read
+    # before the stack.  No candidate is all-new, so no disconnected node
+    # is entered or solved.  The node's state is read, not copied, to
+    # decide its candidates: `_extend` runs once per entered node, and
+    # for no other family.
+    pinned = {6: (610, 36, 60, 119), 7: (1288, 164, 115, 232), 8: (11602, 301, 706, 1721)}
+    for t, counts in pinned.items():
+        solved, calls, extended, entered = _counted_phi(t)
+        assert extended == entered
+        assert (
+            sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"], sum(extended.values())
+        ) == counts
 
 
 @pytest.mark.parametrize("t,prune", [(t, True) for t in range(1, 8)] + [(t, False) for t in range(1, 6)])
@@ -376,9 +400,9 @@ def test_phi_sweep_records_only_canonical_incumbents(t, prune):
         assert lam == lambda_of(TriangleFamily(tris))
 
 
-def test_phi_sweep_solves_each_family_once(monkeypatch):
+def test_phi_sweep_solves_each_family_once():
     # A node's own evaluation keeps its (lambda, tau) for the interlacing cut.
-    solved, _ = _counted_phi_six(monkeypatch)
+    solved, _, _, _ = _counted_phi(6)
     assert [tris for tris, n in solved.items() if n > 1] == []
 
 
@@ -445,12 +469,25 @@ def sweep_paths(draw, canonical=False):
     return tris
 
 
+def _carried(tris: tuple):
+    """The sweep's state for the node `tris`, extended a triangle at a time."""
+    node = extremal._EMPTY
+    for tri in tris:
+        node = extremal._extend(node, tri)
+    return node
+
+
+def _edge_columns(node, tri: tuple) -> tuple:
+    """The columns of `tri`'s edges in the node's state, None for a new edge."""
+    return tuple(node.columns.get(edge) for edge in combinations(tri, 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(sweep_paths())
 def test_carried_state_matches_the_family_built_from_scratch(tris):
     node = extremal._EMPTY
     for s in range(1, len(tris) + 1):
-        # A node is extended once per child, so extending must not touch it.
+        # A node is extended once per entered child, so extending must not touch it.
         before = (dict(node.columns), dict(node.echelon))
         child = extremal._extend(node, tris[s - 1])
         assert (dict(node.columns), dict(node.echelon)) == before
@@ -462,9 +499,7 @@ def test_carried_state_matches_the_family_built_from_scratch(tris):
         # The cuts read each codegree as the number of d1 entries in its column.
         codegree = {e: len(entries) for e, (_, entries) in node.columns.items()}
         assert codegree == fam.support.edge_triangle_count
-        gram = _gram(fam)
-        assert node.border == gram[s - 1, : s - 1].tolist()
-        assert extremal._sweep_solve([node], gram[None]) == [_lambda_tau(fam)]
+        assert extremal._sweep_lambda(node.tris) == _lambda_tau(fam)[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -475,29 +510,24 @@ def test_carried_state_matches_the_family_built_from_scratch(tris):
 @example(((1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5)), (False, True))
 @example(((1, 2, 3), (1, 2, 4), (1, 3, 4)), (True, False))
 @example(((1, 2, 3), (1, 2, 4), (1, 3, 4)), (False, True))
-def test_leaf_path_equals_extend_and_solve(tris, keep):
-    # A node at the last depth but one reads each child's rank growth and
-    # border from its own state without copying it: the leaves `keep` keeps
-    # are the `_extend` children with the same keep rule, with their rank,
-    # border and stacked (lambda, tau), and the node's echelon is left as
-    # it was, order included.  The leaf path also runs on nodes entered
+def test_child_records_read_their_nodes_state_without_changing_it(tris, keep):
+    # A node decides every candidate from its own state without copying
+    # it: the child `keep` keeps, by whether its rank grows, has the rank
+    # and border of the child built from scratch, and the node's state is
+    # left as it was, order included.  Nodes at depth t - 1 are entered
     # without a canonicity test, so the paths need not be canonical.
-    node = extremal._EMPTY
-    for tri in tris:
-        node = extremal._extend(node, tri)
+    node = _carried(tris)
     k = max(tri[2] for tri in tris)
-    candidates = list(extremal._candidates(tris, k, 12, extremal._twins(tris, k)))
-    echelon = list(node.echelon.items())
-    leaves = extremal._leaves(node, candidates, keep)
-    assert list(node.echelon.items()) == echelon
-    children = [extremal._extend(node, tri) for tri, _ in candidates]
-    kept = [child for child in children if keep[child.rank > node.rank]]
-    assert [tuple(leaf) for leaf in leaves] == [(c.tris, c.rank, c.border) for c in kept]
-    if kept:
-        gram = _gram(TriangleFamily(tris))
-        assert extremal._sweep_solve(leaves, extremal._child_grams(gram, leaves)) == (
-            extremal._sweep_solve(kept, extremal._child_grams(gram, kept))
-        )
+    before = (list(node.columns.items()), list(node.echelon.items()))
+    for tri, _ in extremal._candidates(tris, k, 12, extremal._twins(tris, k)):
+        child = extremal._child_of(node, tri, _edge_columns(node, tri), keep)
+        assert (list(node.columns.items()), list(node.echelon.items())) == before
+        fam = TriangleFamily(tris + (tri,))
+        rank = exact_rank(build_delta1(fam))
+        if keep[rank > len(node.echelon)]:
+            assert child == (tris + (tri,), rank, _gram(fam)[-1, :-1].tolist())
+        else:
+            assert child is None
 
 
 def _gram(family: TriangleFamily) -> np.ndarray:
@@ -519,23 +549,75 @@ def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
     # node's bordered by the child's new row; each (lambda, tau) must be
     # exactly the one `spectra` finds for the child on its own.  The root is
     # solved as the one child of the empty node.
-    root = extremal._extend(extremal._EMPTY, (1, 2, 3))
+    root = extremal._child_of(extremal._EMPTY, (1, 2, 3), (None, None, None), (True, True))
     assert extremal._sweep_solve([root], extremal._child_grams(np.zeros((0, 0)), [root])) == [
         (3.0, math.inf)
     ]
-    node = extremal._EMPTY
-    for tri in tris:
-        node = extremal._extend(node, tri)
+    node = _carried(tris)
     k = max(max(tri) for tri in tris)
     candidates = [tri for tri, _ in extremal._candidates(tris, k, 12, extremal._twins(tris, k))]
     picked = data.draw(st.lists(st.sampled_from(candidates), unique=True) if candidates else st.just([]))
-    children = [extremal._extend(node, tri) for tri in sorted(picked)]
+    children = [
+        extremal._child_of(node, tri, _edge_columns(node, tri), (True, True)) for tri in sorted(picked)
+    ]
     assume(children)
     stack = extremal._child_grams(_gram(TriangleFamily(tris)), children)
     for child, gram in zip(children, stack):
         assert np.array_equal(gram, _gram(TriangleFamily(child.tris)))
     solved = extremal._sweep_solve(children, stack)
     assert solved == [_lambda_tau(TriangleFamily(child.tris)) for child in children]
+
+
+def _out_of_reach(best: dict, family: TriangleFamily, r: int) -> bool:
+    """Whether the vertex-count or the overlap cut rules out every family
+    of r triangles that contains `family` and beats best[r], computed from
+    the family's own support graph."""
+    m = extremal._ceiling_to_beat(best, r)
+    if not m:
+        return False
+    graph = family.support
+    if len(graph.vertices) * (m - 1) * (m - 2) > 6 * r:
+        return True
+    lacking = sum(max(0, m - 2 - c) for c in graph.edge_triangle_count.values())
+    return lacking > 3 * (r - len(family))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sweep_paths(),
+    st.integers(1, 4),
+    # Incumbents whose m (`_ceiling_to_beat`) is 0, 3, 4, 5 or 6, some a
+    # round-off below an integer.
+    st.dictionaries(
+        st.integers(1, 16),
+        st.sampled_from([1.5, 2.0, 2.5, 3.0 - 1e-12, 3.0, 3.5, 4.0, 4.5, 5.0 - 1e-12, 5.0]),
+    ),
+)
+# At m = 4 the child by (1, 5, 7) lacks 10 codegrees, one more than the
+# three triangles up to size 12 can add; counting its old edge (1, 5),
+# at codegree m - 2 already, as lacking one less would keep size 12 in reach.
+@example(((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 2, 7), (1, 2, 8), (1, 3, 4), (1, 5, 6)), 1, {})
+def test_subtree_test_matches_the_cuts_on_each_child_built_from_scratch(tris, depth, lams):
+    # A node runs the subtree test of its children from its own columns,
+    # with each size's codegree deficit summed once per node; it must agree
+    # with both cuts computed on each child's own support graph, for the
+    # drawn incumbents and for every t <= s + 4 with one m from 3 to 8 at
+    # each size from s + 2 to t.
+    s = len(tris)
+    node = _carried(tris)
+    k = max(tri[2] for tri in tris)
+    cases = [({r: (lam, ()) for r, lam in lams.items()}, s + depth)]
+    cases += [
+        ({q: (m - 1.0, ()) for q in range(s + 2, t + 1)}, t) for t in range(s + 2, s + 5) for m in range(3, 9)
+    ]
+    tests = [(best, t, extremal._subtree_test(best, node, t)) for best, t in cases]
+    for tri, k2 in extremal._candidates(tris, k, 12, extremal._twins(tris, k)):
+        child = TriangleFamily(tris + (tri,))
+        cols = _edge_columns(node, tri)
+        for best, t, has_subtree in tests:
+            assert has_subtree(cols, k2) == (
+                not all(_out_of_reach(best, child, r) for r in range(s + 2, t + 1))
+            )
 
 
 _PHI_TABLE_10 = os.path.join(os.path.dirname(__file__), os.pardir, "phi_table_10.json")
