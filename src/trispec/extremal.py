@@ -68,7 +68,6 @@ from .spectra import _check_bands, eigenvalues_symmetric, lambda_of
 CEIL_GUARD = 1e-9
 # A search candidate replaces the incumbent only when larger by more than this.
 IMPROVE_EPS = 1e-12
-_VERTEX_CAP = 12
 # A checkpointed sweep also saves its progress this often, so a killed run
 # loses at most this much work.
 _SAVE_SECONDS = 60.0
@@ -438,8 +437,7 @@ def _candidate_table(k: int, cap: int) -> tuple[tuple[tuple, int], ...]:
     within 1..cap, lex-sorted: (a, b, c) with a < b <= k+1 and c <= max(b,
     k) + 1, so new labels, if any, are the next consecutive ones and at
     least one label is old.  It depends on (k, cap) alone, so it is built
-    once per pair; the sweep's k and cap never exceed 12, so the pairs are
-    few."""
+    once per pair; k and cap never exceed 2t+1, so the pairs are few."""
     return tuple(
         ((a, b, c), max(k, c))
         for a, b in combinations(range(1, min(k + 1, cap) + 1), 2)
@@ -498,17 +496,13 @@ def _children(
 
 
 def _resolve_cap(t: int, max_vertices: int | None) -> int:
+    """A depth-t search's vertex budget: 2t+1, which no connected family of
+    t triangles exceeds, or an explicit `max_vertices` clamped to it."""
     if max_vertices is None:
-        return min(2 * t + 1, _VERTEX_CAP)
-    limit = min(3 * t, _VERTEX_CAP)
-    if max_vertices > limit:
-        raise ValueError(
-            f"max_vertices={max_vertices} exceeds the canonical-check budget; "
-            f"use at most {limit} (connected families never need more than {2 * t + 1})"
-        )
+        return 2 * t + 1
     if max_vertices < 3:
         raise ValueError("max_vertices must be at least 3")
-    return max_vertices
+    return min(max_vertices, 2 * t + 1)
 
 
 def enumerate_connected_families(
@@ -516,12 +510,12 @@ def enumerate_connected_families(
 ) -> Iterator[TriangleFamily]:
     """One representative per isomorphism class of connected t-triangle families.
 
-    A connected family of t triangles has at most 2t+1 vertices, the
-    default vertex budget, so by default every connected class is yielded.
+    By default every connected class is yielded; an explicit
+    `max_vertices` keeps only those on at most that many vertices.
     """
     if t < 1:
         raise ValueError(f"enumeration needs t >= 1, got {t}")
-    cap = 2 * t + 1 if max_vertices is None else _resolve_cap(t, max_vertices)
+    cap = _resolve_cap(t, max_vertices)
 
     def rec(tris: tuple, k: int, twin: list[int]) -> Iterator[TriangleFamily]:
         if len(tris) == t:
@@ -594,7 +588,7 @@ def _triangles(value, size: int) -> tuple:
 
 
 def _is_node(tris: tuple, t: int, cap: int) -> bool:
-    """True iff `tris` is a node of the depth-t sweep within the vertex cap:
+    """True iff `tris` is a node of the depth-t sweep within the vertex budget:
     the root followed by a chain of canonical children."""
     if not 1 <= len(tris) <= t or tris[:1] != _ROOT:
         return False
@@ -614,7 +608,7 @@ class _Checkpoint:
     """JSON resume file: the search it belongs to, the incumbent per size
     and the cursor, the last node of the sweep entered.
 
-    A file of another budget, vertex cap, prune setting or layout is
+    A file of another budget `t`, vertex budget `cap`, prune setting or layout is
     refused, since it would skip subtrees never searched for this budget;
     so is one that does not parse, lacks a key, has a wrong type, stores a
     lambda not `_sweep_lambda` of its witness, or whose cursor is not a
@@ -1046,10 +1040,10 @@ def phi_table(
 
     The sweep enumerates connected classes of every size up to t_max;
     disconnected families are covered by the partition rule.  An entry is
-    exhaustive when the sweep completed within `budget_seconds` and the
-    counting bound rules out every family the vertex cap left out.  The
-    sweep resumes from, and records its progress in, the JSON `checkpoint`.
-    """
+    exhaustive when the sweep completed within `budget_seconds` and, under
+    an explicit `max_vertices` below 2t+1, the counting bound rules out
+    every family on more vertices.  The sweep resumes from, and records
+    its progress in, the JSON `checkpoint`."""
     if t_max < 1:
         raise ValueError(f"phi needs t >= 1, got {t_max}")
     if budget_seconds is not None and not budget_seconds > 0:

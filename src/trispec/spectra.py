@@ -55,7 +55,8 @@ def eigenvalues_symmetric(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("eigenvalues_symmetric expects a square matrix or a stack of them")
-    asym = float(np.abs(a - np.swapaxes(a, -1, -2)).max(initial=0.0))
+    diff = a - np.swapaxes(a, -1, -2)
+    asym = float(np.abs(diff, out=diff).max(initial=0.0))
     if asym >= SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     try:
@@ -202,7 +203,9 @@ def spectral_report(family: TriangleFamily) -> SpectralReport:
         eigs0 = eigenvalues_symmetric(d0.T @ d0).tolist()
         _check_bands(eigs0, 1, "L0_up")  # nullity |V| - rank0 = 1
         l0_min = min(l0_min, eigs0[1])
-        eigs1 = eigenvalues_symmetric(d0 @ d0.T + b.l1_up).tolist()
+        l1_total = d0 @ d0.T
+        l1_total += b.l1_up  # into the fresh product, not the cached l1_up
+        eigs1 = eigenvalues_symmetric(l1_total).tolist()
         null1 = len(b.graph.edges) - rank0 - b.rank1
         _check_bands(eigs1, null1, "L1_total")
         l1_min = min(l1_min, eigs1[null1])

@@ -231,6 +231,19 @@ def test_phi_refuses_checkpoint_of_another_budget(tmp_path, capsys):
     assert "another search" in err
 
 
+def test_phi_checkpoint_keys_the_full_vertex_budget(tmp_path, capsys):
+    path = tmp_path / "phi.ckpt"
+    assert run(capsys, "phi", "7", "--checkpoint", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    assert doc["search"]["cap"] == 15
+    # A file of the former 12-vertex search skipped subtrees this one covers.
+    doc["search"]["cap"] = 12
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "phi", "7", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert "belongs to another search" in err
+
+
 def test_phi_refuses_checkpoint_without_a_layout(tmp_path, capsys):
     # Checkpoints written before the layout number keyed `search` on the
     # tool version instead.

@@ -254,12 +254,22 @@ def test_default_vertex_budget_yields_every_connected_class_at_t6():
 
 
 def test_vertex_cap_argument():
+    # A budget above 2t + 1 is the full search; one below 3 holds no triangle.
+    assert [f.triangles for f in enumerate_connected_families(5, max_vertices=13)] == [
+        f.triangles for f in enumerate_connected_families(5)
+    ]
+    assert phi_exact(2, max_vertices=20).to_dict() == phi_exact(2).to_dict()
     with pytest.raises(ValueError):
-        list(enumerate_connected_families(5, max_vertices=13))
-    with pytest.raises(ValueError):
-        phi_exact(2, max_vertices=20)
+        phi_exact(2, max_vertices=2)
     limited = list(enumerate_connected_families(2, max_vertices=4))
     assert [f.triangles for f in limited] == [((1, 2, 3), (1, 2, 4))]
+
+
+def test_default_phi_is_exhaustive_without_the_counting_bound(monkeypatch):
+    # The default budget 2t + 1 covers every connected family, so the
+    # entry is exhaustive even when the counting bound rules nothing out.
+    monkeypatch.setattr(extremal, "_beyond_reach", lambda *args: False)
+    assert phi_exact(7).exhaustive
 
 
 def test_phi_small_budgets():
@@ -375,7 +385,7 @@ def test_phi_prune_cuts_lambda_evaluations():
     # is entered or solved.  The node's state is read, not copied, to
     # decide its candidates: `_extend` runs once per entered node, and
     # for no other family.
-    pinned = {6: (610, 36, 60, 119), 7: (1288, 164, 115, 232), 8: (11602, 301, 706, 1721)}
+    pinned = {6: (610, 36, 60, 119), 7: (1288, 164, 115, 232), 8: (12300, 301, 706, 1721)}
     for t, counts in pinned.items():
         solved, calls, extended, entered = _counted_phi(t)
         assert extended == entered
