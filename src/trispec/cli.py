@@ -262,12 +262,12 @@ def _check_gcb_cell(suite: _Suite, c: int, b: int) -> None:
             counts[v] += 1
     mult_ok = all(counts[v] == m for v, m in closed.rows)
     lam = lambda_of(fam)
-    w_vecs = [eigvec_bc(spec, x, y) for x, y in combinations(range(1, c + 1), 2)]
+    w_vecs = [eigvec_bc(spec, x, y, fam) for x, y in combinations(range(1, c + 1), 2)]
     vec_ok = all(eigvec_residual(l1up, w, b + c) for w in w_vecs)
     ranks_ok = exact_rank(eigvec_matrix(w_vecs)) == comb(c, 2)
     if b >= 2:
         v_vecs = [
-            eigvec_c(spec, x, y)
+            eigvec_c(spec, x, y, fam)
             for x in range(2, c + 1)
             for y in range(c + 1, b + c)
         ]

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, lcm
+from operator import mul
 
 import numpy as np
 
@@ -88,12 +89,15 @@ def gcb_lambda(spec: GcbSpec) -> int:
     return spec.c + 1 if spec.b == 1 else spec.c
 
 
-def eigvec_c(spec: GcbSpec, x: int, y: int) -> tuple[Fraction, ...]:
+def eigvec_c(
+    spec: GcbSpec, x: int, y: int, family: TriangleFamily | None = None
+) -> tuple[Fraction, ...]:
     """Exact eigenvector of the triangle-indexed Laplacian for eigenvalue c.
 
     Defined for b >= 2, clique vertex 2 <= x <= c and apex c+1 <= y <= b+c-1;
     supported on the 2(c-1) triangles {i,x,y} and {i,x,b+c} with signs taken
-    from the incidence of the pivot edge.
+    from the incidence of the pivot edge.  `family`, if given, must be
+    `gcb_family(spec)`, which is otherwise built here.
     """
     c, b = spec.c, spec.b
     if b < 2:
@@ -102,7 +106,7 @@ def eigvec_c(spec: GcbSpec, x: int, y: int) -> tuple[Fraction, ...]:
         raise ValueError(f"x must satisfy 2 <= x <= {c}, got {x}")
     if not c + 1 <= y <= b + c - 1:
         raise ValueError(f"y must satisfy {c + 1} <= y <= {b + c - 1}, got {y}")
-    family = gcb_family(spec)
+    family = gcb_family(spec) if family is None else family
     index = {t: i for i, t in enumerate(family)}
     vec = [Fraction(0)] * len(family)
     last = b + c
@@ -116,17 +120,20 @@ def eigvec_c(spec: GcbSpec, x: int, y: int) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def eigvec_bc(spec: GcbSpec, x: int, y: int) -> tuple[Fraction, ...]:
+def eigvec_bc(
+    spec: GcbSpec, x: int, y: int, family: TriangleFamily | None = None
+) -> tuple[Fraction, ...]:
     """Exact eigenvector of the edge-indexed up-Laplacian for eigenvalue b+c.
 
     Defined for clique vertices 1 <= x < y <= c; entries have common
     denominator b: the edge {x,y} gets 1 and each apex i contributes
-    -1/b on {x,i} and +1/b on {y,i}.
+    -1/b on {x,i} and +1/b on {y,i}.  `family`, if given, must be
+    `gcb_family(spec)`, which is otherwise built here.
     """
     c, b = spec.c, spec.b
     if not 1 <= x < y <= c:
         raise ValueError(f"need 1 <= x < y <= {c}, got ({x}, {y})")
-    graph = gcb_family(spec).support
+    graph = (gcb_family(spec) if family is None else family).support
     index = {e: i for i, e in enumerate(graph.edges)}
     vec = [Fraction(0)] * len(graph.edges)
     vec[index[(x, y)]] = Fraction(1)
@@ -139,20 +146,20 @@ def eigvec_bc(spec: GcbSpec, x: int, y: int) -> tuple[Fraction, ...]:
 def _clear_denominators(vec) -> list[int]:
     """Scale a rational vector by the lcm of its denominators to integers."""
     fracs = [Fraction(v) for v in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return [int(f * den) for f in fracs]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs]
 
 
 def eigvec_residual(matrix: np.ndarray, vec, eigenvalue: int) -> bool:
     """True iff matrix @ vec == eigenvalue * vec exactly, in integer arithmetic.
 
-    Denominators are cleared first, so the comparison is between integers.
+    Denominators are cleared first, so the comparison is between integers:
+    each row of the integer matrix is read as Python ints (`tolist`), and
+    its product with the cleared vector is one sum of Python-int products,
+    so no entry is ever rounded.
     """
     ints = _clear_denominators(vec)
-    m = np.asarray(matrix)
-    prod = [sum(int(m[r, c]) * ints[c] for c in range(len(ints))) for r in range(m.shape[0])]
+    prod = [sum(map(mul, row.tolist(), ints)) for row in np.asarray(matrix)]
     return prod == [eigenvalue * v for v in ints]
 
 

@@ -9,10 +9,13 @@ boundary signs below are defined relative to that ordering.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 Vertex = int
 Edge = tuple[int, int]
@@ -72,6 +75,15 @@ class TriangleFamily:
         tris = sorted({triangle(*t) for t in self.triangles})
         object.__setattr__(self, "triangles", tuple(tris))
 
+    @classmethod
+    def _canonical(cls, triangles: tuple[Triangle, ...], **kept) -> TriangleFamily:
+        """A family of triangles that are already canonical: each an ascending
+        tuple of distinct non-negative ints, the tuple sorted and free of
+        duplicates.  Nothing is checked; `kept` presets cached properties."""
+        family = object.__new__(cls)
+        vars(family).update(triangles=triangles, **kept)
+        return family
+
     def __len__(self) -> int:
         return len(self.triangles)
 
@@ -79,7 +91,9 @@ class TriangleFamily:
         return iter(self.triangles)
 
     def __contains__(self, tri) -> bool:
-        return tuple(sorted(tri)) in set(self.triangles)
+        tri = tuple(sorted(tri))
+        i = bisect_left(self.triangles, tri)
+        return i < len(self.triangles) and self.triangles[i] == tri
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for t in self.triangles for v in t}))
@@ -97,32 +111,41 @@ class TriangleFamily:
         return (self,) if self._parts is None else self._parts
 
     @cached_property
+    def _walk(self) -> _Walk:
+        """The one pass over the triangles (`_walk_triangles`), kept."""
+        return _walk_triangles(self.triangles)
+
+    @cached_property
     def _parts(self) -> tuple[TriangleFamily, ...] | None:
-        """The components by one union-find, kept like `support`; None when
-        connected, as a kept `(self,)` would be a cycle only gc can free.
-        Each part is made with `_parts` already None, so none is split again."""
-        root = {v: v for v in self.vertices()}
-
-        def find(v: int) -> int:
-            while root[v] != v:
-                root[v] = root[root[v]]  # path halving
-                v = root[v]
-            return v
-
-        for tri in self.triangles:
-            a = find(tri[0])
-            for v in tri[1:]:
-                root[find(v)] = a
-        parts: dict[int, list[Triangle]] = {}
-        for tri in self.triangles:
-            parts.setdefault(find(tri[0]), []).append(tri)
-        if len(parts) == 1:
-            return None
-        out = tuple(object.__new__(TriangleFamily) for _ in parts)
-        for part, tris in zip(out, parts.values()):
-            # Sublists of a sorted, validated family: skip __post_init__.
-            vars(part).update(triangles=tuple(tris), _parts=None)
-        return out
+        """The components, sliced from `_walk`; None when connected, as a kept
+        `(self,)` would be a cycle only gc can free.  Each part keeps its own
+        slice of the walk, its columns renumbered, and `_parts` None, so no
+        part is walked or split again."""
+        graph, columns, edge_part = self._walk
+        if edge_part is None:
+            return None if self.triangles else ()
+        count = max(edge_part) + 1
+        # Each part's edges, still sorted, and each edge's column in its part.
+        edges: list[list[Edge]] = [[] for _ in range(count)]
+        local = []
+        for e, p in zip(graph.edges, edge_part):
+            local.append(len(edges[p]))
+            edges[p].append(e)
+        rows: list[list[int]] = [[] for _ in range(count)]
+        for i, j in enumerate(columns[:, 0].tolist()):
+            rows[edge_part[j]].append(i)
+        local_columns = np.array(local, np.intp)[columns]
+        parts = []
+        for part_rows, part_edges in zip(rows, edges):
+            part_graph = SupportGraph(
+                vertices=tuple(sorted({v for e in part_edges for v in e})),
+                edges=tuple(part_edges),
+                edge_triangle_count={e: graph.edge_triangle_count[e] for e in part_edges},
+            )
+            walk = _Walk(part_graph, _frozen(local_columns[part_rows]), None)
+            tris = tuple(map(self.triangles.__getitem__, part_rows))
+            parts.append(TriangleFamily._canonical(tris, _walk=walk, _parts=None))
+        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -143,18 +166,74 @@ class SupportGraph:
         return {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
 
 
+class _Walk(NamedTuple):
+    """What one pass over a family's triangles yields (`_walk_triangles`)."""
+
+    graph: SupportGraph
+    columns: np.ndarray  # |T| x 3 intp, read-only: each triangle's edge columns
+    # Each edge's component, numbered by least vertex; None below two components.
+    edge_part: list[int] | None
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+def _walk_triangles(triangles: tuple[Triangle, ...]) -> _Walk:
+    """The support graph, edge columns and components of canonical triangles,
+    from one pass over them.
+
+    The pass numbers each edge (a, b), (a, c), (b, c) of each triangle in
+    order of discovery.  Sorting the edges then turns discovery numbers into
+    columns, positions in the sorted edge list, and the codegrees are a
+    count of the columns.  A union-find over the edges gives each edge its
+    component; in sorted edge order each component first shows at its
+    least vertex, so that is the order the components are numbered in.
+    """
+    found: dict[Edge, int] = {}
+    seen: list[int] = []
+    for a, b, c in triangles:
+        seen += (
+            found.setdefault((a, b), len(found)),
+            found.setdefault((a, c), len(found)),
+            found.setdefault((b, c), len(found)),
+        )
+    discovered = list(found)
+    order = sorted(range(len(discovered)), key=discovered.__getitem__)
+    edges = [discovered[i] for i in order]
+    position = np.empty(len(order), np.intp)
+    position[order] = np.arange(len(order))
+    columns = _frozen(position[np.array(seen, np.intp).reshape(-1, 3)])
+    codegree = np.bincount(columns.ravel(), minlength=len(edges)).tolist()
+
+    vertices = sorted({v for edge in edges for v in edge})
+    root = {v: v for v in vertices}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]  # path halving
+            v = root[v]
+        return v
+
+    for u, v in discovered:
+        root[find(v)] = find(u)
+    number: dict[int, int] = {}
+    edge_part = [number.setdefault(find(u), len(number)) for u, _ in edges]
+    if len(number) < 2:
+        edge_part = None
+    graph = SupportGraph(
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        edge_triangle_count=dict(zip(edges, codegree)),
+    )
+    return _Walk(graph, columns, edge_part)
+
+
 def support_graph(family: TriangleFamily) -> SupportGraph:
     if len(family) == 0:
         raise EmptyFamilyError("support graph of an empty family is undefined")
-    counts: dict[Edge, int] = {}
-    for t in family:
-        for e in combinations(t, 2):
-            counts[e] = counts.get(e, 0) + 1
-    return SupportGraph(
-        vertices=family.vertices(),
-        edges=tuple(sorted(counts)),
-        edge_triangle_count=dict(sorted(counts.items())),
-    )
+    return family._walk.graph
 
 
 def vertex_triangle_counts(family: TriangleFamily) -> dict[int, int]:
@@ -187,40 +266,50 @@ def disjoint_union(first: TriangleFamily, second: TriangleFamily) -> TriangleFam
         return first
     base = max(first.vertices()) + 1
     mapping = {v: base + i for i, v in enumerate(second.vertices())}
-    shifted = [tuple(mapping[v] for v in t) for t in second]
-    return TriangleFamily(first.triangles + tuple(shifted))  # type: ignore[arg-type]
+    # Labels past max(first), order kept: still sorted, with no duplicate.
+    shifted = tuple(tuple(mapping[v] for v in t) for t in second)
+    return TriangleFamily._canonical(first.triangles + shifted)  # type: ignore[arg-type]
 
 
 def parse_family(text: str) -> TriangleFamily:
     """Parse the one-triangle-per-line format.
 
     Each non-comment line holds three whitespace-separated non-negative
-    integers.  Lines starting with '#' and blank lines are ignored.
-    Triangles are sorted and deduplicated; a repeated vertex within a
-    line is an error, and so is text without a triangle (EmptyFamilyError).
+    integers (as `int` reads them).  Lines starting with '#' and blank lines
+    are ignored.  Triangles are sorted and deduplicated; a repeated vertex
+    within a line is an error, and so is text without a triangle
+    (EmptyFamilyError).  Each line is checked once, here, and the family is
+    built from the checked triangles without checking them again.
     """
     tris: list[Triangle] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise FamilyParseError(
                 f"expected three vertex labels, got {len(parts)}", lineno
             )
         try:
-            a, b, c = (int(p) for p in parts)
+            a, b, c = map(int, parts)
         except ValueError:
-            raise FamilyParseError(f"non-integer vertex label in {line!r}", lineno)
-        if len({a, b, c}) != 3:
-            raise FamilyParseError(f"repeated vertex in triangle {line!r}", lineno)
-        if min(a, b, c) < 0:
-            raise FamilyParseError(f"negative vertex label in {line!r}", lineno)
-        tris.append(tuple(sorted((a, b, c))))
+            raise FamilyParseError(f"non-integer vertex label in {raw.strip()!r}", lineno)
+        # Sort the three labels in place; a repeat is then a neighbour.
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if a == b or b == c:
+            raise FamilyParseError(f"repeated vertex in triangle {raw.strip()!r}", lineno)
+        if a < 0:
+            raise FamilyParseError(f"negative vertex label in {raw.strip()!r}", lineno)
+        tris.append((a, b, c))
     if not tris:
         raise EmptyFamilyError("the family text holds no triangle")
-    return TriangleFamily(tuple(tris))
+    tris.sort()
+    return TriangleFamily._canonical(tuple(dict.fromkeys(tris)))
 
 
 def family_to_text(family: TriangleFamily) -> str:

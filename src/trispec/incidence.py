@@ -22,33 +22,28 @@ import math
 
 import numpy as np
 
-from .families import SupportGraph, TriangleFamily, sign_edge_vertex
+from .families import SupportGraph, TriangleFamily, _frozen
 
 LAPLACIAN_KINDS = ("L0_up", "L1_down", "L1_up", "L2_down", "L1_total")
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
 def build_delta0(graph: SupportGraph) -> np.ndarray:
-    """Edge-vertex boundary matrix, |E| x |V|, rows and columns in graph order."""
+    """Edge-vertex boundary matrix, |E| x |V|, rows and columns in graph order:
+    each edge row has -1 at its smaller endpoint and +1 at its larger
+    (`families.sign_edge_vertex`)."""
     vidx = {v: i for i, v in enumerate(graph.vertices)}
+    ends = np.array([(vidx[u], vidx[v]) for u, v in graph.edges], dtype=np.intp)
     m = np.zeros((len(graph.edges), len(graph.vertices)), dtype=np.int64)
-    for r, (u, v) in enumerate(graph.edges):
-        m[r, vidx[u]] = sign_edge_vertex((u, v), u)
-        m[r, vidx[v]] = sign_edge_vertex((u, v), v)
+    m[np.arange(len(ends))[:, None], ends.reshape(-1, 2)] = (-1, 1)
     return _frozen(m)
 
 
 def edge_columns(family: TriangleFamily) -> np.ndarray:
     """Each triangle's edge columns, |F| x 3 intp, rows in family order: the
     positions in the support's edge list of its ascending edges (a, b),
-    (a, c), (b, c), where its delta1 row holds +1, -1, +1."""
-    eidx = {e: i for i, e in enumerate(family.support.edges)}
-    cols = [eidx[e] for a, b, c in family for e in ((a, b), (a, c), (b, c))]
-    return np.array(cols, dtype=np.intp).reshape(len(family), 3)
+    (a, c), (b, c), where its delta1 row holds +1, -1, +1.  The array is the
+    family's own, kept from its one pass over the triangles, and read-only."""
+    return family._walk.columns
 
 
 def delta1_from_columns(columns: np.ndarray, edges: int, dtype=np.int64) -> np.ndarray:
@@ -141,8 +136,8 @@ def exact_rank(matrix) -> int:
 def delta1_rank(family: TriangleFamily) -> int:
     """rank(delta1) over the rationals, from the family's triangle rows.
 
-    Each row has +1, -1, +1 on its ascending edges, and an edge's key is
-    minus the number of edges found before it in family order, so a new
+    Each row has +1, -1, +1 at its `edge_columns`, and a column's key is
+    minus the number of columns found before it in family order, so a new
     edge leads its row and `_reduce_row` keeps the row without elimination.
     The rows lie in ker delta0^T, of dimension |E| - |V| + c, so the
     reduction stops once the rank reaches min(|T|, |E| - |V| + c); short
@@ -150,12 +145,10 @@ def delta1_rank(family: TriangleFamily) -> int:
     """
     graph = family.support
     bound = min(len(family), len(graph.edges) - len(graph.vertices) + len(family.components))
-    keys: dict = {}
+    keys: dict[int, int] = {}
     echelon: dict = {}
-    for a, b, c in family:
-        row = {}
-        for sign, e in zip((1, -1, 1), ((a, b), (a, c), (b, c))):
-            row[keys.setdefault(e, -len(keys))] = sign
+    for columns in edge_columns(family).tolist():
+        row = {keys.setdefault(j, -len(keys)): s for j, s in zip(columns, (1, -1, 1))}
         if _reduce_row(echelon, row) and len(echelon) == bound:
             break
     return len(echelon)

@@ -57,6 +57,7 @@ def eigenvalues_symmetric(matrix) -> np.ndarray:
         raise ValueError("eigenvalues_symmetric expects a square matrix or a stack of them")
     diff = a - np.swapaxes(a, -1, -2)
     asym = float(np.abs(diff, out=diff).max(initial=0.0))
+    del diff  # freed before eigvalsh makes its own copy of `a`
     if asym >= SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     try:

@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from trispec import cli, eigenvalues_symmetric, extremal, families, read_matrix_market, spectra
+from trispec import (
+    cli,
+    eigenvalues_symmetric,
+    extremal,
+    families,
+    phi_lower_bound_family,
+    read_matrix_market,
+    spectra,
+)
 from trispec.cli import main
 
 
@@ -53,6 +61,28 @@ def test_lambda_parse_error_reports_line(tmp_path, capsys):
     code, _, err = run(capsys, "lambda", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+def test_lambda_validates_each_triangle_once(tmp_path, capsys, monkeypatch):
+    # From text the parser checks each line and builds the family without
+    # triangle(); a construction checks each triangle once, when its pieces
+    # are built, and joining them, splitting the result into components and
+    # ranking them checks none again.
+    witness = phi_lower_bound_family(100).family
+    witness = families.relabel(witness, {v: 3 * v % 101 for v in witness.vertices()})
+    path = tmp_path / "witness.txt"
+    path.write_text(families.family_to_text(witness))
+    calls = []
+    original = families.triangle
+    monkeypatch.setattr(families, "triangle", lambda *t: calls.append(t) or original(*t))
+    code, out, _ = run(capsys, "lambda", str(path))
+    assert code == 0 and calls == []
+    assert json.loads(out)["dims"]["triangles"] == 100
+    for name, size in (("kn:6", 20), ("phi-lb:100", 100)):
+        calls.clear()
+        code, out, _ = run(capsys, "lambda", name)
+        assert code == 0 and json.loads(out)["dims"]["triangles"] == size
+        assert len(calls) == size
 
 
 def test_lambda_of_a_comment_only_file_is_a_parse_error(tmp_path, capsys):
@@ -194,6 +224,23 @@ def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
     assert calls["random_families"] == 1
     assert calls["support_graph"] > 0
     assert suite_builds == {"overlap": 0, "counting": 0}
+
+
+def test_verify_gcb_builds_each_cell_family_once(capsys, monkeypatch):
+    from trispec import constructions
+
+    calls = []
+    original = constructions.gcb_family
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(constructions, "gcb_family", counted)
+    monkeypatch.setattr(cli, "gcb_family", counted)
+    code, out, _ = run(capsys, "verify", "gcb")
+    assert code == 0 and "suite=gcb checks=36 failures=0" in out
+    assert sorted((s.c, s.b) for s in calls) == [(c, b) for c in (3, 4, 5) for b in (1, 2, 3)]
 
 
 def test_phi_subcommand_writes_json(tmp_path, capsys):

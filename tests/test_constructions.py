@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -100,6 +101,25 @@ def test_eigvec_families_have_full_stated_rank():
                 for y in range(c + 1, b + c)
             ]
             assert exact_rank(eigvec_matrix(v)) == (b - 1) * (c - 1)
+
+
+def test_eigvec_reads_a_given_family_and_residual_is_exact():
+    spec = GcbSpec(5, 3)
+    fam = gcb_family(spec)
+    l2 = build_laplacian("L2_down", fam)
+    l1up = build_laplacian("L1_up", fam)
+    assert eigvec_bc(spec, 2, 4, fam) == eigvec_bc(spec, 2, 4)
+    assert eigvec_c(spec, 3, 7, fam) == eigvec_c(spec, 3, 7)
+    w = eigvec_bc(spec, 2, 4, fam)
+    assert eigvec_residual(l1up, w, 8) and not eigvec_residual(l1up, w, 7)
+    # One entry off by the least step the cleared denominators can show.
+    off = list(w)
+    off[0] += Fraction(1, 3)
+    assert not eigvec_residual(l1up, off, 8)
+    # Entries past 2**53 stay exact: a float product would round them.
+    big = [Fraction(2**60 + 1) * v for v in eigvec_c(spec, 3, 7, fam)]
+    assert eigvec_residual(l2, big, 5)
+    assert eigvec_residual(l2.astype(object), big, 5)
 
 
 def test_eigvec_argument_validation():

@@ -156,6 +156,28 @@ def test_canonicity_test_equals_the_relabeling_oracle(case):
         assert extremal._is_lex_min(fam, k, extremal._twins(fam, k)) == canonical
 
 
+def _twins_by_swapping(tris: tuple, k: int) -> list[int]:
+    """The least member of each label's twin class, indexed 0..k, by brute
+    force: u and w are twins iff swapping them maps the family onto itself."""
+    family = set(tris)
+
+    def swap_fixes(u: int, w: int) -> bool:
+        swap = {u: w, w: u}
+        return {tuple(sorted(swap.get(v, v) for v in tri)) for tri in tris} == family
+
+    return [0] + [min(u for u in range(1, v + 1) if u == v or swap_fixes(u, v)) for v in range(1, k + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_with_first_triangle())
+@example((((1, 2, 3),), 3))  # 1, 2, 3 are one class
+@example((((1, 2, 3), (1, 2, 4), (3, 4, 5)), 6))  # 1 ~ 2, 3 ~ 4, and 6 lies in no triangle
+def test_twins_equal_the_swapping_oracle(case):
+    tris, k = case
+    for fam in (tris, relabeled_min(tris, k)):
+        assert extremal._twins(fam, k) == _twins_by_swapping(fam, k)
+
+
 def _unfiltered_candidates(tris: tuple, k: int, cap: int) -> list[tuple]:
     """The candidate rule without the twin-orbit filter: lex-greater than
     the last triangle, within 1..min(k+3, cap), meeting 1..k, new labels

@@ -2,9 +2,11 @@ import gc
 import pickle
 import random
 import weakref
+from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trispec import (
@@ -12,6 +14,8 @@ from trispec import (
     FamilyParseError,
     TriangleFamily,
     build_delta0,
+    build_delta1,
+    delta1_rank,
     disjoint_union,
     exact_rank,
     family_to_text,
@@ -21,7 +25,14 @@ from trispec import (
     support_graph,
     vertex_triangle_counts,
 )
-from trispec.families import random_family, sign_edge_vertex, sign_triangle_edge, triangle
+from trispec.families import (
+    SupportGraph,
+    random_family,
+    sign_edge_vertex,
+    sign_triangle_edge,
+    triangle,
+)
+from trispec.incidence import edge_columns
 
 
 def test_triangle_normalizes_and_validates():
@@ -178,6 +189,75 @@ def test_components_partition_the_family(fam):
     assert exact_rank(build_delta0(fam.support)) == len(fam.vertices()) - len(parts)
 
 
+def _reference_support(fam: TriangleFamily) -> SupportGraph:
+    """The support graph by counting each triangle's edges in a dict."""
+    counts: dict = {}
+    for tri in fam:
+        for e in combinations(tri, 2):
+            counts[e] = counts.get(e, 0) + 1
+    return SupportGraph(fam.vertices(), tuple(sorted(counts)), dict(sorted(counts.items())))
+
+
+def _reference_components(fam: TriangleFamily) -> list[tuple]:
+    """The components' triangles by a union-find over each triangle's
+    vertices, each part in family order, parts by first triangle."""
+    root = {v: v for v in fam.vertices()}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b, c in fam:
+        root[find(b)] = find(a)
+        root[find(c)] = find(a)
+    parts: dict = {}
+    for tri in fam:
+        parts.setdefault(find(tri[0]), []).append(tri)
+    return [tuple(part) for part in parts.values()]
+
+
+def _reference_edge_columns(fam: TriangleFamily) -> np.ndarray:
+    """Each triangle's edge columns by looking its edges up in the sorted
+    edge list."""
+    index = {e: i for i, e in enumerate(_reference_support(fam).edges)}
+    cols = [[index[e] for e in ((a, b), (a, c), (b, c))] for a, b, c in fam]
+    return np.array(cols, dtype=np.intp).reshape(len(fam), 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families_to_split())
+# Parts {1, 5, 9, 11} and {2, 3, 4, 7}: labels interleave, so each part's
+# columns must be renumbered within its own edges.
+@example(TriangleFamily(((1, 5, 9), (2, 3, 4), (2, 3, 7), (5, 9, 11))))
+def test_one_pass_equals_the_separate_definitions(fam):
+    # The family's one pass gives the same support graph (edge order and
+    # codegree order included), components and edge columns as the separate
+    # walks it replaced; so does each part's renumbered slice of it.
+    support = fam.support
+    assert support == _reference_support(fam)
+    assert list(support.edge_triangle_count.items()) == list(
+        _reference_support(fam).edge_triangle_count.items()
+    )
+    assert [part.triangles for part in fam.components] == _reference_components(fam)
+    assert np.array_equal(edge_columns(fam), _reference_edge_columns(fam))
+    assert not edge_columns(fam).flags.writeable
+    for part in fam.components:
+        assert part == TriangleFamily(part.triangles)
+        assert part.support == _reference_support(part)
+        assert np.array_equal(edge_columns(part), _reference_edge_columns(part))
+        assert delta1_rank(part) == exact_rank(build_delta1(part))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_families, st.lists(st.integers(0, 11), min_size=3, max_size=3, unique=True))
+@example(TriangleFamily(()), [1, 2, 3])
+@example(TriangleFamily(((1, 2, 3), (1, 4, 5), (2, 6, 9))), [9, 2, 6])
+@example(TriangleFamily(((1, 2, 3), (1, 4, 5), (2, 6, 9))), [7, 8, 9])
+def test_membership_equals_set_membership(fam, tri):
+    assert (tri in fam) == (tuple(sorted(tri)) in set(fam.triangles))
+
+
 def test_relabel_requires_injection():
     fam = TriangleFamily(((1, 2, 3),))
     assert relabel(fam, {1: 10, 2: 20, 3: 30}).triangles == ((10, 20, 30),)
@@ -217,6 +297,48 @@ def test_parse_family_reports_line_numbers():
     with pytest.raises(FamilyParseError) as err:
         parse_family("1 x 3\n")
     assert err.value.line_number == 1
+
+
+# Texts the parser accepts as `int` reads each label, and the triangles it
+# makes of them.
+_PARSED = [
+    ("+1 2 3\n", ((1, 2, 3),)),
+    ("0_1 2 3\n", ((1, 2, 3),)),
+    ("007 08 9\n", ((7, 8, 9),)),
+    ("-0 1 2\n", ((0, 1, 2),)),
+    ("1\t2\t3\n\t\n 4  6 5 \n", ((1, 2, 3), (4, 5, 6))),
+    ("1 2 3\r\n4 5 6\r\n", ((1, 2, 3), (4, 5, 6))),
+    ("\u0661 \u0662 \u0663\n", ((1, 2, 3),)),
+    ("1 2 3\n# between\n  # indented\n1 2 4\n", ((1, 2, 3), (1, 2, 4))),
+    ("3 2 1\n1 2 3\n1 2 3\n", ((1, 2, 3),)),
+]
+
+# Texts it refuses: the line number and the message.
+_REFUSED = [
+    ("1 2 3 # trailing\n", 1, "expected three vertex labels, got 5"),
+    ("\t1\t2\n", 1, "expected three vertex labels, got 2"),
+    ("0_1 1 2\n", 1, "repeated vertex in triangle '0_1 1 2'"),
+    ("1_ 2 3\n", 1, "non-integer vertex label in '1_ 2 3'"),
+    ("1.0 2 3\n", 1, "non-integer vertex label in '1.0 2 3'"),
+    ("\u22121 2 3\n", 1, "non-integer vertex label in '\u22121 2 3'"),
+    ("1 -1 2\n", 1, "negative vertex label in '1 -1 2'"),
+    ("1 1 -1\n", 1, "repeated vertex in triangle '1 1 -1'"),
+    ("1 2 3\r\n# between\r\n\t4 4 5 \r\n", 3, "repeated vertex in triangle '4 4 5'"),
+]
+
+
+@pytest.mark.parametrize("text, tris", _PARSED)
+def test_parse_family_accepts_what_int_reads(text, tris):
+    assert parse_family(text).triangles == tris
+    assert parse_family(text) == TriangleFamily(tris)
+
+
+@pytest.mark.parametrize("text, line, message", _REFUSED)
+def test_parse_family_refusals_name_their_line(text, line, message):
+    with pytest.raises(FamilyParseError) as err:
+        parse_family(text)
+    assert err.value.line_number == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_random_families_deterministic_and_bounded():

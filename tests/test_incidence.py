@@ -24,7 +24,7 @@ from trispec import (
     write_matrix_market,
 )
 from trispec import incidence
-from trispec.families import sign_triangle_edge
+from trispec.families import sign_edge_vertex, sign_triangle_edge
 from trispec.incidence import _reduce_row
 
 
@@ -213,6 +213,16 @@ def test_build_delta1_entries_are_the_incidence_signs(fam):
     for r, tri in enumerate(fam):
         for j, e in enumerate(fam.support.edges):
             assert d1[r, j] == sign_triangle_edge(tri, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_families_unions_and_relabelings())
+def test_build_delta0_entries_are_the_incidence_signs(fam):
+    d0 = build_delta0(fam.support)
+    assert d0.shape == (len(fam.support.edges), len(fam.support.vertices))
+    for r, e in enumerate(fam.support.edges):
+        for j, v in enumerate(fam.support.vertices):
+            assert d0[r, j] == sign_edge_vertex(e, v)
 
 
 def _grid(n: int, m: int, torus: bool) -> TriangleFamily:
