@@ -27,7 +27,8 @@ def complete_family(n: int) -> TriangleFamily:
     """All triangles on vertex labels 1..n."""
     if n < 3:
         raise ValueError(f"a complete family needs n >= 3, got {n}")
-    return TriangleFamily(tuple(combinations(range(1, n + 1), 3)))
+    # Combinations of an ascending range: canonical and already sorted.
+    return TriangleFamily._canonical(tuple(combinations(range(1, n + 1), 3)))
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ def gcb_family(spec: GcbSpec) -> TriangleFamily:
     tris = list(combinations(range(1, c + 1), 3))
     for apex in range(c + 1, c + b + 1):
         tris.extend((i, j, apex) for i, j in combinations(range(1, c + 1), 2))
-    return TriangleFamily(tuple(tris))
+    # Each triangle ascends and none repeats; only their order needs sorting.
+    return TriangleFamily._canonical(tuple(sorted(tris)))
 
 
 @dataclass(frozen=True)

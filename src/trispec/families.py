@@ -321,20 +321,18 @@ def load_family(path) -> TriangleFamily:
         return parse_family(handle.read())
 
 
-def random_family(
-    rng: random.Random, max_vertices: int = 8, max_triangles: int = 12
-) -> TriangleFamily:
-    """Seeded random family on 4 to max_vertices labels (for audits)."""
+def random_family(rng: random.Random, max_vertices: int = 8) -> TriangleFamily:
+    """Seeded random family of at most 12 triangles on 4 to max_vertices
+    labels (for audits)."""
     if max_vertices < 4:
         raise ValueError(f"random families need max_vertices >= 4, got {max_vertices}")
     n = rng.randint(4, max_vertices)
     pool = list(combinations(range(1, n + 1), 3))
-    t = rng.randint(1, min(len(pool), max_triangles))
-    return TriangleFamily(tuple(rng.sample(pool, t)))
+    t = rng.randint(1, min(len(pool), 12))
+    # Distinct combinations of an ascending range: only their order needs sorting.
+    return TriangleFamily._canonical(tuple(sorted(rng.sample(pool, t))))
 
 
-def random_families(
-    count: int, seed: int, max_vertices: int = 8, max_triangles: int = 12
-) -> list[TriangleFamily]:
+def random_families(count: int, seed: int, max_vertices: int = 8) -> list[TriangleFamily]:
     rng = random.Random(seed)
-    return [random_family(rng, max_vertices, max_triangles) for _ in range(count)]
+    return [random_family(rng, max_vertices) for _ in range(count)]

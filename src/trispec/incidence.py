@@ -63,16 +63,16 @@ def build_delta1(family: TriangleFamily) -> np.ndarray:
 def build_laplacian(kind: str, family: TriangleFamily) -> np.ndarray:
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown Laplacian kind {kind!r}; choose from {LAPLACIAN_KINDS}")
+    # Each kind builds only the boundary matrices it reads.
+    if kind in ("L1_up", "L2_down"):
+        d1 = build_delta1(family)
+        return _frozen(d1.T @ d1 if kind == "L1_up" else d1 @ d1.T)
     d0 = build_delta0(family.support)
     if kind == "L0_up":
         return _frozen(d0.T @ d0)
     if kind == "L1_down":
         return _frozen(d0 @ d0.T)
     d1 = build_delta1(family)
-    if kind == "L1_up":
-        return _frozen(d1.T @ d1)
-    if kind == "L2_down":
-        return _frozen(d1 @ d1.T)
     return _frozen(d0 @ d0.T + d1.T @ d1)
 
 

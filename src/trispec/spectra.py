@@ -116,8 +116,8 @@ class SpectralReport:
             "dims": dict(self.dims),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 # Entry (i, j) of one triangle's delta1^T delta1, i and j over its three

@@ -65,9 +65,9 @@ def test_lambda_parse_error_reports_line(tmp_path, capsys):
 
 def test_lambda_validates_each_triangle_once(tmp_path, capsys, monkeypatch):
     # From text the parser checks each line and builds the family without
-    # triangle(); a construction checks each triangle once, when its pieces
-    # are built, and joining them, splitting the result into components and
-    # ranking them checks none again.
+    # triangle(); a construction builds its triangles canonical and checks
+    # none, and joining them, splitting the result into components and
+    # ranking them checks none either.
     witness = phi_lower_bound_family(100).family
     witness = families.relabel(witness, {v: 3 * v % 101 for v in witness.vertices()})
     path = tmp_path / "witness.txt"
@@ -79,10 +79,9 @@ def test_lambda_validates_each_triangle_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and calls == []
     assert json.loads(out)["dims"]["triangles"] == 100
     for name, size in (("kn:6", 20), ("phi-lb:100", 100)):
-        calls.clear()
         code, out, _ = run(capsys, "lambda", name)
         assert code == 0 and json.loads(out)["dims"]["triangles"] == size
-        assert len(calls) == size
+        assert calls == []
 
 
 def test_lambda_of_a_comment_only_file_is_a_parse_error(tmp_path, capsys):
@@ -318,6 +317,26 @@ def test_phi_refuses_malformed_checkpoint(tmp_path, capsys):
     code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
     assert (code, out) == (2, "")
     assert "another search" in err
+
+
+def test_phi_refuses_checkpoint_whose_triangles_are_malformed(tmp_path, capsys):
+    # Each document parses and unpacks; only its triangle lists are wrong.
+    path = tmp_path / "phi.ckpt"
+    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    lam, witness = doc["best"]["4"]
+    bad = [
+        dict(doc, best=dict(doc["best"], **{"4": [lam, witness[:3]]})),  # 3 triples for size 4
+        dict(doc, best=dict(doc["best"], **{"4": [lam, [["1", 2, 3]] + witness[1:]]})),
+        dict(doc, best=dict(doc["best"], **{"4": [lam, [[True, 2, 3]] + witness[1:]]})),
+        dict(doc, cursor=[[1, 2]]),
+    ]
+    for broken in bad:
+        path.write_text(json.dumps(broken))
+        code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
+        assert (code, out) == (2, "")
+        assert "another search or is malformed" in err
+        assert "integer triples" in err
 
 
 def test_phi_refuses_checkpoint_cursor_outside_the_search(tmp_path, capsys):

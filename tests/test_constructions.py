@@ -128,6 +128,10 @@ def test_eigvec_argument_validation():
         eigvec_c(GcbSpec(4, 1), 2, 5)
     with pytest.raises(ValueError):
         eigvec_c(spec, 1, 5)
+    # The apexes of gcb:4,2 are 5 and 6; y must be an apex other than the last.
+    for y in (4, 6):
+        with pytest.raises(ValueError, match="y must satisfy"):
+            eigvec_c(spec, 2, y)
     with pytest.raises(ValueError):
         eigvec_bc(spec, 3, 3)
 

@@ -263,6 +263,10 @@ def test_relabel_requires_injection():
     assert relabel(fam, {1: 10, 2: 20, 3: 30}).triangles == ((10, 20, 30),)
     with pytest.raises(ValueError):
         relabel(fam, {1: 5, 2: 5, 3: 6})
+    # Each triangle stays a triangle, but two of them become one.
+    two = TriangleFamily(((1, 2, 3), (1, 2, 4)))
+    with pytest.raises(ValueError, match="not injective"):
+        relabel(two, {1: 1, 2: 2, 3: 3, 4: 3})
 
 
 def test_disjoint_union_keeps_parts_apart():

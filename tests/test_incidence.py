@@ -316,6 +316,42 @@ def test_matrix_market_rejects_foreign_headers(tmp_path):
         read_matrix_market(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("% only a comment\n", "no size line"),
+        ("2 2 3\n1 1 1\n2 2 1\n", "expected 3 entries, found 2"),
+    ],
+)
+def test_matrix_market_refuses_a_missing_size_line_and_missing_entries(tmp_path, body, message):
+    path = tmp_path / "short.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n" + body)
+    with pytest.raises(ValueError, match=message):
+        read_matrix_market(path)
+
+
+def test_laplacians_build_only_the_boundary_matrices_they_read(monkeypatch):
+    fam = TriangleFamily(((1, 2, 3), (1, 2, 4), (1, 3, 4)))
+    want = {kind: build_laplacian(kind, fam) for kind in LAPLACIAN_KINDS}
+    built = []
+    for name in ("build_delta0", "build_delta1"):
+        inner = getattr(incidence, name)
+        monkeypatch.setattr(
+            incidence, name, lambda *args, inner=inner, name=name: built.append(name) or inner(*args)
+        )
+    reads = {
+        "L0_up": ["build_delta0"],
+        "L1_down": ["build_delta0"],
+        "L1_up": ["build_delta1"],
+        "L2_down": ["build_delta1"],
+        "L1_total": ["build_delta0", "build_delta1"],
+    }
+    for kind, names in reads.items():
+        built.clear()
+        assert np.array_equal(build_laplacian(kind, fam), want[kind])
+        assert built == names
+
+
 def test_matrix_market_zero_row_matrix(tmp_path):
     m = np.zeros((2, 3), dtype=np.int64)
     path = tmp_path / "zero.mtx"
