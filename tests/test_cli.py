@@ -326,9 +326,9 @@ def test_phi_refuses_checkpoint_whose_triangles_are_malformed(tmp_path, capsys):
     doc = json.loads(path.read_text())
     lam, witness = doc["best"]["4"]
     bad = [
-        dict(doc, best=dict(doc["best"], **{"4": [lam, witness[:3]]})),  # 3 triples for size 4
-        dict(doc, best=dict(doc["best"], **{"4": [lam, [["1", 2, 3]] + witness[1:]]})),
-        dict(doc, best=dict(doc["best"], **{"4": [lam, [[True, 2, 3]] + witness[1:]]})),
+        dict(doc, best={**doc["best"], "4": [lam, witness[:3]]}),  # 3 triples for size 4
+        dict(doc, best={**doc["best"], "4": [lam, [["1", 2, 3]] + witness[1:]]}),
+        dict(doc, best={**doc["best"], "4": [lam, [[True, 2, 3]] + witness[1:]]}),
         dict(doc, cursor=[[1, 2]]),
     ]
     for broken in bad:
