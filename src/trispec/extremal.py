@@ -26,7 +26,7 @@ solved family is recorded by the replace rule alone, which a
 non-canonical copy never passes.
 
 Each node the sweep enters carries d1 by column, whose entry counts are
-the codegrees the cut reads, and the echelon rows of its exact rank.  Its
+the codegrees the cuts read, and the echelon rows of its exact rank.  Its
 candidate children are decided in one loop that reads that state without
 copying it: a child's three edge columns give its subtree test; a new
 edge, or else reducing its row against the echelon, gives its rank
@@ -673,20 +673,23 @@ def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -
 
 def _subtree_test(
     best: dict[int, tuple[float, tuple]], node: _Carried, t: int
-) -> Callable[[tuple], bool]:
+) -> Callable[[tuple, int], bool]:
     """The subtree test of the children of the sweep node `node` (s
     triangles), as a function of a child's three edge columns in
-    `node.columns` (None for a new edge): False when no family of r
-    triangles, s + 1 < r <= t, that contains the child can beat best[r].
+    `node.columns` (None for a new edge) and its label count k: False when
+    no family of r triangles, s + 1 < r <= t, that contains the child can
+    beat best[r].
 
-    A family beating best[r] has ceil(lambda) >= m (`_ceiling_to_beat`,
-    m >= 3), so by the overlap theorem each of its support edges lies in
-    at least m - 2 of its triangles.  Each of the r - s - 1 triangles added
-    to the child raises the codegree of at most 3 edges, so size r is out
-    of reach when the child's edges lack more than 3(r - s - 1) in all: its
-    deficit, sum of max(0, m - 2 - codegree).  That is the node's deficit,
-    summed once per size, less 1 for each old edge of the child below
-    m - 2, plus m - 3 for each new edge.
+    Size r is out of reach by the vertex-count cut (`_beyond_reach`; such
+    a family has at least k vertices) or by the overlap cut.  A family
+    beating best[r] has ceil(lambda) >= m (`_ceiling_to_beat`, m >= 3), so
+    by the overlap theorem each of its support edges lies in at least m - 2
+    of its triangles.  Each of the r - s - 1 triangles added to the child
+    raises the codegree of at most 3 edges, so size r is out of reach when
+    the child's edges lack more than 3(r - s - 1) in all: its deficit, sum
+    of max(0, m - 2 - codegree).  That is the node's deficit, summed once
+    per size, less 1 for each old edge of the child below m - 2, plus
+    m - 3 for each new edge.
     """
     s = len(node.tris)
     sizes = [
@@ -695,10 +698,12 @@ def _subtree_test(
         for m in (_ceiling_to_beat(best, r),)
     ]
 
-    def has_subtree(cols: tuple) -> bool:
+    def has_subtree(cols: tuple, k: int) -> bool:
         for r, m, deficit in sizes:
             if not m:
                 return True
+            if _beyond_reach(best, r, k):
+                continue
             for col in cols:
                 deficit += m - 3 if col is None else -(len(col[1]) < m - 2)
             if deficit <= 3 * (r - s - 1):
@@ -836,8 +841,9 @@ def _phi_sweep(
     reads the node's state without copying it: the child's three edge
     columns, its subtree test (`_subtree_test`), and for a kept child its
     rank growth and border (`_child_of`).  A child has a subtree unless it
-    is at depth t or the overlap theorem puts every larger size out of
-    reach by the codegrees it lacks.  That reads only codegrees, which
+    is at depth t or every larger size is out of reach, by the counting
+    bound on its vertex count or by the overlap theorem on the codegrees
+    it lacks.  Both read only codegrees and the label count, which
     relabeling keeps, so only a child with a subtree is tested for
     canonicity, and kept only when canonical.  At depth t - 1 a child with
     a subtree is kept untested: its children are all at depth t, and a
@@ -925,7 +931,7 @@ def _phi_sweep(
         for tri, k2 in candidates:
             a, b, c = tri
             cols = (columns.get((a, b)), columns.get((a, c)), columns.get((b, c)))
-            if has_subtree(cols):
+            if has_subtree(cols, k2):
                 child_twin = _twins(tris + (tri,), k2)
                 if s + 2 == t or _is_lex_min(tris + (tri,), k2, child_twin):
                     kept.append((_child_of(node, tri, cols, (True, True)), k2, child_twin))

@@ -407,7 +407,7 @@ def test_phi_prune_cuts_lambda_evaluations():
     # is entered or solved.  The node's state is read, not copied, to
     # decide its candidates: `_extend` runs once per entered node, and
     # for no other family.
-    pinned = {6: (609, 39, 60, 121), 7: (1288, 164, 115, 232), 8: (12300, 301, 706, 1721)}
+    pinned = {6: (610, 36, 60, 119), 7: (1288, 164, 115, 232), 8: (12300, 301, 706, 1721)}
     for t, counts in pinned.items():
         solved, calls, extended, entered = _counted_phi(t)
         assert extended == entered
@@ -601,13 +601,16 @@ def test_bordered_stack_solves_each_child_as_spectra_does(tris, data):
 
 
 def _out_of_reach(best: dict, family: TriangleFamily, r: int) -> bool:
-    """Whether the overlap cut rules out every family of r triangles that
-    contains `family` and beats best[r], computed from the family's own
-    support graph."""
+    """Whether the vertex-count or the overlap cut rules out every family
+    of r triangles that contains `family` and beats best[r], computed from
+    the family's own support graph."""
     m = extremal._ceiling_to_beat(best, r)
     if not m:
         return False
-    lacking = sum(max(0, m - 2 - c) for c in family.support.edge_triangle_count.values())
+    graph = family.support
+    if len(graph.vertices) * (m - 1) * (m - 2) > 6 * r:
+        return True
+    lacking = sum(max(0, m - 2 - c) for c in graph.edge_triangle_count.values())
     return lacking > 3 * (r - len(family))
 
 
@@ -629,7 +632,7 @@ def _out_of_reach(best: dict, family: TriangleFamily, r: int) -> bool:
 def test_subtree_test_matches_the_cuts_on_each_child_built_from_scratch(tris, depth, lams):
     # A node runs the subtree test of its children from its own columns,
     # with each size's codegree deficit summed once per node; it must agree
-    # with the overlap cut computed on each child's own support graph, for the
+    # with both cuts computed on each child's own support graph, for the
     # drawn incumbents and for every t <= s + 4 with one m from 3 to 8 at
     # each size from s + 2 to t.
     s = len(tris)
@@ -640,11 +643,11 @@ def test_subtree_test_matches_the_cuts_on_each_child_built_from_scratch(tris, de
         ({q: (m - 1.0, ()) for q in range(s + 2, t + 1)}, t) for t in range(s + 2, s + 5) for m in range(3, 9)
     ]
     tests = [(best, t, extremal._subtree_test(best, node, t)) for best, t in cases]
-    for tri, _ in extremal._candidates(tris, k, 12, extremal._twins(tris, k)):
+    for tri, k2 in extremal._candidates(tris, k, 12, extremal._twins(tris, k)):
         child = TriangleFamily(tris + (tri,))
         cols = _edge_columns(node, tri)
         for best, t, has_subtree in tests:
-            assert has_subtree(cols) == (
+            assert has_subtree(cols, k2) == (
                 not all(_out_of_reach(best, child, r) for r in range(s + 2, t + 1))
             )
 
