@@ -62,9 +62,11 @@ from .spectra import (
     ZERO_BAND_COEFF,
     SpectralError,
     SpectralReport,
+    eigenvalues_grouped,
     eigenvalues_symmetric,
     lambda_of,
     spectral_report,
+    spectral_reports,
     verify_min_gap,
 )
 
@@ -166,20 +168,25 @@ def _named_random(args) -> list[tuple[str, TriangleFamily]]:
 
 def _suite_hodge(args, audited) -> _Suite:
     suite = _Suite("hodge")
+    rows = []
+    grams = []
     for label, fam in args.randoms:
         d0 = build_delta0(fam.support)
         d1 = build_delta1(fam)
         r0 = len(fam.support.vertices) - len(fam.components)
         r1 = delta1_rank(fam)  # independent of the stacked rank in `harmonic`
-        harmonic = harmonic_dimension(d0, d1)
         edges = d0.shape[0]
+        harmonic = harmonic_dimension(d0, d1)
+        rows.append((label, len(fam), not np.any(d1 @ d0), r0, r1, harmonic, edges))
         d1f = d1.astype(float)
-        up = eigenvalues_symmetric(d1f.T @ d1f)
-        down = eigenvalues_symmetric(d1f @ d1f.T)
-        pos_up = up[edges - r1 :]
-        pos_down = down[len(fam) - r1 :]
-        gap = float(np.max(np.abs(pos_up - pos_down))) if r1 else 0.0
-        suite.check(not np.any(d1 @ d0), f"{label} d1*d0=0")
+        grams.append(("up", edges, lambda d1f=d1f: d1f.T @ d1f))
+        grams.append(("down", len(fam), lambda d1f=d1f: d1f @ d1f.T))
+    # Both Gram spectra of every family, one stack per (kind, size).
+    solved = iter(eigenvalues_grouped(grams))
+    for label, t, closed, r0, r1, harmonic, edges in rows:
+        up, down = next(solved), next(solved)
+        gap = float(np.max(np.abs(up[edges - r1 :] - down[t - r1 :]))) if r1 else 0.0
+        suite.check(closed, f"{label} d1*d0=0")
         suite.check(
             r0 + r1 + harmonic == edges,
             f"{label} rank split",
@@ -234,7 +241,7 @@ def _suite_rigidity(args, audited) -> _Suite:
             f"lambda={at_budget.lam:.9f}",
         )
         for drop in (1, 2):
-            sub = TriangleFamily(full.triangles[:-drop])
+            sub = TriangleFamily._canonical(full.triangles[:-drop])  # a sorted prefix
             verdict = check_rigidity(n, sub)
             suite.check(
                 verdict.branch == "below_budget" and verdict.passed,
@@ -341,13 +348,15 @@ def _cmd_verify(args) -> int:
     # One list of random families per run, read by hodge and by the reports.
     args.randoms = _named_random(args) if args.suite in _RANDOMIZED_SUITES else []
 
-    # One report per grid and random family, shared by the suites that read
-    # lambda and made when the first of them asks, so a SpectralError still
-    # surfaces after the earlier suites' lines have printed.
+    # One report per grid and random family, all from one batch, shared by
+    # the suites that read lambda and made when the first of them asks, so a
+    # SpectralError still surfaces after the earlier suites' lines have
+    # printed.
     @functools.cache
     def audited() -> list[tuple[str, TriangleFamily, SpectralReport]]:
         fams = _grid_families() + args.randoms
-        return [(label, fam, spectral_report(fam)) for label, fam in fams]
+        reports = spectral_reports([fam for _, fam in fams])
+        return [(label, fam, report) for (label, fam), report in zip(fams, reports)]
 
     total_failures = 0
     for name in names:

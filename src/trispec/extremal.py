@@ -803,7 +803,7 @@ def _sweep_solve(nodes: list[_Child], grams: np.ndarray) -> list[tuple[float, fl
     """(lambda, tau) of each connected sweep node, tau infinite at rank 1,
     from its Gram matrix d1 d1^T in the stack `grams`: one
     `eigenvalues_symmetric` call, then the L2_down reading of
-    `spectra._lambda_tau_spectrum` with the exact nullity t - rank and the
+    `spectra.spectral_reports` with the exact nullity t - rank and the
     same zero-band check."""
     solved = []
     for node, eigs in zip(nodes, eigenvalues_symmetric(grams).tolist()):
@@ -876,7 +876,7 @@ def _phi_sweep(
     `spectra`'s zero-band check.  `spectra` picks L2_down whenever t <=
     |E|, and by Kruskal-Katona t triangles span at least t edges for t <=
     14 (the least shadow of 15 is 14), so each lambda and tau is
-    bit-identical to `_lambda_tau_spectrum`'s; above 14 triangles L2_down
+    bit-identical to that of `spectral_reports`; above 14 triangles L2_down
     still has the same positive spectrum, so there is no L1_up path and no
     fallback.
 

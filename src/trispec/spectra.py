@@ -9,7 +9,12 @@ by thresholding the floating spectrum; a zero band of
 1e-7 * (1 + lambda_max) is kept as a sanity assertion only.
 
 Eigenvalues come from LAPACK ``eigvalsh``; exact rank decides how many of
-them are zero, so the solver only has to be accurate.  Gram matrices are
+them are zero, so the solver only has to be accurate.  Reports are made in
+batches (`spectral_reports`; `spectral_report` and `lambda_of` are batches
+of one): the Gram matrices of every family in a batch are solved one
+stack per kind and size, so `trispec verify all --random 200` makes about
+110 ``eigvalsh`` calls for its 1,090 matrices, and each slice's
+eigenvalues are bit for bit those of solving it alone.  Gram matrices are
 float64 with small integer entries, so they equal the int64 products
 exactly.  A block's L1_up = delta1^T delta1 is scatter-added from its
 triangles' edge columns, nine signed entries per triangle, and made once,
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,8 +107,8 @@ class SpectralReport:
     tau: float | None
     nullity: int
     spectrum: Spectrum
-    lambda_min_plus_l0: float
-    lambda_min_plus_l1_total: float
+    lambda_min_plus_l0: float | None
+    lambda_min_plus_l1_total: float | None
     dims: dict
 
     def to_dict(self) -> dict:
@@ -139,6 +145,11 @@ class _Block:
     rank1: int
 
     @cached_property
+    def d0(self) -> np.ndarray:
+        """delta0 in float64, built once for L0_up and L1_total."""
+        return build_delta0(self.graph).astype(float)
+
+    @cached_property
     def l1_up(self) -> np.ndarray:
         """delta1^T delta1 in float64, made once: each triangle adds its
         3 x 3 sign products at its edge columns, in one ``bincount``."""
@@ -152,79 +163,137 @@ class _Block:
         d1 = delta1_from_columns(self.columns, len(self.graph.edges), float)
         return d1 @ d1.T
 
+    def l0_up(self) -> np.ndarray:
+        return self.d0.T @ self.d0
+
+    def l1_total(self) -> np.ndarray:
+        total = self.d0 @ self.d0.T
+        total += self.l1_up  # into the fresh product, not the cached l1_up
+        return total
+
 
 def _blocks(family: TriangleFamily) -> list[_Block]:
     """One block per connected component; a connected family is its own
-    only component."""
+    only component, and an empty family has none."""
+    if len(family) == 0:
+        return []
     return [
         _Block(part.support, edge_columns(part), delta1_rank(part))
         for part in family.components
     ]
 
 
+def eigenvalues_grouped(grams: list[tuple[str, int, Callable[[], np.ndarray]]]) -> list[np.ndarray]:
+    """Ascending eigenvalues of each matrix in `grams`, in list order.
+
+    Each entry is (kind, size, build), `build()` making the size x size
+    matrix.  The matrices of one (kind, size) are built into one stack just
+    before its one `eigenvalues_symmetric` call and dropped after it, so
+    there is one call per group and no more than one group's matrices are
+    held at once.  LAPACK solves each slice on its own, so every row is
+    bit for bit what solving its matrix alone gives.
+    """
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, (kind, size, _) in enumerate(grams):
+        groups.setdefault((kind, size), []).append(i)
+    solved: list = [None] * len(grams)
+    for (_, size), members in groups.items():
+        if len(members) == 1:  # nothing to stack: solve the matrix as built, uncopied
+            stack = grams[members[0]][2]()[None]
+        else:
+            stack = np.empty((len(members), size, size))
+            for slot, i in zip(stack, members):
+                slot[...] = grams[i][2]()
+        for i, eigs in zip(members, eigenvalues_symmetric(stack)):
+            solved[i] = eigs
+        del stack
+    return solved
+
+
 def lambda_of(family: TriangleFamily) -> float:
     """The spectral parameter alone, skipping the graph-side eigenproblems."""
-    return _lambda_tau_spectrum(family)[0]
-
-
-def _lambda_tau_spectrum(family: TriangleFamily):
-    if len(family) == 0:
-        raise SpectralError("spectral parameter of an empty family is undefined")
-    blocks = _blocks(family)
-    edges = sum(len(b.graph.edges) for b in blocks)
-    source = "L2_down" if len(family) <= edges else "L1_up"
-    merged: list[float] = []
-    nullity = 0
-    for b in blocks:
-        gram = b.l2_down() if source == "L2_down" else b.l1_up
-        eigs = eigenvalues_symmetric(gram).tolist()
-        block_nullity = gram.shape[0] - b.rank1
-        _check_bands(eigs, block_nullity, source)
-        nullity += block_nullity
-        merged.extend(eigs)
-    merged.sort()
-    rank = sum(b.rank1 for b in blocks)
-    if rank == 0:
-        raise SpectralError("boundary factor has rank zero")
-    lam = merged[nullity]
-    tau = merged[nullity + 1] if rank > 1 else None
-    spectrum = Spectrum(eigenvalues=tuple(merged), nullity=nullity, source=source)
-    return lam, tau, spectrum, blocks
+    return spectral_reports([family], graph_side=False)[0].lam
 
 
 def spectral_report(family: TriangleFamily) -> SpectralReport:
     """Full spectral summary: parameter, tau, and both graph-side minima."""
-    lam, tau, spectrum, blocks = _lambda_tau_spectrum(family)
+    return spectral_reports([family])[0]
 
-    l0_min = math.inf
-    l1_min = math.inf
-    for b in blocks:
-        d0 = build_delta0(b.graph).astype(float)
-        rank0 = len(b.graph.vertices) - 1
-        eigs0 = eigenvalues_symmetric(d0.T @ d0).tolist()
-        _check_bands(eigs0, 1, "L0_up")  # nullity |V| - rank0 = 1
-        l0_min = min(l0_min, eigs0[1])
-        l1_total = d0 @ d0.T
-        l1_total += b.l1_up  # into the fresh product, not the cached l1_up
-        eigs1 = eigenvalues_symmetric(l1_total).tolist()
-        null1 = len(b.graph.edges) - rank0 - b.rank1
-        _check_bands(eigs1, null1, "L1_total")
-        l1_min = min(l1_min, eigs1[null1])
 
-    return SpectralReport(
-        lam=lam,
-        tau=tau,
-        nullity=spectrum.nullity,
-        spectrum=spectrum,
-        lambda_min_plus_l0=l0_min,
-        lambda_min_plus_l1_total=l1_min,
-        dims={
-            "vertices": sum(len(b.graph.vertices) for b in blocks),
-            "edges": sum(len(b.graph.edges) for b in blocks),
-            "triangles": len(family),
-            "spectrum_source": spectrum.source,
-        },
-    )
+def spectral_reports(
+    families: list[TriangleFamily], graph_side: bool = True
+) -> list[SpectralReport]:
+    """The spectral report of each family, in order, from one batch.
+
+    Every block's lambda source (L2_down when t <= |E|, else L1_up) and,
+    with `graph_side`, its L0_up and L1_total are solved by
+    `eigenvalues_grouped`, one stack per (kind, size) across all the
+    families.  Then each family's spectra are checked and merged in family
+    order, so the first family that fails raises the error it raises
+    alone.  Without `graph_side` both graph-side minima are None.
+    """
+    plans = []  # (family, blocks, source), in family order
+    grams = []
+    for family in families:
+        blocks = _blocks(family)
+        edges = sum(len(b.graph.edges) for b in blocks)
+        source = "L2_down" if len(family) <= edges else "L1_up"
+        plans.append((family, blocks, source))
+        for b in blocks:
+            if source == "L2_down":
+                grams.append((source, len(b.columns), b.l2_down))
+            else:
+                grams.append((source, len(b.graph.edges), lambda b=b: b.l1_up))
+        if graph_side:
+            for b in blocks:
+                grams.append(("L0_up", len(b.graph.vertices), b.l0_up))
+                grams.append(("L1_total", len(b.graph.edges), b.l1_total))
+    solved = iter(eigenvalues_grouped(grams))
+
+    reports = []
+    for family, blocks, source in plans:
+        if len(family) == 0:
+            raise SpectralError("spectral parameter of an empty family is undefined")
+        merged: list[float] = []
+        nullity = 0
+        for b in blocks:
+            eigs = next(solved).tolist()
+            block_nullity = len(eigs) - b.rank1
+            _check_bands(eigs, block_nullity, source)
+            nullity += block_nullity
+            merged.extend(eigs)
+        merged.sort()
+        rank = sum(b.rank1 for b in blocks)
+        if rank == 0:
+            raise SpectralError("boundary factor has rank zero")
+        l0_min = l1_min = None
+        if graph_side:
+            l0_min = l1_min = math.inf
+            for b in blocks:
+                eigs0 = next(solved).tolist()
+                _check_bands(eigs0, 1, "L0_up")  # nullity |V| - rank0 = 1
+                l0_min = min(l0_min, eigs0[1])
+                eigs1 = next(solved).tolist()
+                null1 = len(b.graph.edges) - (len(b.graph.vertices) - 1) - b.rank1
+                _check_bands(eigs1, null1, "L1_total")
+                l1_min = min(l1_min, eigs1[null1])
+        reports.append(
+            SpectralReport(
+                lam=merged[nullity],
+                tau=merged[nullity + 1] if rank > 1 else None,
+                nullity=nullity,
+                spectrum=Spectrum(eigenvalues=tuple(merged), nullity=nullity, source=source),
+                lambda_min_plus_l0=l0_min,
+                lambda_min_plus_l1_total=l1_min,
+                dims={
+                    "vertices": sum(len(b.graph.vertices) for b in blocks),
+                    "edges": sum(len(b.graph.edges) for b in blocks),
+                    "triangles": len(family),
+                    "spectrum_source": source,
+                },
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,16 @@ def test_lambda_validates_each_triangle_once(tmp_path, capsys, monkeypatch):
         assert calls == []
 
 
+def test_verify_rigidity_checks_no_triangle(capsys, monkeypatch):
+    # K_n and its prefixes minus one or two triangles are already canonical.
+    calls = []
+    original = families.triangle
+    monkeypatch.setattr(families, "triangle", lambda *t: calls.append(t) or original(*t))
+    code, out, _ = run(capsys, "verify", "rigidity")
+    assert code == 0 and "suite=rigidity checks=9 failures=0" in out
+    assert calls == []
+
+
 def test_lambda_of_a_comment_only_file_is_a_parse_error(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no triangles here\n\n")
@@ -180,18 +190,21 @@ def test_verify_parses_every_range_before_any_suite_prints(capsys, option, value
 
 
 def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
-    calls = {"spectral_report": 0, "lambda_of": 0, "support_graph": 0, "random_families": 0}
+    calls = {"spectral_reports": 0, "lambda_of": 0, "support_graph": 0, "random_families": 0}
+    reported = []
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "spectral_reports":
+                reported.append(len(args[0]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "spectral_report")
+    counted(cli, "spectral_reports")
     counted(extremal, "lambda_of")
     counted(families, "support_graph")
     counted(cli, "random_families")
@@ -214,15 +227,52 @@ def test_verify_evaluates_each_audited_family_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "all", "--seed", "3", "--random", "5")
     assert code == 0
     assert "suite=overlap checks=25 failures=0" in out
-    # One report per grid (19) and random (5) family; lambda_of inside the
-    # certificates only for the nine rigidity checks (n = 4..6, three each);
-    # the overlap and counting certificates reuse the graph each family
-    # built for its report.
-    assert calls["spectral_report"] == 19 + 5 and calls["lambda_of"] == 9
+    # One report per grid (19) and random (5) family, all in one batch;
+    # lambda_of inside the certificates only for the nine rigidity checks
+    # (n = 4..6, three each); the overlap and counting certificates reuse
+    # the graph each family built for its report.
+    assert reported == [19 + 5] and calls["lambda_of"] == 9
     # hodge and the reports read one list of random families.
     assert calls["random_families"] == 1
     assert calls["support_graph"] > 0
     assert suite_builds == {"overlap": 0, "counting": 0}
+
+
+def test_verify_solves_one_stack_per_kind_and_size(capsys, monkeypatch):
+    # The reports and hodge's Gram matrices go through eigenvalues_grouped,
+    # one eigenvalues_symmetric call per distinct (kind, size) group; the
+    # nine gcb cells solve their L2_down alone.
+    shapes, groups = [], []
+    solve, grouped = spectra.eigenvalues_symmetric, spectra.eigenvalues_grouped
+
+    def counted_solve(matrix):
+        shapes.append(np.shape(matrix))
+        return solve(matrix)
+
+    def counted_grouped(grams):
+        groups.append(len({(kind, size) for kind, size, _ in grams}))
+        return grouped(grams)
+
+    for module in (spectra, cli):
+        monkeypatch.setattr(module, "eigenvalues_symmetric", counted_solve)
+        monkeypatch.setattr(module, "eigenvalues_grouped", counted_grouped)
+    code, _, _ = run(capsys, "verify", "all", "--seed", "1", "--random", "200")
+    assert code == 0
+    assert len(shapes) == sum(groups) + 9 == 109
+    # The same 1,090 matrices that solving one at a time takes.
+    assert sum(shape[0] if len(shape) == 3 else 1 for shape in shapes) == 1090
+
+
+def test_verify_prints_earlier_suites_before_a_report_fails(capsys, monkeypatch):
+    # intro:2 is the first audited family to fail a zero band this wide; the
+    # hodge lines print before mingap asks for the reports.
+    monkeypatch.setattr(spectra, "ZERO_BAND_COEFF", 0.5)
+    with pytest.raises(spectra.SpectralError) as alone:
+        spectra.spectral_report(cli._intro_families()[1][1])
+    code, out, err = run(capsys, "verify", "all", "--seed", "1", "--random", "5")
+    assert code == 3
+    assert out.splitlines()[-1] == "suite=hodge checks=15 failures=0"
+    assert err == f"numerical failure: {alone.value}\n"
 
 
 def test_verify_gcb_builds_each_cell_family_once(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from trispec import (
     phi_exact,
     phi_table,
     spectra,
+    spectral_report,
 )
 from trispec.incidence import build_delta1, exact_rank
 
@@ -340,10 +341,11 @@ def test_phi_prune_ab_invariant():
 def _counted_phi(t: int) -> tuple[Counter, Counter, Counter, Counter]:
     """A fresh phi_exact(t) with every cut: how often each family is
     solved, by the sweep's stacked `_sweep_solve` (each family in a stack
-    counts) or by `spectra._lambda_tau_spectrum` (directly or through
-    `lambda_of`); how many `_sweep_solve` stacks and canonicity tests
-    (`_is_lex_min`) ran; and the families `_extend` built and the nodes
-    entered (each entered node generates its candidates once).
+    counts) or by `spectra.spectral_reports` (each family in a batch,
+    directly or through `lambda_of` and `spectral_report`); how many
+    `_sweep_solve` stacks and canonicity tests (`_is_lex_min`) ran; and
+    the families `_extend` built and the nodes entered (each entered node
+    generates its candidates once).
 
     Each candidate child is decided once, before its node's stack: a child
     with a subtree is kept only when it is canonical (at depth t - 1
@@ -357,7 +359,7 @@ def _counted_phi(t: int) -> tuple[Counter, Counter, Counter, Counter]:
     calls = Counter()
     extended = Counter()
     entered = Counter()
-    sweep_solve, solve = extremal._sweep_solve, spectra._lambda_tau_spectrum
+    sweep_solve, solve = extremal._sweep_solve, spectra.spectral_reports
     is_lex_min, extend, candidates = extremal._is_lex_min, extremal._extend, extremal._candidates
 
     def counted_sweep_solve(nodes, grams):
@@ -365,9 +367,9 @@ def _counted_phi(t: int) -> tuple[Counter, Counter, Counter, Counter]:
         solved.update(node.tris for node in nodes)
         return sweep_solve(nodes, grams)
 
-    def counted_solve(family):
-        solved[family.triangles] += 1
-        return solve(family)
+    def counted_solve(families, *args, **kwargs):
+        solved.update(family.triangles for family in families)
+        return solve(families, *args, **kwargs)
 
     def counted_lex_min(*args):
         calls["_is_lex_min"] += 1
@@ -384,7 +386,7 @@ def _counted_phi(t: int) -> tuple[Counter, Counter, Counter, Counter]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(extremal, "_sweep_solve", counted_sweep_solve)
-        patch.setattr(spectra, "_lambda_tau_spectrum", counted_solve)
+        patch.setattr(spectra, "spectral_reports", counted_solve)
         patch.setattr(extremal, "_is_lex_min", counted_lex_min)
         patch.setattr(extremal, "_extend", counted_extend)
         patch.setattr(extremal, "_candidates", counted_candidates)
@@ -471,7 +473,8 @@ def test_interlacing_bounds_a_child_by_its_node(case):
     # its lambda is at most the node's lambda when the rank grows, else tau.
     tris, tri = case
     node, child = TriangleFamily(tris), TriangleFamily(tris + (tri,))
-    lam, tau = spectra._lambda_tau_spectrum(node)[:2]
+    report = spectral_report(node)
+    lam, tau = report.lam, report.tau
     child_lam = lambda_of(child)
     if tau is not None:
         assert child_lam <= tau + 1e-9
@@ -570,8 +573,8 @@ def _gram(family: TriangleFamily) -> np.ndarray:
 
 def _lambda_tau(family: TriangleFamily) -> tuple[float, float]:
     """`spectra`'s (lambda, tau) of a family, tau infinite at rank 1 as the sweep reads it."""
-    lam, tau = spectra._lambda_tau_spectrum(family)[:2]
-    return lam, math.inf if tau is None else tau
+    report = spectral_report(family)
+    return report.lam, math.inf if report.tau is None else report.tau
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,10 +25,13 @@ from trispec import (
     phi_lower_bound_family,
     random_families,
     relabel,
+    spectra,
     spectral_report,
+    spectral_reports,
     support_graph,
     verify_min_gap,
 )
+from trispec.cli import _grid_families
 from trispec.spectra import SpectralError, _blocks, _check_bands
 
 
@@ -272,3 +275,50 @@ def test_spectral_report_is_byte_equal_to_the_dense_products():
         assert spectral_report(fam).to_json() == want, fam.triangles
         sources.add(json.loads(want)["dims"]["spectrum_source"])
     assert sources == {"L1_up", "L2_down"}
+
+
+def test_batched_reports_equal_reports_solved_one_matrix_at_a_time(monkeypatch):
+    # One batch solves each (kind, size) group as one stack; a report made
+    # with every Gram matrix solved alone is the same, exactly.
+    fams = [fam for _, fam in _grid_families()] + random_families(200, 7)
+    k5_gcb_k4 = disjoint_union(complete_family(5), gcb_family(GcbSpec(4, 2)))
+    fams.append(disjoint_union(k5_gcb_k4, complete_family(4)))
+    # Blocks of equal size within one family and across two.
+    fams.append(disjoint_union(complete_family(4), complete_family(4)))
+    fams.append(disjoint_union(complete_family(4), complete_family(5)))
+    solve = spectra.eigenvalues_symmetric
+    stacked = []
+
+    def counted(stack):
+        stacked.append(len(stack))
+        return solve(stack)
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", counted)
+    batched = [report.to_dict() for report in spectral_reports(fams)]
+    assert max(stacked) > 1
+
+    def alone(stack):
+        return np.array([solve(matrix) for matrix in stack])
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", alone)
+    assert batched == [spectral_report(fam).to_dict() for fam in fams]
+
+
+def test_a_batch_raises_the_first_failing_familys_own_error(monkeypatch):
+    # With the zero band at half of 1 + lambda_max, K_4 passes and the other
+    # three each fail with their own message; the batch raises the message
+    # the first of them raises alone, not a later family's.
+    monkeypatch.setattr(spectra, "ZERO_BAND_COEFF", 0.5)
+    ok = complete_family(4)
+    first = TriangleFamily(((1, 2, 3), (1, 2, 4)))
+    later = [gcb_family(GcbSpec(3, 2)), TriangleFamily(((1, 2, 3), (2, 3, 4), (3, 4, 5)))]
+    spectral_report(ok)
+    messages = []
+    for fam in [first] + later:
+        with pytest.raises(SpectralError) as alone:
+            spectral_report(fam)
+        messages.append(str(alone.value))
+    assert len(set(messages)) == 3
+    with pytest.raises(SpectralError) as batch:
+        spectral_reports([ok, first] + later)
+    assert str(batch.value) == messages[0]
