@@ -4,9 +4,9 @@ Exhaustive search over small triangle budgets
 
 The enumerator walks one canonical representative per isomorphism class
 of connected families, so the per-budget maxima it reports are exact.
-Disconnected optima are assembled afterwards from the connected bests,
-which is how the budget-5 winner turns out to be a clique plus a far
-away lone triangle.
+No disconnected family does better: gluing a disjoint union's parts at
+one vertex connects it and keeps its lambda, so the budget-5 winner is
+the windmill, five triangles sharing only one vertex.
 """
 
 from trispec import enumerate_connected_families, lambda_of, phi_table

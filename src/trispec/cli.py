@@ -144,10 +144,9 @@ class _Suite:
 
 
 def _intro_families() -> list[tuple[str, TriangleFamily]]:
-    t1 = TriangleFamily(((1, 2, 3),))
-    t2 = TriangleFamily(((1, 2, 3), (1, 2, 4)))
-    t3 = TriangleFamily(((1, 2, 3), (1, 2, 4), (1, 3, 4)))
-    return [("intro:1", t1), ("intro:2", t2), ("intro:3", t3), ("intro:4", complete_family(4))]
+    k4 = complete_family(4)  # intro:s is its sorted prefix of s triangles
+    prefixes = [TriangleFamily._canonical(k4.triangles[:s]) for s in (1, 2, 3)]
+    return [(f"intro:{s}", fam) for s, fam in enumerate(prefixes + [k4], 1)]
 
 
 def _grid_families() -> list[tuple[str, TriangleFamily]]:

@@ -58,7 +58,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .families import TriangleFamily, disjoint_union, vertex_triangle_counts
+from .families import TriangleFamily, vertex_triangle_counts
 from .incidence import _reduce_row, build_delta1, delta1_rank
 from .spectra import _check_bands, eigenvalues_symmetric, lambda_of
 
@@ -73,7 +73,7 @@ IMPROVE_EPS = 1e-12
 _SAVE_SECONDS = 60.0
 # Layout of the checkpoint file, kept in its `search` key: bump it whenever
 # the keys of the file or their meaning change, so an older file is refused.
-_CHECKPOINT_LAYOUT = 1
+_CHECKPOINT_LAYOUT = 2
 
 
 def guarded_ceil(lam: float) -> int:
@@ -823,6 +823,13 @@ def _sweep_lambda(tris: tuple) -> float:
     return _sweep_solve([node], (d1 @ d1.T)[None])[0][0]
 
 
+def _windmill(r: int) -> tuple:
+    """W_r = (1,2,3), (1,4,5), ..., (1,2r,2r+1): r triangles sharing only
+    vertex 1, so no two share an edge, d1 d1^T = 3I and lambda is exactly 3.
+    It is connected, on 2r+1 vertices, and canonical."""
+    return tuple((1, 2 * i, 2 * i + 1) for i in range(1, r + 1))
+
+
 def _phi_sweep(
     t: int,
     cap: int,
@@ -832,6 +839,10 @@ def _phi_sweep(
 ) -> tuple[dict[int, tuple[float, tuple]], bool]:
     """One orderly sweep collecting the best connected family per size 1..t;
     returns the incumbents and whether the sweep completed in time.
+
+    Each size r whose windmill fits the cap (2r + 1 <= cap) starts, prune
+    or not, with the incumbent (3.0, W_r) (`_windmill`), so the cuts read
+    lambda = 3 from the first node on.
 
     Every node is connected, and no candidate is a twin-orbit duplicate
     (see `_candidates`); a node's twin classes are computed when it is
@@ -891,6 +902,9 @@ def _phi_sweep(
     """
     ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
+    for r in range(1, min(t, (cap - 1) // 2) + 1):
+        if r not in best or 3.0 > best[r][0] + IMPROVE_EPS:
+            best[r] = (3.0, _windmill(r))
     start = ckpt.cursor if ckpt else ()
     last = start
     now = time.monotonic()
@@ -965,45 +979,18 @@ def _phi_sweep(
     return best, completed
 
 
-def _partition_best(
-    best: dict[int, tuple[float, tuple]], t: int
-) -> list[tuple[float, TriangleFamily | None]]:
-    """Max-min over integer partitions: a disjoint union scores the minimum
-    of its parts, so the optimum combines the best connected families."""
-    best_any: list[tuple[float, TriangleFamily | None]] = [(math.inf, None)] + [
-        (-math.inf, None)
-    ] * t
-    for s in range(1, t + 1):
-        top: tuple[float, TriangleFamily | None] = (-math.inf, None)
-        for p in range(1, s + 1):
-            if p not in best:
-                continue
-            lam_p, tris_p = best[p]
-            lam_rest, fam_rest = best_any[s - p]
-            cand = min(lam_p, lam_rest)
-            if cand > top[0] + IMPROVE_EPS:
-                part = TriangleFamily(tris_p)
-                fam = part if fam_rest is None else disjoint_union(fam_rest, part)
-                top = (cand, fam)
-        best_any[s] = top
-    return best_any
-
-
-def _entry(
-    t: int, best_any, best, completed: bool, cap: int
-) -> PhiEntry:
-    phi, witness = best_any[t]
-    if witness is None:
-        raise RuntimeError("search produced no family; budget too tight?")
-    # Connected families of s triangles have at most 2s+1 vertices; those
+def _entry(t: int, best: dict[int, tuple[float, tuple]], completed: bool, cap: int) -> PhiEntry:
+    if t not in best:
+        stop = "" if completed else " before the time budget ran out"
+        raise ValueError(f"no family of {t} triangles found within {cap} vertices{stop}")
+    phi, witness = best[t]
+    # Connected families of t triangles have at most 2t+1 vertices; those
     # beyond the cap were not enumerated and must be out of reach.
-    exhaustive = completed and all(
-        2 * s + 1 <= cap or _beyond_reach(best, s, cap + 1) for s in range(1, t + 1)
-    )
+    exhaustive = completed and (2 * t + 1 <= cap or _beyond_reach(best, t, cap + 1))
     return PhiEntry(
         t=t,
         phi=phi,
-        witness=witness,
+        witness=TriangleFamily(witness),
         exhaustive=exhaustive,
         connected_max=tuple(best[s][0] if s in best else -math.inf for s in range(1, t + 1)),
     )
@@ -1038,17 +1025,23 @@ def phi_table(
 ) -> PhiTable:
     """Entries for every budget 1..t_max from a single sweep.
 
-    The sweep enumerates connected classes of every size up to t_max;
-    disconnected families are covered by the partition rule.  An entry is
-    exhaustive when the sweep completed within `budget_seconds` and, under
-    an explicit `max_vertices` below 2t+1, the counting bound rules out
-    every family on more vertices.  The sweep resumes from, and records
-    its progress in, the JSON `checkpoint`."""
+    The sweep enumerates connected classes of every size up to t_max, and
+    by the gluing lemma its best family of size t is phi(t): families that
+    share at most one vertex share no edge, so d1 d1^T of their union is
+    block-diagonal and its lambda the lesser of theirs, and gluing a
+    disjoint union's components at one vertex gives a connected family of
+    the same lambda on fewer vertices.  Under an explicit `max_vertices` c,
+    phi(t) is the largest lambda over families on at most c vertices, and
+    a size with no family found there is refused.  An entry is
+    exhaustive, its phi the maximum over all families, when the sweep
+    completed within `budget_seconds` and either 2t+1 <= c or the counting
+    bound rules out every connected family on more than c vertices that
+    beats it, which covers the glued form of any other.  The sweep resumes
+    from, and records its progress in, the JSON `checkpoint`."""
     if t_max < 1:
         raise ValueError(f"phi needs t >= 1, got {t_max}")
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError(f"budget_seconds must be positive, got {budget_seconds}")
     cap = _resolve_cap(t_max, max_vertices)
     best, completed = _phi_sweep(t_max, cap, prune, budget_seconds, checkpoint)
-    best_any = _partition_best(best, t_max)
-    return PhiTable({t: _entry(t, best_any, best, completed, cap) for t in range(1, t_max + 1)})
+    return PhiTable({t: _entry(t, best, completed, cap) for t in range(1, t_max + 1)})

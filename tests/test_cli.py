@@ -94,6 +94,29 @@ def test_verify_rigidity_checks_no_triangle(capsys, monkeypatch):
     assert calls == []
 
 
+def test_intro_families_check_no_triangle(monkeypatch):
+    # intro:1..3 are sorted prefixes of K_4, already canonical.
+    calls = []
+    original = families.triangle
+    monkeypatch.setattr(families, "triangle", lambda *t: calls.append(t) or original(*t))
+    intro = cli._intro_families()
+    assert calls == []
+    assert [(name, fam.triangles) for name, fam in intro] == [
+        ("intro:1", ((1, 2, 3),)),
+        ("intro:2", ((1, 2, 3), (1, 2, 4))),
+        ("intro:3", ((1, 2, 3), (1, 2, 4), (1, 3, 4))),
+        ("intro:4", ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))),
+    ]
+
+
+def test_phi_refuses_a_budget_no_family_fits(capsys):
+    # Under --max-vertices c, phi is the largest lambda over families on at
+    # most c vertices, and K_4 holds only 4 triangles.
+    code, out, err = run(capsys, "phi", "5", "--max-vertices", "4")
+    assert (code, out) == (2, "")
+    assert "no family of 5 triangles found within 4 vertices" in err
+
+
 def test_lambda_of_a_comment_only_file_is_a_parse_error(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no triangles here\n\n")
@@ -347,6 +370,20 @@ def test_phi_refuses_checkpoint_without_a_layout(tmp_path, capsys):
     assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     doc = json.loads(path.read_text())
     doc["search"] = {"t": 4, "cap": 9, "prune": True, "version": "0.1.0"}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert "another search" in err
+
+
+def test_phi_refuses_checkpoint_of_the_unseeded_layout(tmp_path, capsys):
+    # Layout 1 held incumbents grown without the windmill seed; resuming
+    # one would end on other witnesses than a fresh run.
+    path = tmp_path / "phi.ckpt"
+    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    assert doc["search"]["layout"] == 2
+    doc["search"]["layout"] = 1
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
     assert (code, out) == (2, "")

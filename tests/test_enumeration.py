@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from trispec import (
     TriangleFamily,
     complete_family,
+    disjoint_union,
     enumerate_connected_families,
     extremal,
     lambda_of,
     lambda_staircase,
     phi_exact,
     phi_table,
+    relabel,
     spectra,
     spectral_report,
 )
@@ -305,13 +307,98 @@ def test_phi_small_budgets():
         assert abs(lambda_of(entry.witness) - entry.phi) < 1e-9
 
 
-def test_phi_five_is_three_with_disconnected_witness():
+def test_phi_five_is_three_with_the_windmill_witness():
+    # The seed W_5 = (1,2,3), (1,4,5), ..., (1,10,11) is connected and no
+    # swept family of 5 triangles beats its exact lambda = 3.
     entry = phi_exact(5)
     assert entry.exhaustive
-    assert abs(entry.phi - 3.0) < 1e-8
-    # best split: the 4,1 partition (clique plus a lone triangle)
-    assert abs(lambda_of(entry.witness) - 3.0) < 1e-9
-    assert len(entry.witness) == 5
+    assert entry.phi == 3.0
+    assert entry.witness.triangles == extremal._windmill(5)
+    assert len(entry.witness.components) == 1
+    assert lambda_of(entry.witness) == 3.0
+
+
+def test_windmill_seed_is_canonical_with_lambda_exactly_three():
+    # d1 d1^T = 3I, so both solvers return 3.0 to the bit, and a checkpoint
+    # holding the seed passes the check against `_sweep_lambda`.
+    # `_is_lex_min` grows about tenfold per blade on a windmill, so it is
+    # checked up to W_7 (15 labels), and against brute force up to W_3.
+    for r in range(1, 16):
+        windmill = extremal._windmill(r)
+        assert extremal._sweep_lambda(windmill) == 3.0
+        assert lambda_of(TriangleFamily(windmill)) == 3.0
+        k = 2 * r + 1
+        if r <= 7:
+            assert extremal._is_lex_min(windmill, k, extremal._twins(windmill, k))
+        if k <= 8:
+            assert relabeled_min(windmill, k) == windmill
+
+
+_SMALL_FAMILIES = st.lists(
+    st.sets(st.integers(1, 7), min_size=3, max_size=3).map(lambda v: tuple(sorted(v))),
+    min_size=1,
+    max_size=10,
+).map(lambda tris: TriangleFamily(tuple(tris)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SMALL_FAMILIES, _SMALL_FAMILIES, st.data())
+def test_gluing_two_families_at_one_vertex_keeps_the_lesser_lambda(first, second, data):
+    # The gluing lemma phi rests on: families sharing at most one vertex
+    # share no edge, so d1 d1^T of their union is block-diagonal.
+    at = data.draw(st.sampled_from(first.vertices()))
+    joint = data.draw(st.sampled_from(second.vertices()))
+    fresh = iter(range(max(first.vertices()) + 1, 100))
+    moved = relabel(second, {v: at if v == joint else next(fresh) for v in second.vertices()})
+    glued = TriangleFamily(first.triangles + moved.triangles)
+    assert len(glued) == len(first) + len(second)
+    assert len(glued.vertices()) == len(first.vertices()) + len(second.vertices()) - 1
+    want = min(lambda_of(first), lambda_of(second))
+    assert lambda_of(glued) == pytest.approx(lambda_of(disjoint_union(first, second)), abs=1e-9)
+    assert lambda_of(glued) == pytest.approx(want, abs=1e-9)
+
+
+def test_default_phi_witnesses_are_connected():
+    # By the gluing lemma the best connected family of each size is phi.
+    table = phi_table(9)
+    for t, entry in table.entries.items():
+        assert entry.exhaustive
+        assert len(entry.witness) == t
+        assert len(entry.witness.components) == 1
+        assert entry.phi == entry.connected_max[-1]
+    assert table.entries[8].witness.triangles == (
+        (1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 5, 6), (1, 5, 7), (1, 6, 7), (2, 3, 4), (5, 6, 7)
+    )  # two K_4 sharing vertex 1
+
+
+def test_capped_phi_is_the_maximum_over_families_within_the_cap():
+    # Every family on at most 5 vertices is a subfamily of K_5 up to
+    # relabeling, so brute force over those gives phi under the cap 5.
+    k5 = complete_family(5).triangles
+    for t in range(1, 7):
+        want = max(lambda_of(TriangleFamily(tris)) for tris in combinations(k5, t))
+        entry = phi_exact(t, max_vertices=5)
+        assert entry.phi == pytest.approx(want, abs=1e-9)
+        assert len(entry.witness.vertices()) <= 5
+    entry = phi_exact(4, max_vertices=5)
+    assert entry.exhaustive and entry.witness == complete_family(4)
+
+
+def test_capped_phi_witnesses_fit_the_cap():
+    for t in range(1, 7):
+        for cap in range(3, 2 * t + 2):
+            if math.comb(cap, 3) < t:  # no t triangles fit on cap vertices
+                with pytest.raises(ValueError, match=rf"no family of \d+ triangles found within {cap} vertices$"):
+                    phi_exact(t, max_vertices=cap)
+                continue
+            entry = phi_exact(t, max_vertices=cap)
+            assert len(entry.witness) == t and len(entry.witness.vertices()) <= cap
+            assert abs(lambda_of(entry.witness) - entry.phi) < 1e-9
+
+
+def test_capped_phi_without_a_family_in_time_is_refused():
+    with pytest.raises(ValueError, match="before the time budget ran out"):
+        phi_exact(5, max_vertices=10, budget_seconds=1e-9)
 
 
 def test_vertex_cap_below_2t_plus_1_is_exhaustive_when_counting_bound_rules_out_the_rest():
@@ -409,7 +496,7 @@ def test_phi_prune_cuts_lambda_evaluations():
     # is entered or solved.  The node's state is read, not copied, to
     # decide its candidates: `_extend` runs once per entered node, and
     # for no other family.
-    pinned = {6: (610, 36, 60, 119), 7: (1288, 164, 115, 232), 8: (12300, 301, 706, 1721)}
+    pinned = {6: (35, 30, 12, 25), 7: (68, 88, 22, 60), 8: (140, 158, 41, 129)}
     for t, counts in pinned.items():
         solved, calls, extended, entered = _counted_phi(t)
         assert extended == entered
@@ -691,6 +778,32 @@ def test_committed_phi_table_ten_holds_its_witnesses():
     assert len(TriangleFamily(tuple(map(tuple, table["10"]["witness"]))).vertices()) == 5
     phi = {int(t): entry["phi"] for t, entry in table.items()}
     assert phi[8] > phi[9] < phi[10]
+
+
+_PHI_TABLE_12 = os.path.join(os.path.dirname(__file__), os.pardir, "phi_table_12.json")
+
+
+def test_committed_phi_table_twelve_drops_after_the_k5_peak():
+    # phi_table_12.json is the output of scripts/phi_table.py 12 (about 40 s);
+    # it is read here, not recomputed.  After phi(10) = 5 at K_5 the table
+    # drops to phi(11) = 3, below the staircase, and phi(12) = 4.
+    with open(_PHI_TABLE_12, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    assert "scripts/phi_table.py 12" in doc["command"]
+    entries = {}
+    for key, entry in doc["table"].items():
+        witness = TriangleFamily(tuple(map(tuple, entry["witness"])))
+        assert entry["t"] == int(key) and entry["exhaustive"] is True
+        assert len(witness) == entry["t"] and len(witness.components) == 1
+        assert abs(lambda_of(witness) - entry["phi"]) <= 1e-8
+        entries[entry["t"]] = extremal.PhiEntry(
+            entry["t"], entry["phi"], witness, True, tuple(entry["connected_max"])
+        )
+    assert sorted(entries) == list(range(1, 13))
+    assert entries[11].phi == pytest.approx(3.0, abs=1e-8)
+    assert entries[12].phi == pytest.approx(4.0, abs=1e-8)
+    envelope = extremal.PhiTable(entries).lambda_envelope()
+    assert envelope == pytest.approx({t: lambda_staircase(t) for t in range(1, 13)}, abs=1e-8)
 
 
 def test_phi_respects_time_budget_flag():
