@@ -17,13 +17,12 @@ twins.  A node's twin classes are computed once and serve both its
 canonicity test and its candidates.
 
 The phi sweep tests canonicity only on a child with a subtree, before
-its node's stack, and solves and enters it only when canonical; a child
-at depth t - 1 is entered untested, since none of its children, all at
-depth t, is canonical unless it is.  A childless child (at the last
-depth, or with every descendant cut) is solved in place, canonical or
-not, unless Cauchy interlacing rules it out (see `_phi_sweep`).  Every
-solved family is recorded by the replace rule alone, which a
-non-canonical copy never passes.
+its node's stack, and solves and enters it only when canonical, so every
+node it enters is canonical.  A childless child (at the last depth, or
+with every descendant cut) is solved in place, canonical or not, unless
+Cauchy interlacing rules it out (see `_phi_sweep`).  Every solved family
+is recorded by the replace rule alone, which a non-canonical copy never
+passes.
 
 Each node the sweep enters carries d1 by column, whose entry counts are
 the codegrees the cuts read, and the echelon rows of its exact rank.  Its
@@ -663,12 +662,12 @@ def _ceiling_to_beat(best: dict[int, tuple[float, tuple]], s: int) -> int:
     return math.floor(cur[0] + CEIL_GUARD) + 1
 
 
-def _beyond_reach(best: dict[int, tuple[float, tuple]], s: int, vertices: int) -> bool:
-    """True when the counting bound v(m-1)(m-2) <= 6s, with m from
-    `_ceiling_to_beat`, rules out every family of s triangles on `vertices`
-    or more vertices that would beat the incumbent."""
-    m = _ceiling_to_beat(best, s)
-    return m > 0 and vertices * (m - 1) * (m - 2) > 6 * s
+def _vertex_limit(best: dict[int, tuple[float, tuple]], r: int) -> float:
+    """The most vertices a family of r triangles beating best[r] can have:
+    6r // ((m-1)(m-2)) by the counting bound v(m-1)(m-2) <= 6r, with m
+    from `_ceiling_to_beat`; unbounded when m is 0."""
+    m = _ceiling_to_beat(best, r)
+    return 6 * r // ((m - 1) * (m - 2)) if m else math.inf
 
 
 def _subtree_test(
@@ -680,33 +679,34 @@ def _subtree_test(
     no family of r triangles, s + 1 < r <= t, that contains the child can
     beat best[r].
 
-    Size r is out of reach by the vertex-count cut (`_beyond_reach`; such
-    a family has at least k vertices) or by the overlap cut.  A family
-    beating best[r] has ceil(lambda) >= m (`_ceiling_to_beat`, m >= 3), so
-    by the overlap theorem each of its support edges lies in at least m - 2
-    of its triangles.  Each of the r - s - 1 triangles added to the child
-    raises the codegree of at most 3 edges, so size r is out of reach when
-    the child's edges lack more than 3(r - s - 1) in all: its deficit, sum
-    of max(0, m - 2 - codegree).  That is the node's deficit, summed once
-    per size, less 1 for each old edge of the child below m - 2, plus
-    m - 3 for each new edge.
+    Size r is out of reach by the vertex-count cut (such a family has at
+    least k vertices, more than `_vertex_limit`) or by the overlap cut.  A
+    family beating best[r] has ceil(lambda) >= m (`_ceiling_to_beat`, m >=
+    3), so by the overlap theorem each of its support edges lies in at
+    least m - 2 of its triangles.  Each of the r - s - 1 triangles added to
+    the child raises the codegree of at most 3 edges, so size r is out of
+    reach when the child's edges lack more than its room, 3(r - s - 1), in
+    all: its deficit, sum of max(0, m - 2 - codegree).  That is the node's
+    deficit, less 1 for each old edge of the child below m - 2, plus m - 3
+    for each new edge.  Each size's m, node deficit, room and vertex limit
+    are computed once per node, not once per child.
     """
     s = len(node.tris)
-    sizes = [
-        (r, m, sum(max(0, m - 2 - len(entries)) for _, entries in node.columns.values()))
-        for r in range(s + 2, t + 1)
-        for m in (_ceiling_to_beat(best, r),)
-    ]
+    sizes = []
+    for r in range(s + 2, t + 1):
+        m = _ceiling_to_beat(best, r)
+        if not m:  # nothing to beat at size r: every child has a subtree
+            return lambda cols, k: True
+        deficit = sum(max(0, m - 2 - len(entries)) for _, entries in node.columns.values())
+        sizes.append((m, deficit, 3 * (r - s - 1), _vertex_limit(best, r)))
 
     def has_subtree(cols: tuple, k: int) -> bool:
-        for r, m, deficit in sizes:
-            if not m:
-                return True
-            if _beyond_reach(best, r, k):
+        for m, deficit, room, limit in sizes:
+            if k > limit:
                 continue
             for col in cols:
                 deficit += m - 3 if col is None else -(len(col[1]) < m - 2)
-            if deficit <= 3 * (r - s - 1):
+            if deficit <= room:
                 return True
         return False
 
@@ -856,11 +856,8 @@ def _phi_sweep(
     bound on its vertex count or by the overlap theorem on the codegrees
     it lacks.  Both read only codegrees and the label count, which
     relabeling keeps, so only a child with a subtree is tested for
-    canonicity, and kept only when canonical.  At depth t - 1 a child with
-    a subtree is kept untested: its children are all at depth t, and a
-    non-canonical node has no canonical child (deleting the last triangle
-    of a canonical family leaves a canonical family), so none of them can
-    replace an incumbent; nor can the node itself, by the argument below.
+    canonicity, and kept only when canonical: every node the sweep enters
+    is canonical.
 
     A childless child is kept, canonical or not, unless Cauchy interlacing
     rules it out: its d1 d1^T borders the node's, so its lambda is at most
@@ -893,11 +890,10 @@ def _phi_sweep(
 
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
-    again (a resume redoes the cursor's stack and the untested children
-    it entered, which cannot replace an incumbent twice).  Only a node whose canonicity is known,
-    the root or one at depth t - 2 or less, becomes the cursor, since a
-    cursor must pass `_is_node` on resume; the deadline is checked, and a
-    periodic save made, only at such a node past the cursor, so each run
+    again (a resume redoes the cursor's stack, which cannot replace an
+    incumbent twice).  The last node entered becomes the cursor, canonical
+    and so a node `_is_node` accepts on resume; the deadline is checked,
+    and a periodic save made, only at a node past the cursor, so each run
     moves the cursor forward.
     """
     ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
@@ -914,18 +910,15 @@ def _phi_sweep(
     def visit(
         node: _Carried, k: int, twin: list[int], solved: tuple[float, float], gram: np.ndarray
     ) -> None:
-        """Enter a node, canonical unless at depth t - 1, whose (lambda, tau)
-        is `solved` and whose d1 d1^T is `gram`, deciding each candidate
-        child once."""
+        """Enter a canonical node whose (lambda, tau) is `solved` and whose
+        d1 d1^T is `gram`, deciding each candidate child once."""
         nonlocal last, next_save
         tris = node.tris
         s = len(tris)
-        tested = s == 1 or s + 2 <= t  # the root, or canonicity tested before entry
-        if tested:
-            last = tris
+        last = tris
         if s == t:  # only the root, when t = 1
             return
-        if tested and tris > start:
+        if tris > start:
             now = time.monotonic()
             if now > deadline:
                 raise _BudgetExceeded
@@ -947,7 +940,7 @@ def _phi_sweep(
             cols = (columns.get((a, b)), columns.get((a, c)), columns.get((b, c)))
             if has_subtree(cols, k2):
                 child_twin = _twins(tris + (tri,), k2)
-                if s + 2 == t or _is_lex_min(tris + (tri,), k2, child_twin):
+                if _is_lex_min(tris + (tri,), k2, child_twin):
                     kept.append((_child_of(node, tri, cols, (True, True)), k2, child_twin))
             elif child := _child_of(node, tri, cols, keep):
                 kept.append((child, k2, None))
@@ -986,7 +979,7 @@ def _entry(t: int, best: dict[int, tuple[float, tuple]], completed: bool, cap: i
     phi, witness = best[t]
     # Connected families of t triangles have at most 2t+1 vertices; those
     # beyond the cap were not enumerated and must be out of reach.
-    exhaustive = completed and (2 * t + 1 <= cap or _beyond_reach(best, t, cap + 1))
+    exhaustive = completed and (2 * t + 1 <= cap or cap >= _vertex_limit(best, t))
     return PhiEntry(
         t=t,
         phi=phi,

@@ -293,7 +293,7 @@ def test_vertex_cap_argument():
 def test_default_phi_is_exhaustive_without_the_counting_bound(monkeypatch):
     # The default budget 2t + 1 covers every connected family, so the
     # entry is exhaustive even when the counting bound rules nothing out.
-    monkeypatch.setattr(extremal, "_beyond_reach", lambda *args: False)
+    monkeypatch.setattr(extremal, "_vertex_limit", lambda *args: math.inf)
     assert phi_exact(7).exhaustive
 
 
@@ -435,11 +435,11 @@ def _counted_phi(t: int) -> tuple[Counter, Counter, Counter, Counter]:
     generates its candidates once).
 
     Each candidate child is decided once, before its node's stack: a child
-    with a subtree is kept only when it is canonical (at depth t - 1
-    untested), and a childless one unless Cauchy interlacing drops it.  The
-    kept children are solved in one stack, and a child with a subtree is
-    entered with the (lambda, tau) of that stack even when the incumbents
-    grown meanwhile have cut its whole subtree.  No family is skipped at
+    with a subtree is kept only when it is canonical, and a childless one
+    unless Cauchy interlacing drops it.  The kept children are solved in
+    one stack, and a child with a subtree is entered with the (lambda,
+    tau) of that stack even when the incumbents grown meanwhile have cut
+    its whole subtree.  No family is skipped at
     its own size: the replace rule alone decides whether a solved family
     is recorded."""
     solved = Counter()
@@ -485,18 +485,17 @@ def test_phi_prune_cuts_lambda_evaluations():
     # Frozen counts for phi(t) with every cut: families solved, canonicity
     # tests, stacks and `_extend` calls.  Each candidate is decided once,
     # before its node's stack: the canonicity test runs on every child
-    # with a subtree below depth t - 1, and no other, and only a canonical
-    # one is solved; a child with a subtree at depth t - 1 is solved and
-    # entered untested, and every childless child that interlacing does
-    # not drop is solved without a canonicity test; no family is skipped
-    # at its own size.  `_candidates` drops the copies not least in their
+    # with a subtree, and no other, and only a canonical one is solved and
+    # entered; every childless child that interlacing does not drop is
+    # solved without a canonicity test; no family is skipped at its own
+    # size.  `_candidates` drops the copies not least in their
     # twin orbit.  There is one stack per entered node with a child left,
     # plus the root's, and a child is entered by the subtree test read
     # before the stack.  No candidate is all-new, so no disconnected node
     # is entered or solved.  The node's state is read, not copied, to
     # decide its candidates: `_extend` runs once per entered node, and
     # for no other family.
-    pinned = {6: (35, 30, 12, 25), 7: (68, 88, 22, 60), 8: (140, 158, 41, 129)}
+    pinned = {6: (33, 35, 11, 23), 7: (68, 92, 22, 60), 8: (137, 172, 41, 126)}
     for t, counts in pinned.items():
         solved, calls, extended, entered = _counted_phi(t)
         assert extended == entered
@@ -519,6 +518,29 @@ def test_phi_sweep_records_only_canonical_incumbents(t, prune):
         else:
             assert extremal._is_lex_min(tris, k, extremal._twins(tris, k))
         assert lam == lambda_of(TriangleFamily(tris))
+
+
+@pytest.mark.parametrize("t,prune", [(t, True) for t in range(1, 9)] + [(t, False) for t in range(1, 6)])
+def test_phi_sweep_enters_only_canonical_nodes(t, prune, monkeypatch):
+    # A child with a subtree is tested for canonicity at every depth, so
+    # each node the sweep enters, the root included, is the canonical
+    # representative of its class.  `_extend` builds the state of exactly
+    # the entered nodes.
+    entered = []
+    extend = extremal._extend
+
+    def recorded(node, tri):
+        entered.append(node.tris + (tri,))
+        return extend(node, tri)
+
+    monkeypatch.setattr(extremal, "_extend", recorded)
+    _, completed = extremal._phi_sweep(t, extremal._resolve_cap(t, None), prune, None, None)
+    assert completed and entered[0] == extremal._ROOT
+    for tris in entered:
+        k = max(tri[2] for tri in tris)
+        assert extremal._is_lex_min(tris, k, extremal._twins(tris, k))
+        if t <= 6:
+            assert relabeled_min(tris, k) == tris
 
 
 def test_phi_sweep_solves_each_family_once():
@@ -636,8 +658,9 @@ def test_child_records_read_their_nodes_state_without_changing_it(tris, keep):
     # A node decides every candidate from its own state without copying
     # it: the child `keep` keeps, by whether its rank grows, has the rank
     # and border of the child built from scratch, and the node's state is
-    # left as it was, order included.  Nodes at depth t - 1 are entered
-    # without a canonicity test, so the paths need not be canonical.
+    # left as it was, order included.  Only canonical nodes are entered,
+    # but the state does not depend on it, so the paths need not be
+    # canonical.
     node = _carried(tris)
     k = max(tri[2] for tri in tris)
     before = (list(node.columns.items()), list(node.echelon.items()))
@@ -937,10 +960,9 @@ def test_repeated_tiny_budget_runs_reach_the_fresh_result(tmp_path):
 def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, monkeypatch):
     # Run n interrupts phi 6 at its n-th stack, until a run has no n-th
     # stack and completes.  Every interrupt after the root's stack leaves a
-    # checkpoint at the last node entered whose canonicity is known, at
-    # depth 4 or less (a node at depth 5 is entered untested), and each
-    # resumes to the fresh result along the Gram matrices of the path it
-    # enters again.
+    # checkpoint at the last node entered, canonical at every depth up to
+    # t - 1 = 5, and each resumes to the fresh result along the Gram
+    # matrices of the path it enters again.
     fresh = phi_exact(6).to_dict()
     solve = extremal._sweep_solve
     cursors = []
@@ -966,7 +988,7 @@ def test_keyboard_interrupt_leaves_a_checkpoint_that_resumes_to_fresh(tmp_path, 
             cursors.append(json.loads(path.read_text())["cursor"])
             assert phi_exact(6, checkpoint=str(path)).to_dict() == fresh
     assert entry.to_dict() == fresh
-    assert cursors == sorted(cursors) and max(map(len, cursors)) == 4
+    assert cursors == sorted(cursors) and max(map(len, cursors)) == 5
 
 
 @pytest.mark.parametrize("t", [1, 2])
