@@ -373,7 +373,6 @@ def _cmd_phi(args) -> int:
     started = time.monotonic()
     entry = phi_exact(
         args.t,
-        prune=not args.no_prune,
         max_vertices=args.max_vertices,
         budget_seconds=args.budget_seconds,
         checkpoint=args.checkpoint,
@@ -385,7 +384,7 @@ def _cmd_phi(args) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         outputs.append(args.json)
-    key = f"phi {args.t} prune={not args.no_prune}"
+    key = f"phi {args.t}"
     _write_manifest(args.manifest, args, key, outputs, started)
     return 0
 
@@ -452,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phi", help="exact extremal value for a triangle budget")
     sp.add_argument("t", type=int)
-    sp.add_argument("--no-prune", action="store_true", help="disable search pruning (A/B check)")
     sp.add_argument("--max-vertices", type=int)
     sp.add_argument("--budget-seconds", type=float)
     sp.add_argument("--checkpoint", metavar="PATH", help="resumable progress file")

@@ -72,7 +72,7 @@ IMPROVE_EPS = 1e-12
 _SAVE_SECONDS = 60.0
 # Layout of the checkpoint file, kept in its `search` key: bump it whenever
 # the keys of the file or their meaning change, so an older file is refused.
-_CHECKPOINT_LAYOUT = 2
+_CHECKPOINT_LAYOUT = 3
 
 
 def guarded_ceil(lam: float) -> int:
@@ -607,17 +607,21 @@ class _Checkpoint:
     """JSON resume file: the search it belongs to, the incumbent per size
     and the cursor, the last node of the sweep entered.
 
-    A file of another budget `t`, vertex budget `cap`, prune setting or layout is
-    refused, since it would skip subtrees never searched for this budget;
-    so is one that does not parse, lacks a key, has a wrong type, stores a
-    lambda not `_sweep_lambda` of its witness, or whose cursor is not a
-    node of this search, since reading part of it could drop an incumbent
-    or skip unsearched subtrees and report a wrong maximum.
+    A file of another budget `t`, vertex budget `cap` or layout is refused,
+    since it would skip subtrees never searched for this budget; so is one
+    that does not parse, lacks a key, has a wrong type, or whose cursor is
+    not a node of this search, since reading part of it could drop an
+    incumbent or skip unsearched subtrees and report a wrong maximum.  So
+    is an incumbent that is not a family of this search, which would be
+    reported as its maximum: its size outside 1..t, or its witness not its
+    own canonical form, on a label outside 1..cap, disconnected, or of a
+    lambda other than `_sweep_lambda`'s.  Canonicity is not checked, since
+    it costs seconds on the larger witnesses.
     """
 
-    def __init__(self, path, t: int, cap: int, prune: bool):
+    def __init__(self, path, t: int, cap: int):
         self.path = path
-        self.search = {"t": t, "cap": cap, "prune": prune, "layout": _CHECKPOINT_LAYOUT}
+        self.search = {"t": t, "cap": cap, "layout": _CHECKPOINT_LAYOUT}
         self.best: dict[int, tuple[float, tuple]] = {}
         self.cursor: tuple = ()
         try:
@@ -627,6 +631,14 @@ class _Checkpoint:
                 raise ValueError(f"found search {doc['search']!r}")
             for s, (lam, witness) in doc["best"].items():
                 tris = _triangles(witness, int(s))
+                family = TriangleFamily(tris)
+                if not (
+                    1 <= len(tris) <= t
+                    and family.triangles == tris  # sorted, distinct, ascending triples
+                    and set(family.vertices()) <= set(range(1, cap + 1))
+                    and len(family.components) == 1
+                ):
+                    raise ValueError(f"witness {tris!r} is not a connected family of this search")
                 # The solved lambda is finite, so this refuses Infinity and NaN too.
                 if type(lam) is not float or lam != _sweep_lambda(tris):
                     raise ValueError(f"lambda {lam!r} is not the float lambda of its witness {tris!r}")
@@ -833,16 +845,15 @@ def _windmill(r: int) -> tuple:
 def _phi_sweep(
     t: int,
     cap: int,
-    prune: bool,
     budget_seconds: float | None,
     checkpoint: str | None,
 ) -> tuple[dict[int, tuple[float, tuple]], bool]:
     """One orderly sweep collecting the best connected family per size 1..t;
     returns the incumbents and whether the sweep completed in time.
 
-    Each size r whose windmill fits the cap (2r + 1 <= cap) starts, prune
-    or not, with the incumbent (3.0, W_r) (`_windmill`), so the cuts read
-    lambda = 3 from the first node on.
+    Each size r whose windmill fits the cap (2r + 1 <= cap) starts with
+    the incumbent (3.0, W_r) (`_windmill`), so the cuts read lambda = 3
+    from the first node on.
 
     Every node is connected, and no candidate is a twin-orbit duplicate
     (see `_candidates`); a node's twin classes are computed when it is
@@ -877,8 +888,8 @@ def _phi_sweep(
     incumbents, and the cuts only tighten as incumbents grow: a child
     dropped before the stack could not replace the incumbent at its turn,
     and a child entered after its subtree was cut holds no family that can
-    replace one.  So recorded maxima and witnesses are those of the
-    unpruned sweep; `prune=False` turns every cut off.
+    replace one.  So the cuts change no recorded maximum or witness; tests
+    check the maxima against brute-force enumeration.
 
     `_sweep_solve` solves d1 d1^T (L2_down) with the exact nullity and
     `spectra`'s zero-band check.  `spectra` picks L2_down whenever t <=
@@ -896,7 +907,7 @@ def _phi_sweep(
     and a periodic save made, only at a node past the cursor, so each run
     moves the cursor forward.
     """
-    ckpt = _Checkpoint(checkpoint, t, cap, prune) if checkpoint else None
+    ckpt = _Checkpoint(checkpoint, t, cap) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
     for r in range(1, min(t, (cap - 1) // 2) + 1):
         if r not in best or 3.0 > best[r][0] + IMPROVE_EPS:
@@ -930,9 +941,9 @@ def _phi_sweep(
             candidates = [(tri, k2) for tri, k2 in candidates if tri >= start[s]]
         # Cauchy interlacing bounds a childless child by its node: whether
         # one whose rank stays (tau) or grows (lambda) can beat best[s + 1].
-        limit = best[s + 1][0] - CEIL_GUARD if prune and s + 1 in best else -math.inf
+        limit = best[s + 1][0] - CEIL_GUARD if s + 1 in best else -math.inf
         keep = (solved[1] > limit, solved[0] > limit)
-        has_subtree = _subtree_test(best if prune else {}, node, t)  # no incumbent, no cut
+        has_subtree = _subtree_test(best, node, t)
         columns = node.columns
         kept = []
         for tri, k2 in candidates:
@@ -992,7 +1003,6 @@ def _entry(t: int, best: dict[int, tuple[float, tuple]], completed: bool, cap: i
 def phi_exact(
     t: int,
     *,
-    prune: bool = True,
     max_vertices: int | None = None,
     budget_seconds: float | None = None,
     checkpoint: str | None = None,
@@ -1001,7 +1011,6 @@ def phi_exact(
     the budget-t entry of `phi_table(t, ...)`."""
     return phi_table(
         t,
-        prune=prune,
         max_vertices=max_vertices,
         budget_seconds=budget_seconds,
         checkpoint=checkpoint,
@@ -1011,7 +1020,6 @@ def phi_exact(
 def phi_table(
     t_max: int,
     *,
-    prune: bool = True,
     max_vertices: int | None = None,
     budget_seconds: float | None = None,
     checkpoint: str | None = None,
@@ -1036,5 +1044,5 @@ def phi_table(
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError(f"budget_seconds must be positive, got {budget_seconds}")
     cap = _resolve_cap(t_max, max_vertices)
-    best, completed = _phi_sweep(t_max, cap, prune, budget_seconds, checkpoint)
+    best, completed = _phi_sweep(t_max, cap, budget_seconds, checkpoint)
     return PhiTable({t: _entry(t, best, completed, cap) for t in range(1, t_max + 1)})

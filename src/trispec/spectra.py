@@ -93,20 +93,11 @@ def _check_bands(eigs: list[float], nullity: int, context: str) -> None:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Full eigenvalue list of one Laplacian with its exact nullity."""
-
-    eigenvalues: tuple[float, ...]
-    nullity: int
-    source: str
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     lam: float
     tau: float | None
     nullity: int
-    spectrum: Spectrum
+    spectrum: tuple[float, ...]  # every eigenvalue, ascending, from dims["spectrum_source"]
     lambda_min_plus_l0: float | None
     lambda_min_plus_l1_total: float | None
     dims: dict
@@ -116,7 +107,7 @@ class SpectralReport:
             "lambda": self.lam,
             "tau": self.tau,
             "nullity": self.nullity,
-            "spectrum": list(self.spectrum.eigenvalues),
+            "spectrum": list(self.spectrum),
             "lambda_min_plus_L0": self.lambda_min_plus_l0,
             "lambda_min_plus_L1_total": self.lambda_min_plus_l1_total,
             "dims": dict(self.dims),
@@ -282,7 +273,7 @@ def spectral_reports(
                 lam=merged[nullity],
                 tau=merged[nullity + 1] if rank > 1 else None,
                 nullity=nullity,
-                spectrum=Spectrum(eigenvalues=tuple(merged), nullity=nullity, source=source),
+                spectrum=tuple(merged),
                 lambda_min_plus_l0=l0_min,
                 lambda_min_plus_l1_total=l1_min,
                 dims={

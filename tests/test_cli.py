@@ -325,13 +325,6 @@ def test_phi_subcommand_writes_json(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == shown
 
 
-def test_phi_no_prune_prints_the_same_json(capsys):
-    # The cuts skip only families that cannot replace an incumbent.
-    pruned = run(capsys, "phi", "5")
-    assert pruned[0] == 0
-    assert run(capsys, "phi", "5", "--no-prune") == pruned
-
-
 def test_python_dash_m_runs_the_cli(capsys):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -369,7 +362,7 @@ def test_phi_refuses_checkpoint_without_a_layout(tmp_path, capsys):
     path = tmp_path / "phi.ckpt"
     assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     doc = json.loads(path.read_text())
-    doc["search"] = {"t": 4, "cap": 9, "prune": True, "version": "0.1.0"}
+    doc["search"] = {"t": 4, "cap": 9, "version": "0.1.0"}
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
     assert (code, out) == (2, "")
@@ -382,10 +375,48 @@ def test_phi_refuses_checkpoint_of_the_unseeded_layout(tmp_path, capsys):
     path = tmp_path / "phi.ckpt"
     assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     doc = json.loads(path.read_text())
-    assert doc["search"]["layout"] == 2
+    assert doc["search"]["layout"] == 3
     doc["search"]["layout"] = 1
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert "another search" in err
+
+
+def test_phi_refuses_checkpoint_of_the_layout_keyed_on_prune(tmp_path, capsys):
+    # Layout 2 keyed `search` on the prune setting as well, which is gone.
+    path = tmp_path / "phi.ckpt"
+    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    assert doc["search"] == {"t": 4, "cap": 9, "layout": 3}
+    doc["search"] = {"t": 4, "cap": 9, "prune": True, "layout": 2}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert "another search" in err
+
+
+@pytest.mark.parametrize(
+    "t,cap,witness",
+    [
+        (3, 5, [[1, 2, 3], [1, 4, 5], [1, 6, 7]]),  # W_3 needs 7 vertices
+        (3, 7, [[1, 2, 3], [1, 2, 3], [1, 2, 3]]),  # one triangle, three times
+        (2, 5, [[1, 2, 3], [4, 5, 6]]),  # disconnected, on 6 vertices
+        (3, 7, [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]),  # 4 triangles in a 3-search
+    ],
+)
+def test_phi_refuses_checkpoint_incumbent_outside_the_search(tmp_path, capsys, t, cap, witness):
+    # Each witness's lambda is the sweep's own, so only the witness itself
+    # tells the file apart; read as an incumbent, the first three would be
+    # printed as an exhaustive maximum the search never reached.
+    lam = extremal._sweep_lambda(tuple(map(tuple, witness)))
+    path = tmp_path / "phi.ckpt"
+    path.write_text(json.dumps({
+        "search": {"t": t, "cap": cap, "layout": extremal._CHECKPOINT_LAYOUT},
+        "best": {str(len(witness)): [lam, witness]},
+        "cursor": [[1, 2, 3]],
+    }))
+    code, out, err = run(capsys, "phi", str(t), "--max-vertices", str(cap), "--checkpoint", str(path))
     assert (code, out) == (2, "")
     assert "another search" in err
 

@@ -420,9 +420,26 @@ def test_vertex_cap_stays_non_exhaustive_when_the_bound_does_not_apply():
     assert not entry.exhaustive
 
 
-def test_phi_prune_ab_invariant():
-    for t in (3, 4, 5, 6, 7):
-        assert phi_exact(t, prune=True).to_dict() == phi_exact(t, prune=False).to_dict()
+@lru_cache(maxsize=None)
+def _enumerated_max(s: int, max_vertices: int | None) -> float:
+    """The largest lambda_of over every connected class of s triangles."""
+    return max(lambda_of(fam) for fam in enumerate_connected_families(s, max_vertices))
+
+
+def test_phi_sweep_equals_brute_force_enumeration():
+    # The enumeration shares none of the sweep's cuts, carried state,
+    # bordered stacks or replace rule.  Each t is its own sweep, since a cut
+    # that is unsound at one budget can be harmless at another.  Equality
+    # is within 1e-9, not bitwise: at cap 7 and t = 7 the sweep keeps
+    # 2.9999999999999996 where one class computes as 3.0.
+    for max_vertices, t_max in ((None, 5), (7, 6)):
+        for t in range(1, t_max + 1):
+            entry = phi_exact(t, max_vertices=max_vertices)
+            assert entry.exhaustive
+            assert lambda_of(entry.witness) == pytest.approx(entry.phi, abs=1e-9)
+            for s in range(1, t + 1):
+                want = _enumerated_max(s, max_vertices)
+                assert entry.connected_max[s - 1] == pytest.approx(want, abs=1e-9)
 
 
 def _counted_phi(t: int) -> tuple[Counter, Counter, Counter, Counter]:
@@ -504,12 +521,14 @@ def test_phi_prune_cuts_lambda_evaluations():
         ) == counts
 
 
-@pytest.mark.parametrize("t,prune", [(t, True) for t in range(1, 8)] + [(t, False) for t in range(1, 6)])
-def test_phi_sweep_records_only_canonical_incumbents(t, prune):
+@pytest.mark.parametrize("t,full", [(t, True) for t in range(1, 8)] + [(t, False) for t in range(1, 6)])
+def test_phi_sweep_records_only_canonical_incumbents(t, full):
     # A non-canonical child is solved only when childless, and it cannot
     # replace an incumbent: its canonical form is lex-smaller and was
-    # solved or cut first.  Each incumbent's lambda is its witness's.
-    best, completed = extremal._phi_sweep(t, extremal._resolve_cap(t, None), prune, None, None)
+    # solved or cut first.  Each incumbent's lambda is its witness's.  The
+    # sweep runs under the full vertex budget or under a cap of t + 2.
+    cap = extremal._resolve_cap(t, None if full else t + 2)
+    best, completed = extremal._phi_sweep(t, cap, None, None)
     assert completed and sorted(best) == list(range(1, t + 1))
     for lam, tris in best.values():
         k = max(tri[2] for tri in tris)
@@ -520,12 +539,13 @@ def test_phi_sweep_records_only_canonical_incumbents(t, prune):
         assert lam == lambda_of(TriangleFamily(tris))
 
 
-@pytest.mark.parametrize("t,prune", [(t, True) for t in range(1, 9)] + [(t, False) for t in range(1, 6)])
-def test_phi_sweep_enters_only_canonical_nodes(t, prune, monkeypatch):
+@pytest.mark.parametrize("t,full", [(t, True) for t in range(1, 9)] + [(t, False) for t in range(1, 6)])
+def test_phi_sweep_enters_only_canonical_nodes(t, full, monkeypatch):
     # A child with a subtree is tested for canonicity at every depth, so
     # each node the sweep enters, the root included, is the canonical
     # representative of its class.  `_extend` builds the state of exactly
-    # the entered nodes.
+    # the entered nodes.  The sweep runs under the full vertex budget or
+    # under a cap of t + 2.
     entered = []
     extend = extremal._extend
 
@@ -534,7 +554,8 @@ def test_phi_sweep_enters_only_canonical_nodes(t, prune, monkeypatch):
         return extend(node, tri)
 
     monkeypatch.setattr(extremal, "_extend", recorded)
-    _, completed = extremal._phi_sweep(t, extremal._resolve_cap(t, None), prune, None, None)
+    cap = extremal._resolve_cap(t, None if full else t + 2)
+    _, completed = extremal._phi_sweep(t, cap, None, None)
     assert completed and entered[0] == extremal._ROOT
     for tris in entered:
         k = max(tri[2] for tri in tris)
@@ -852,7 +873,7 @@ def test_phi_checkpoint_resume(tmp_path):
     assert abs(again.phi - want.phi) < 1e-9
     doc = json.loads(path.read_text())
     assert set(doc) == {"search", "best", "cursor"}
-    assert doc["search"] == {"t": 5, "cap": 11, "prune": True, "layout": extremal._CHECKPOINT_LAYOUT}
+    assert doc["search"] == {"t": 5, "cap": 11, "layout": extremal._CHECKPOINT_LAYOUT}
     assert doc["best"]["4"][0] == want.connected_max[3]
     assert len(doc["best"]["4"][1]) == 4
     assert doc["cursor"][0] == [1, 2, 3] and 1 <= len(doc["cursor"]) <= 5
@@ -864,7 +885,7 @@ def test_checkpoint_of_another_budget_is_refused(tmp_path):
     with pytest.raises(ValueError, match="another search"):
         phi_exact(4, checkpoint=path)
     with pytest.raises(ValueError, match="another search"):
-        phi_exact(3, prune=False, checkpoint=path)
+        phi_exact(3, max_vertices=5, checkpoint=path)
     assert phi_exact(4).phi == pytest.approx(4.0)
 
 
@@ -872,7 +893,7 @@ def test_checkpoint_at_a_disconnected_cursor_is_refused(tmp_path):
     # An all-new triangle is no candidate, so (1,2,3), (4,5,6) is not a node
     # of the sweep and a file resting on it is refused; a node resumes.
     path = tmp_path / "phi.ckpt"
-    search = {"t": 5, "cap": 11, "prune": True, "layout": extremal._CHECKPOINT_LAYOUT}
+    search = {"t": 5, "cap": 11, "layout": extremal._CHECKPOINT_LAYOUT}
     for cursor, refused in (([[1, 2, 3], [1, 2, 4]], False), ([[1, 2, 3], [4, 5, 6]], True)):
         path.write_text(json.dumps({"search": search, "best": {}, "cursor": cursor}))
         if refused:
@@ -911,10 +932,10 @@ def test_checkpoint_compares_a_large_incumbent_with_the_sweeps_own_lambda(tmp_pa
     lam = extremal._sweep_lambda(tris)
     assert lam != lambda_of(complete_family(6)) and lam == pytest.approx(6.0)
     path = tmp_path / "phi.ckpt"
-    search = {"t": 20, "cap": 12, "prune": True, "layout": extremal._CHECKPOINT_LAYOUT}
+    search = {"t": 20, "cap": 12, "layout": extremal._CHECKPOINT_LAYOUT}
     best = {"20": [lam, [list(tri) for tri in tris]]}
     path.write_text(json.dumps({"search": search, "best": best, "cursor": [[1, 2, 3]]}))
-    assert extremal._Checkpoint(str(path), 20, 12, True).best == {20: (lam, tris)}
+    assert extremal._Checkpoint(str(path), 20, 12).best == {20: (lam, tris)}
 
 
 def test_completed_checkpoint_rerun_equals_fresh(tmp_path):
