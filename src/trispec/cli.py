@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -110,9 +109,10 @@ def _load_source(token: str) -> TriangleFamily:
 
 
 def _write_manifest(path, args, input_text: str, outputs: list[str], started: float) -> None:
-    """Write the run manifest to `path`; without a path, write nothing."""
+    """Write the run manifest to `path`; without a path, write nothing and load no hashlib."""
     if not path:
         return
+    import hashlib  # deferred to here: it loads OpenSSL
     data = {
         "command": "trispec " + " ".join(args.argv),
         "input_sha256": hashlib.sha256(input_text.encode("utf-8")).hexdigest(),
@@ -364,7 +364,10 @@ def _cmd_verify(args) -> int:
             print(line)
         print(f"suite={name} checks={len(suite.lines)} failures={suite.failures}")
         total_failures += suite.failures
-    key = f"verify {' '.join(names)} seed={args.seed} random={args.random}"
+    key = (
+        f"verify {' '.join(names)} seed={args.seed} random={args.random}"
+        f" max_vertices={args.max_vertices} n={args.n} c={args.c} b={args.b}"
+    )
     _write_manifest(args.manifest, args, key, [], started)
     return 1 if total_failures else 0
 
@@ -384,7 +387,8 @@ def _cmd_phi(args) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         outputs.append(args.json)
-    key = f"phi {args.t}"
+    # A resumed search prints what a fresh one does, so --checkpoint is left out.
+    key = f"phi {args.t} max_vertices={args.max_vertices} budget_seconds={args.budget_seconds}"
     _write_manifest(args.manifest, args, key, outputs, started)
     return 0
 

@@ -3,7 +3,8 @@
 The central family here is the join construction: a clique on c vertices
 joined to b pairwise non-adjacent apex vertices.  Its triangle Laplacian
 spectrum is known in closed form, and explicit eigenvectors for both
-positive eigenvalues admit exact rational residual checks.
+positive eigenvalues admit exact rational residual checks; only those
+checks import `fractions`.
 
 The budget decomposition writes a triangle count N as a sum of three join
 family sizes with clique sizes a, a+1, a+2; it exists for every
@@ -13,7 +14,6 @@ N >= 2a^3 + 2a^2 + 1 and powers the cube-root growth witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
@@ -101,6 +101,7 @@ def eigvec_c(
     from the incidence of the pivot edge.  `family`, if given, must be
     `gcb_family(spec)`, which is otherwise built here.
     """
+    from fractions import Fraction
     c, b = spec.c, spec.b
     if b < 2:
         raise ValueError("eigenvalue-c eigenvectors need at least two apexes (b >= 2)")
@@ -132,6 +133,7 @@ def eigvec_bc(
     -1/b on {x,i} and +1/b on {y,i}.  `family`, if given, must be
     `gcb_family(spec)`, which is otherwise built here.
     """
+    from fractions import Fraction
     c, b = spec.c, spec.b
     if not 1 <= x < y <= c:
         raise ValueError(f"need 1 <= x < y <= {c}, got ({x}, {y})")
@@ -147,6 +149,7 @@ def eigvec_bc(
 
 def _clear_denominators(vec) -> list[int]:
     """Scale a rational vector by the lcm of its denominators to integers."""
+    from fractions import Fraction
     fracs = [Fraction(v) for v in vec]
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs]

@@ -10,9 +10,11 @@ import pytest
 
 from trispec import (
     cli,
+    complete_family,
     eigenvalues_symmetric,
     extremal,
     families,
+    family_to_text,
     phi_lower_bound_family,
     read_matrix_market,
     spectra,
@@ -581,6 +583,65 @@ def test_lambda_formats_the_family_only_for_a_manifest(tmp_path, capsys, monkeyp
     assert run(capsys, "lambda", "gcb:4,2", "--manifest", str(path)) == plain
     manifest = json.loads(path.read_text())
     assert texts and manifest["input_sha256"] == hashlib.sha256(texts[0].encode("utf-8")).hexdigest()
+
+
+def _manifest(tmp_path, *argv):
+    path = tmp_path / "run.json"
+    assert main([*argv, "--manifest", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["phi", "3"], ["--max-vertices", "5"]),
+        (["phi", "3"], ["--budget-seconds", "100"]),
+        (["verify", "hodge", "--seed", "1", "--random", "2"], ["--max-vertices", "6"]),
+        (["verify", "rigidity"], ["--n", "4"]),
+        (["verify", "gcb", "--b", "1"], ["--c", "3"]),
+        (["verify", "gcb", "--c", "3"], ["--b", "2"]),
+    ],
+    ids=["phi-max-vertices", "phi-budget", "verify-max-vertices", "verify-n", "verify-c", "verify-b"],
+)
+def test_manifest_digest_covers_each_option_that_changes_the_output(tmp_path, capsys, argv, option):
+    first = _manifest(tmp_path, *argv)
+    again = _manifest(tmp_path, *argv)
+    other = _manifest(tmp_path, *argv, *option)
+    capsys.readouterr()
+    assert other["input_sha256"] != first["input_sha256"]
+    assert first.pop("timing_seconds") >= 0 and again.pop("timing_seconds") >= 0
+    assert first == again
+
+
+def test_lean_commands_load_neither_openssl_nor_fractions(tmp_path, capsys):
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from trispec import cli\n"
+        "seen = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv.split())\n"
+        "    heavy = ('hashlib', '_hashlib', 'fractions', 'decimal')\n"
+        "    seen.append([code, [m for m in heavy if m in sys.modules]])\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    commands = ["phi 3", "lambda kn:4", "verify hodge --seed 1 --random 5"]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *commands],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0, []]] * len(commands)
+    # The commands that need them still get them.
+    manifest = _manifest(tmp_path, "lambda", "kn:4")
+    text = family_to_text(complete_family(4))
+    assert manifest["input_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    code, out, _ = run(capsys, "verify", "gcb")
+    assert code == 0
+    assert "suite=gcb checks=36 failures=0" in out
 
 
 def test_export_determinism(tmp_path, capsys):
