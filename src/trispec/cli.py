@@ -36,7 +36,7 @@ from .extremal import (
     check_counting,
     check_overlap,
     check_rigidity,
-    phi_exact,
+    phi_table,
 )
 from .families import (
     TriangleFamily,
@@ -108,8 +108,11 @@ def _load_source(token: str) -> TriangleFamily:
     return load_family(token)
 
 
-def _write_manifest(path, args, input_text: str, outputs: list[str], started: float) -> None:
-    """Write the run manifest to `path`; without a path, write nothing and load no hashlib."""
+def _write_manifest(
+    path, args, input_text: str, outputs: list[str], started: float, stats: dict | None = None
+) -> None:
+    """Write the run manifest to `path`, with `stats` when given; without a
+    path, write nothing and load no hashlib."""
     if not path:
         return
     import hashlib  # deferred to here: it loads OpenSSL
@@ -121,6 +124,8 @@ def _write_manifest(path, args, input_text: str, outputs: list[str], started: fl
         "timing_seconds": time.monotonic() - started,
         "outputs": outputs,
     }
+    if stats is not None:
+        data["stats"] = stats
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, sort_keys=True, indent=2)
         handle.write("\n")
@@ -374,12 +379,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_phi(args) -> int:
     started = time.monotonic()
-    entry = phi_exact(
+    table = phi_table(
         args.t,
         max_vertices=args.max_vertices,
         budget_seconds=args.budget_seconds,
         checkpoint=args.checkpoint,
     )
+    entry = table.entries[args.t]
     text = json.dumps(entry.to_dict(), sort_keys=True, indent=2)
     print(text)
     outputs = []
@@ -389,7 +395,7 @@ def _cmd_phi(args) -> int:
         outputs.append(args.json)
     # A resumed search prints what a fresh one does, so --checkpoint is left out.
     key = f"phi {args.t} max_vertices={args.max_vertices} budget_seconds={args.budget_seconds}"
-    _write_manifest(args.manifest, args, key, outputs, started)
+    _write_manifest(args.manifest, args, key, outputs, started, table.stats)
     return 0
 
 

@@ -93,15 +93,15 @@ def gcb_lambda(spec: GcbSpec) -> int:
 
 def eigvec_c(
     spec: GcbSpec, x: int, y: int, family: TriangleFamily | None = None
-) -> tuple[Fraction, ...]:
+) -> tuple[int, ...]:
     """Exact eigenvector of the triangle-indexed Laplacian for eigenvalue c.
 
     Defined for b >= 2, clique vertex 2 <= x <= c and apex c+1 <= y <= b+c-1;
     supported on the 2(c-1) triangles {i,x,y} and {i,x,b+c} with signs taken
-    from the incidence of the pivot edge.  `family`, if given, must be
-    `gcb_family(spec)`, which is otherwise built here.
+    from the incidence of the pivot edge, so every entry is an integer.
+    `family`, if given, must be `gcb_family(spec)`, which is otherwise
+    built here.
     """
-    from fractions import Fraction
     c, b = spec.c, spec.b
     if b < 2:
         raise ValueError("eigenvalue-c eigenvectors need at least two apexes (b >= 2)")
@@ -111,7 +111,7 @@ def eigvec_c(
         raise ValueError(f"y must satisfy {c + 1} <= y <= {b + c - 1}, got {y}")
     family = gcb_family(spec) if family is None else family
     index = {t: i for i, t in enumerate(family)}
-    vec = [Fraction(0)] * len(family)
+    vec = [0] * len(family)
     last = b + c
     for i in range(1, c + 1):
         if i == x:

@@ -48,7 +48,7 @@ import os
 import time
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, islice
 from math import comb
@@ -555,6 +555,7 @@ class PhiEntry:
 @dataclass
 class PhiTable:
     entries: dict[int, PhiEntry]
+    stats: dict[str, int] = field(default_factory=dict)  # the sweep's work (`_phi_sweep`)
 
     def lambda_envelope(self) -> dict[int, float]:
         """Running maximum of phi: the largest parameter achievable within budget."""
@@ -847,9 +848,10 @@ def _phi_sweep(
     cap: int,
     budget_seconds: float | None,
     checkpoint: str | None,
-) -> tuple[dict[int, tuple[float, tuple]], bool]:
+) -> tuple[dict[int, tuple[float, tuple]], bool, dict[str, int]]:
     """One orderly sweep collecting the best connected family per size 1..t;
-    returns the incumbents and whether the sweep completed in time.
+    returns the incumbents, whether the sweep completed in time, and this
+    run's work as integer counters, deterministic for a fresh full sweep.
 
     Each size r whose windmill fits the cap (2r + 1 <= cap) starts with
     the incumbent (3.0, W_r) (`_windmill`), so the cuts read lambda = 3
@@ -909,9 +911,12 @@ def _phi_sweep(
     """
     ckpt = _Checkpoint(checkpoint, t, cap) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
+    stats = dict.fromkeys(("nodes_entered", "families_solved", "stacks", "canonicity_tests",
+                           "canonicity_rejected", "interlacing_dropped", "sizes_seeded"), 0)
     for r in range(1, min(t, (cap - 1) // 2) + 1):
         if r not in best or 3.0 > best[r][0] + IMPROVE_EPS:
             best[r] = (3.0, _windmill(r))
+            stats["sizes_seeded"] += 1
     start = ckpt.cursor if ckpt else ()
     last = start
     now = time.monotonic()
@@ -924,6 +929,7 @@ def _phi_sweep(
         """Enter a canonical node whose (lambda, tau) is `solved` and whose
         d1 d1^T is `gram`, deciding each candidate child once."""
         nonlocal last, next_save
+        stats["nodes_entered"] += 1
         tris = node.tris
         s = len(tris)
         last = tris
@@ -951,10 +957,15 @@ def _phi_sweep(
             cols = (columns.get((a, b)), columns.get((a, c)), columns.get((b, c)))
             if has_subtree(cols, k2):
                 child_twin = _twins(tris + (tri,), k2)
-                if _is_lex_min(tris + (tri,), k2, child_twin):
-                    kept.append((_child_of(node, tri, cols, (True, True)), k2, child_twin))
-            elif child := _child_of(node, tri, cols, keep):
-                kept.append((child, k2, None))
+                canonical = _is_lex_min(tris + (tri,), k2, child_twin)
+                child = canonical and _child_of(node, tri, cols, (True, True))
+                stats["canonicity_tests"] += 1
+                stats["canonicity_rejected"] += not canonical
+            else:
+                child, child_twin = _child_of(node, tri, cols, keep), None
+                stats["interlacing_dropped"] += child is None
+            if child:
+                kept.append((child, k2, child_twin))
         if kept:
             solve(node, gram, kept)
 
@@ -962,6 +973,8 @@ def _phi_sweep(
         """Solve a node's kept (child, k, twin classes) as one stack bordering
         its d1 d1^T `gram`, record each child, and enter those with twins."""
         children = [child for child, _, _ in kept]
+        stats["stacks"] += 1
+        stats["families_solved"] += len(children)
         grams = _child_grams(gram, children)
         for (child, k2, child_twin), child_solved, child_gram in zip(
             kept, _sweep_solve(children, grams), grams
@@ -980,7 +993,7 @@ def _phi_sweep(
     finally:
         if ckpt and last:
             ckpt.write(last)
-    return best, completed
+    return best, completed, stats
 
 
 def _entry(t: int, best: dict[int, tuple[float, tuple]], completed: bool, cap: int) -> PhiEntry:
@@ -1038,11 +1051,12 @@ def phi_table(
     completed within `budget_seconds` and either 2t+1 <= c or the counting
     bound rules out every connected family on more than c vertices that
     beats it, which covers the glued form of any other.  The sweep resumes
-    from, and records its progress in, the JSON `checkpoint`."""
+    from, and records its progress in, the JSON `checkpoint`.  The table's
+    `stats` are the sweep's work counters (`_phi_sweep`)."""
     if t_max < 1:
         raise ValueError(f"phi needs t >= 1, got {t_max}")
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError(f"budget_seconds must be positive, got {budget_seconds}")
     cap = _resolve_cap(t_max, max_vertices)
-    best, completed = _phi_sweep(t_max, cap, budget_seconds, checkpoint)
-    return PhiTable({t: _entry(t, best, completed, cap) for t in range(1, t_max + 1)})
+    best, completed, stats = _phi_sweep(t_max, cap, budget_seconds, checkpoint)
+    return PhiTable({t: _entry(t, best, completed, cap) for t in range(1, t_max + 1)}, stats)

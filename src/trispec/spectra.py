@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import SupportGraph, TriangleFamily
+from .families import EmptyFamilyError, SupportGraph, TriangleFamily
 from .incidence import build_delta0, delta1_from_columns, delta1_rank, edge_columns
 
 ZERO_BAND_COEFF = 1e-7
@@ -166,8 +166,6 @@ class _Block:
 def _blocks(family: TriangleFamily) -> list[_Block]:
     """One block per connected component; a connected family is its own
     only component, and an empty family has none."""
-    if len(family) == 0:
-        return []
     return [
         _Block(part.support, edge_columns(part), delta1_rank(part))
         for part in family.components
@@ -221,7 +219,8 @@ def spectral_reports(
     `eigenvalues_grouped`, one stack per (kind, size) across all the
     families.  Then each family's spectra are checked and merged in family
     order, so the first family that fails raises the error it raises
-    alone.  Without `graph_side` both graph-side minima are None.
+    alone.  Without `graph_side` both graph-side minima are None.  An empty
+    family is refused with EmptyFamilyError, as `support_graph` refuses it.
     """
     plans = []  # (family, blocks, source), in family order
     grams = []
@@ -244,7 +243,7 @@ def spectral_reports(
     reports = []
     for family, blocks, source in plans:
         if len(family) == 0:
-            raise SpectralError("spectral parameter of an empty family is undefined")
+            raise EmptyFamilyError("spectral parameter of an empty family is undefined")
         merged: list[float] = []
         nullity = 0
         for b in blocks:

@@ -613,6 +613,14 @@ def test_manifest_digest_covers_each_option_that_changes_the_output(tmp_path, ca
     assert first == again
 
 
+def test_phi_manifest_records_the_sweep_stats(tmp_path, capsys):
+    # Two runs differ only in timing, and stdout does not show the stats.
+    first, again = _manifest(tmp_path, "phi", "6"), _manifest(tmp_path, "phi", "6")
+    assert "stats" not in capsys.readouterr().out
+    assert first.pop("timing_seconds") >= 0 and again.pop("timing_seconds") >= 0
+    assert first == again and first["stats"] == extremal.phi_table(6).stats
+
+
 def test_lean_commands_load_neither_openssl_nor_fractions(tmp_path, capsys):
     script = (
         "import contextlib, io, json, sys\n"

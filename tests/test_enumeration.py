@@ -1,7 +1,6 @@
 import json
 import math
 import os
-from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, count, permutations, repeat
 from types import SimpleNamespace
@@ -442,83 +441,22 @@ def test_phi_sweep_equals_brute_force_enumeration():
                 assert entry.connected_max[s - 1] == pytest.approx(want, abs=1e-9)
 
 
-def _counted_phi(t: int) -> tuple[Counter, Counter, Counter, Counter]:
-    """A fresh phi_exact(t) with every cut: how often each family is
-    solved, by the sweep's stacked `_sweep_solve` (each family in a stack
-    counts) or by `spectra.spectral_reports` (each family in a batch,
-    directly or through `lambda_of` and `spectral_report`); how many
-    `_sweep_solve` stacks and canonicity tests (`_is_lex_min`) ran; and
-    the families `_extend` built and the nodes entered (each entered node
-    generates its candidates once).
-
-    Each candidate child is decided once, before its node's stack: a child
-    with a subtree is kept only when it is canonical, and a childless one
-    unless Cauchy interlacing drops it.  The kept children are solved in
-    one stack, and a child with a subtree is entered with the (lambda,
-    tau) of that stack even when the incumbents grown meanwhile have cut
-    its whole subtree.  No family is skipped at
-    its own size: the replace rule alone decides whether a solved family
-    is recorded."""
-    solved = Counter()
-    calls = Counter()
-    extended = Counter()
-    entered = Counter()
-    sweep_solve, solve = extremal._sweep_solve, spectra.spectral_reports
-    is_lex_min, extend, candidates = extremal._is_lex_min, extremal._extend, extremal._candidates
-
-    def counted_sweep_solve(nodes, grams):
-        calls["_sweep_solve"] += 1
-        solved.update(node.tris for node in nodes)
-        return sweep_solve(nodes, grams)
-
-    def counted_solve(families, *args, **kwargs):
-        solved.update(family.triangles for family in families)
-        return solve(families, *args, **kwargs)
-
-    def counted_lex_min(*args):
-        calls["_is_lex_min"] += 1
-        return is_lex_min(*args)
-
-    def counted_extend(node, tri):
-        child = extend(node, tri)
-        extended[child.tris] += 1
-        return child
-
-    def counted_candidates(tris, *args):
-        entered[tris] += 1
-        return candidates(tris, *args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(extremal, "_sweep_solve", counted_sweep_solve)
-        patch.setattr(spectra, "spectral_reports", counted_solve)
-        patch.setattr(extremal, "_is_lex_min", counted_lex_min)
-        patch.setattr(extremal, "_extend", counted_extend)
-        patch.setattr(extremal, "_candidates", counted_candidates)
-        assert phi_exact(t).exhaustive
-    return solved, calls, extended, entered
-
-
-def test_phi_prune_cuts_lambda_evaluations():
-    # Frozen counts for phi(t) with every cut: families solved, canonicity
-    # tests, stacks and `_extend` calls.  Each candidate is decided once,
-    # before its node's stack: the canonicity test runs on every child
-    # with a subtree, and no other, and only a canonical one is solved and
-    # entered; every childless child that interlacing does not drop is
+def test_phi_sweep_stats_are_pinned():
+    # Frozen work counters of a fresh phi(t).  Each candidate is decided
+    # once, before its node's stack: the canonicity test runs on every
+    # child with a subtree, and no other, and only a canonical one is solved
+    # and entered; every childless child that interlacing does not drop is
     # solved without a canonicity test; no family is skipped at its own
-    # size.  `_candidates` drops the copies not least in their
-    # twin orbit.  There is one stack per entered node with a child left,
-    # plus the root's, and a child is entered by the subtree test read
-    # before the stack.  No candidate is all-new, so no disconnected node
-    # is entered or solved.  The node's state is read, not copied, to
-    # decide its candidates: `_extend` runs once per entered node, and
-    # for no other family.
-    pinned = {6: (33, 35, 11, 23), 7: (68, 92, 22, 60), 8: (137, 172, 41, 126)}
+    # size.  `_candidates` drops the copies not least in their twin orbit.
+    # There is one stack per entered node with a child left, plus the
+    # root's, and every size's windmill fits the default cap.
+    keys = ("families_solved", "canonicity_tests", "stacks", "nodes_entered",
+            "canonicity_rejected", "interlacing_dropped")
+    pinned = {6: (33, 35, 11, 23, 13, 196), 7: (68, 92, 22, 60, 33, 618), 8: (137, 172, 41, 126, 47, 1538)}
     for t, counts in pinned.items():
-        solved, calls, extended, entered = _counted_phi(t)
-        assert extended == entered
-        assert (
-            sum(solved.values()), calls["_is_lex_min"], calls["_sweep_solve"], sum(extended.values())
-        ) == counts
+        table = phi_table(t)
+        assert table.entries[t].exhaustive
+        assert table.stats == dict(zip(keys, counts), sizes_seeded=t)
 
 
 @pytest.mark.parametrize("t,full", [(t, True) for t in range(1, 8)] + [(t, False) for t in range(1, 6)])
@@ -528,7 +466,7 @@ def test_phi_sweep_records_only_canonical_incumbents(t, full):
     # solved or cut first.  Each incumbent's lambda is its witness's.  The
     # sweep runs under the full vertex budget or under a cap of t + 2.
     cap = extremal._resolve_cap(t, None if full else t + 2)
-    best, completed = extremal._phi_sweep(t, cap, None, None)
+    best, completed, _ = extremal._phi_sweep(t, cap, None, None)
     assert completed and sorted(best) == list(range(1, t + 1))
     for lam, tris in best.values():
         k = max(tri[2] for tri in tris)
@@ -543,9 +481,9 @@ def test_phi_sweep_records_only_canonical_incumbents(t, full):
 def test_phi_sweep_enters_only_canonical_nodes(t, full, monkeypatch):
     # A child with a subtree is tested for canonicity at every depth, so
     # each node the sweep enters, the root included, is the canonical
-    # representative of its class.  `_extend` builds the state of exactly
-    # the entered nodes.  The sweep runs under the full vertex budget or
-    # under a cap of t + 2.
+    # representative of its class, and is entered once.  `_extend` builds
+    # the state of exactly the entered nodes.  The sweep runs under the
+    # full vertex budget or under a cap of t + 2.
     entered = []
     extend = extremal._extend
 
@@ -555,8 +493,9 @@ def test_phi_sweep_enters_only_canonical_nodes(t, full, monkeypatch):
 
     monkeypatch.setattr(extremal, "_extend", recorded)
     cap = extremal._resolve_cap(t, None if full else t + 2)
-    _, completed = extremal._phi_sweep(t, cap, None, None)
+    _, completed, stats = extremal._phi_sweep(t, cap, None, None)
     assert completed and entered[0] == extremal._ROOT
+    assert len(set(entered)) == len(entered) == stats["nodes_entered"]
     for tris in entered:
         k = max(tri[2] for tri in tris)
         assert extremal._is_lex_min(tris, k, extremal._twins(tris, k))
@@ -564,10 +503,24 @@ def test_phi_sweep_enters_only_canonical_nodes(t, full, monkeypatch):
             assert relabeled_min(tris, k) == tris
 
 
-def test_phi_sweep_solves_each_family_once():
-    # A node's own evaluation keeps its (lambda, tau) for the interlacing cut.
-    solved, _, _, _ = _counted_phi(6)
-    assert [tris for tris, n in solved.items() if n > 1] == []
+def test_phi_sweep_solves_each_family_once(monkeypatch):
+    # A node's own evaluation keeps its (lambda, tau) for the interlacing
+    # cut, and every family is solved by the sweep's own stacks, none by
+    # `spectra`'s batches (which `lambda_of` and `spectral_report` use).
+    solved = []
+    sweep_solve = extremal._sweep_solve
+
+    def recorded(nodes, grams):
+        solved.extend(node.tris for node in nodes)
+        return sweep_solve(nodes, grams)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep called spectra.spectral_reports")
+
+    monkeypatch.setattr(extremal, "_sweep_solve", recorded)
+    monkeypatch.setattr(spectra, "spectral_reports", refused)
+    table = phi_table(6)
+    assert len(set(solved)) == len(solved) == table.stats["families_solved"]
 
 
 @st.composite

@@ -19,9 +19,12 @@ from trispec import (
     disjoint_union,
     exact_rank,
     family_to_text,
+    lambda_of,
     parse_family,
     random_families,
     relabel,
+    spectral_report,
+    spectral_reports,
     support_graph,
     vertex_triangle_counts,
 )
@@ -77,8 +80,10 @@ def test_support_graph_counts_triangles_per_edge():
 
 
 def test_empty_family_rejected():
-    with pytest.raises(EmptyFamilyError):
-        support_graph(TriangleFamily(()))
+    # A usage error (a ValueError) everywhere, the spectra included.
+    for call in (support_graph, lambda_of, spectral_report, lambda fam: spectral_reports([fam])):
+        with pytest.raises(EmptyFamilyError):
+            call(TriangleFamily(()))
     with pytest.raises(EmptyFamilyError):
         TriangleFamily(()).support
 

@@ -192,6 +192,12 @@ def test_lambda_min_plus_rejects_negative_definite_part():
         _check_bands(eigs, 0, "L2_down")
 
 
+def test_check_bands_refuses_a_kernel_eigenvalue_above_the_zero_band():
+    # The exact nullity says one eigenvalue is zero, but the smallest is 0.5.
+    with pytest.raises(SpectralError, match="inside the exact kernel exceeds the zero band"):
+        _check_bands([0.5, 1.0, 2.0], 1, "L2_down")
+
+
 _TRIANGLES = list(itertools.combinations(range(1, 9), 3))
 
 
