@@ -2,10 +2,10 @@
 
     PYTHONPATH=src python3 scripts/phi_table.py 10 > phi_table_10.json
 
-The counters come from the table's `stats`: the families the sweep solves
-(`families_solved`: a stacked solve counts each family in its stack) and
-its canonicity tests.  Both are deterministic for a fresh sweep, so a
-rerun reproduces the file.
+The counters are the table's `stats`, written whole: the families the
+sweep solves (`families_solved`: a stacked solve counts each family in its
+stack), its canonicity tests and the rest of `_phi_sweep`'s counters.  All
+are deterministic for a fresh sweep, so a rerun reproduces the file.
 """
 
 import json
@@ -18,10 +18,7 @@ def main(t: int) -> dict:
     table = phi_table(t)
     return {
         "command": f"PYTHONPATH=src python3 scripts/phi_table.py {t} > phi_table_{t}.json",
-        "counters": {
-            "sweep_solves": table.stats["families_solved"],
-            "canonicity_tests": table.stats["canonicity_tests"],
-        },
+        "stats": table.stats,
         "table": table.to_dict(),
     }
 

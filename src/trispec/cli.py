@@ -379,12 +379,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_phi(args) -> int:
     started = time.monotonic()
-    table = phi_table(
-        args.t,
-        max_vertices=args.max_vertices,
-        budget_seconds=args.budget_seconds,
-        checkpoint=args.checkpoint,
-    )
+    table = phi_table(args.t, budget_seconds=args.budget_seconds, checkpoint=args.checkpoint)
     entry = table.entries[args.t]
     text = json.dumps(entry.to_dict(), sort_keys=True, indent=2)
     print(text)
@@ -394,7 +389,7 @@ def _cmd_phi(args) -> int:
             handle.write(text + "\n")
         outputs.append(args.json)
     # A resumed search prints what a fresh one does, so --checkpoint is left out.
-    key = f"phi {args.t} max_vertices={args.max_vertices} budget_seconds={args.budget_seconds}"
+    key = f"phi {args.t} budget_seconds={args.budget_seconds}"
     _write_manifest(args.manifest, args, key, outputs, started, table.stats)
     return 0
 
@@ -461,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phi", help="exact extremal value for a triangle budget")
     sp.add_argument("t", type=int)
-    sp.add_argument("--max-vertices", type=int)
     sp.add_argument("--budget-seconds", type=float)
     sp.add_argument("--checkpoint", metavar="PATH", help="resumable progress file")
     sp.add_argument("--json", metavar="PATH", help="also write the entry to a file")

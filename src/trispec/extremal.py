@@ -72,7 +72,7 @@ IMPROVE_EPS = 1e-12
 _SAVE_SECONDS = 60.0
 # Layout of the checkpoint file, kept in its `search` key: bump it whenever
 # the keys of the file or their meaning change, so an older file is refused.
-_CHECKPOINT_LAYOUT = 3
+_CHECKPOINT_LAYOUT = 4
 
 
 def guarded_ceil(lam: float) -> int:
@@ -431,27 +431,28 @@ def _is_lex_min(tris: tuple, k: int, twin: list[int]) -> bool:
 
 
 @cache
-def _candidate_table(k: int, cap: int) -> tuple[tuple[tuple, int], ...]:
-    """Every (triangle, support size) a family on labels 1..k may add
-    within 1..cap, lex-sorted: (a, b, c) with a < b <= k+1 and c <= max(b,
-    k) + 1, so new labels, if any, are the next consecutive ones and at
-    least one label is old.  It depends on (k, cap) alone, so it is built
-    once per pair; k and cap never exceed 2t+1, so the pairs are few."""
+def _candidate_table(k: int) -> tuple[tuple[tuple, int], ...]:
+    """Every (triangle, support size) a family on labels 1..k may add,
+    lex-sorted: (a, b, c) with a < b <= k+1 and c <= max(b, k) + 1, so new
+    labels, if any, are the next consecutive ones and at least one label is
+    old.  It depends on k alone, so it is built once per label count."""
     return tuple(
         ((a, b, c), max(k, c))
-        for a, b in combinations(range(1, min(k + 1, cap) + 1), 2)
-        for c in range(b + 1, min(max(b, k) + 1, cap) + 1)
+        for a, b in combinations(range(1, k + 2), 2)
+        for c in range(b + 1, max(b, k) + 2)
     )
 
 
-def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tuple[tuple, int]]:
+def _candidates(tris: tuple, k: int, twin: list[int]) -> Iterator[tuple[tuple, int]]:
     """Lex-ordered (triangle, support size) extensions of a family on labels
     1..k with twin classes `twin` (`_twins`): each triangle (a, b, c) is
-    lex-greater than the last, lies within 1..cap, meets 1..k, its new
-    labels, if any, are the next consecutive ones, and it is least in its
-    orbit under the family's twin classes.
+    lex-greater than the last, meets 1..k, its new labels, if any, are the
+    next consecutive ones, and it is least in its orbit under the family's
+    twin classes.  A family of s triangles has at most 2s+1 labels, so the
+    children of one with s < t stay within the 2t+1 vertices that bound a
+    connected family of t triangles.
 
-    All but the twin rule are read from `_candidate_table(k, cap)`, past
+    All but the twin rule are read from `_candidate_table(k)`, past
     the family's last triangle by bisection.  Its label ranges give the
     consecutive-label and no-all-new rules.  An all-new triangle would
     disconnect the family for good, since every later triangle is
@@ -474,7 +475,7 @@ def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tupl
     for v in range(1, k + 1):
         lower[v] = latest.get(twin[v], 0)
         latest[twin[v]] = v
-    table = _candidate_table(k, cap)
+    table = _candidate_table(k)
     for tri, k2 in islice(table, bisect_right(table, tris[-1], key=itemgetter(0)), None):
         a, b, c = tri
         # A smaller twin lies in tri only as a smaller vertex of tri.
@@ -482,45 +483,26 @@ def _candidates(tris: tuple, k: int, cap: int, twin: list[int]) -> Iterator[tupl
             yield tri, k2
 
 
-def _children(
-    tris: tuple, k: int, cap: int, twin: list[int]
-) -> Iterator[tuple[tuple, int, list[int]]]:
+def _children(tris: tuple, k: int, twin: list[int]) -> Iterator[tuple[tuple, int, list[int]]]:
     """Lex-ordered canonical children (child, support size, its twin
     classes) of a canonical family with twin classes `twin`."""
-    for tri, k2 in _candidates(tris, k, cap, twin):
+    for tri, k2 in _candidates(tris, k, twin):
         child = tris + (tri,)
         child_twin = _twins(child, k2)
         if _is_lex_min(child, k2, child_twin):
             yield child, k2, child_twin
 
 
-def _resolve_cap(t: int, max_vertices: int | None) -> int:
-    """A depth-t search's vertex budget: 2t+1, which no connected family of
-    t triangles exceeds, or an explicit `max_vertices` clamped to it."""
-    if max_vertices is None:
-        return 2 * t + 1
-    if max_vertices < 3:
-        raise ValueError("max_vertices must be at least 3")
-    return min(max_vertices, 2 * t + 1)
-
-
-def enumerate_connected_families(
-    t: int, max_vertices: int | None = None
-) -> Iterator[TriangleFamily]:
-    """One representative per isomorphism class of connected t-triangle families.
-
-    By default every connected class is yielded; an explicit
-    `max_vertices` keeps only those on at most that many vertices.
-    """
+def enumerate_connected_families(t: int) -> Iterator[TriangleFamily]:
+    """One representative per isomorphism class of connected t-triangle families."""
     if t < 1:
         raise ValueError(f"enumeration needs t >= 1, got {t}")
-    cap = _resolve_cap(t, max_vertices)
 
     def rec(tris: tuple, k: int, twin: list[int]) -> Iterator[TriangleFamily]:
         if len(tris) == t:
             yield TriangleFamily(tris)
             return
-        for child, k2, child_twin in _children(tris, k, cap, twin):
+        for child, k2, child_twin in _children(tris, k, twin):
             yield from rec(child, k2, child_twin)
 
     yield from rec(_ROOT, 3, _twins(_ROOT, 3))
@@ -587,15 +569,15 @@ def _triangles(value, size: int) -> tuple:
     return tuple(tuple(tri) for tri in value)
 
 
-def _is_node(tris: tuple, t: int, cap: int) -> bool:
-    """True iff `tris` is a node of the depth-t sweep within the vertex budget:
-    the root followed by a chain of canonical children."""
+def _is_node(tris: tuple, t: int) -> bool:
+    """True iff `tris` is a node of the depth-t sweep: the root followed by
+    a chain of canonical children."""
     if not 1 <= len(tris) <= t or tris[:1] != _ROOT:
         return False
     k, twin = 3, _twins(_ROOT, 3)
     for s in range(1, len(tris)):
         k, twin = next(
-            ((k2, tw) for child, k2, tw in _children(tris[:s], k, cap, twin)
+            ((k2, tw) for child, k2, tw in _children(tris[:s], k, twin)
              if child == tris[: s + 1]),
             (0, None),
         )
@@ -608,21 +590,21 @@ class _Checkpoint:
     """JSON resume file: the search it belongs to, the incumbent per size
     and the cursor, the last node of the sweep entered.
 
-    A file of another budget `t`, vertex budget `cap` or layout is refused,
-    since it would skip subtrees never searched for this budget; so is one
-    that does not parse, lacks a key, has a wrong type, or whose cursor is
-    not a node of this search, since reading part of it could drop an
-    incumbent or skip unsearched subtrees and report a wrong maximum.  So
+    A file of another budget `t` or layout is refused, since it would skip
+    subtrees never searched for this budget; so is one that does not
+    parse, lacks a key, has a wrong type, or whose cursor is not a node of
+    this search, since reading part of it could drop an incumbent or skip
+    unsearched subtrees and report a wrong maximum.  So
     is an incumbent that is not a family of this search, which would be
     reported as its maximum: its size outside 1..t, or its witness not its
-    own canonical form, on a label outside 1..cap, disconnected, or of a
+    own canonical form, on a label outside 1..2t+1, disconnected, or of a
     lambda other than `_sweep_lambda`'s.  Canonicity is not checked, since
     it costs seconds on the larger witnesses.
     """
 
-    def __init__(self, path, t: int, cap: int):
+    def __init__(self, path, t: int):
         self.path = path
-        self.search = {"t": t, "cap": cap, "layout": _CHECKPOINT_LAYOUT}
+        self.search = {"t": t, "layout": _CHECKPOINT_LAYOUT}
         self.best: dict[int, tuple[float, tuple]] = {}
         self.cursor: tuple = ()
         try:
@@ -636,7 +618,7 @@ class _Checkpoint:
                 if not (
                     1 <= len(tris) <= t
                     and family.triangles == tris  # sorted, distinct, ascending triples
-                    and set(family.vertices()) <= set(range(1, cap + 1))
+                    and set(family.vertices()) <= set(range(1, 2 * t + 2))
                     and len(family.components) == 1
                 ):
                     raise ValueError(f"witness {tris!r} is not a connected family of this search")
@@ -645,7 +627,7 @@ class _Checkpoint:
                     raise ValueError(f"lambda {lam!r} is not the float lambda of its witness {tris!r}")
                 self.best[int(s)] = (lam, tris)
             self.cursor = _triangles(doc["cursor"], len(doc["cursor"]))
-            if not _is_node(self.cursor, t, cap):
+            if not _is_node(self.cursor, t):
                 raise ValueError(f"cursor {self.cursor!r} is not a node of this search")
         except FileNotFoundError:
             return
@@ -666,21 +648,18 @@ class _Checkpoint:
 
 
 def _ceiling_to_beat(best: dict[int, tuple[float, tuple]], s: int) -> int:
-    """The integer m, the smallest above the incumbent best[s] >= 2, with
-    ceil(lambda) >= m for every family of s triangles that beats it; 0
-    without such an incumbent."""
-    cur = best.get(s)
-    if cur is None or cur[0] < 2.0:
-        return 0
-    return math.floor(cur[0] + CEIL_GUARD) + 1
+    """The integer m, the smallest above the incumbent best[s] (at least
+    the seed's 3), with ceil(lambda) >= m for every family of s triangles
+    that beats it."""
+    return math.floor(best[s][0] + CEIL_GUARD) + 1
 
 
-def _vertex_limit(best: dict[int, tuple[float, tuple]], r: int) -> float:
+def _vertex_limit(best: dict[int, tuple[float, tuple]], r: int) -> int:
     """The most vertices a family of r triangles beating best[r] can have:
     6r // ((m-1)(m-2)) by the counting bound v(m-1)(m-2) <= 6r, with m
-    from `_ceiling_to_beat`; unbounded when m is 0."""
+    from `_ceiling_to_beat`."""
     m = _ceiling_to_beat(best, r)
-    return 6 * r // ((m - 1) * (m - 2)) if m else math.inf
+    return 6 * r // ((m - 1) * (m - 2))
 
 
 def _subtree_test(
@@ -695,7 +674,7 @@ def _subtree_test(
     Size r is out of reach by the vertex-count cut (such a family has at
     least k vertices, more than `_vertex_limit`) or by the overlap cut.  A
     family beating best[r] has ceil(lambda) >= m (`_ceiling_to_beat`, m >=
-    3), so by the overlap theorem each of its support edges lies in at
+    4), so by the overlap theorem each of its support edges lies in at
     least m - 2 of its triangles.  Each of the r - s - 1 triangles added to
     the child raises the codegree of at most 3 edges, so size r is out of
     reach when the child's edges lack more than its room, 3(r - s - 1), in
@@ -708,8 +687,6 @@ def _subtree_test(
     sizes = []
     for r in range(s + 2, t + 1):
         m = _ceiling_to_beat(best, r)
-        if not m:  # nothing to beat at size r: every child has a subtree
-            return lambda cols, k: True
         deficit = sum(max(0, m - 2 - len(entries)) for _, entries in node.columns.values())
         sizes.append((m, deficit, 3 * (r - s - 1), _vertex_limit(best, r)))
 
@@ -845,17 +822,16 @@ def _windmill(r: int) -> tuple:
 
 def _phi_sweep(
     t: int,
-    cap: int,
     budget_seconds: float | None,
     checkpoint: str | None,
 ) -> tuple[dict[int, tuple[float, tuple]], bool, dict[str, int]]:
     """One orderly sweep collecting the best connected family per size 1..t;
     returns the incumbents, whether the sweep completed in time, and this
-    run's work as integer counters, deterministic for a fresh full sweep.
+    run's work as integer counters, deterministic for a fresh sweep.
 
-    Each size r whose windmill fits the cap (2r + 1 <= cap) starts with
-    the incumbent (3.0, W_r) (`_windmill`), so the cuts read lambda = 3
-    from the first node on.
+    Every size r starts with the incumbent (3.0, W_r) (`_windmill`), so
+    every size has an incumbent and the cuts read lambda >= 3 from the
+    first node on.
 
     Every node is connected, and no candidate is a twin-orbit duplicate
     (see `_candidates`); a node's twin classes are computed when it is
@@ -909,11 +885,11 @@ def _phi_sweep(
     and a periodic save made, only at a node past the cursor, so each run
     moves the cursor forward.
     """
-    ckpt = _Checkpoint(checkpoint, t, cap) if checkpoint else None
+    ckpt = _Checkpoint(checkpoint, t) if checkpoint else None
     best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
     stats = dict.fromkeys(("nodes_entered", "families_solved", "stacks", "canonicity_tests",
                            "canonicity_rejected", "interlacing_dropped", "sizes_seeded"), 0)
-    for r in range(1, min(t, (cap - 1) // 2) + 1):
+    for r in range(1, t + 1):
         if r not in best or 3.0 > best[r][0] + IMPROVE_EPS:
             best[r] = (3.0, _windmill(r))
             stats["sizes_seeded"] += 1
@@ -942,12 +918,12 @@ def _phi_sweep(
             if ckpt and now > next_save:
                 ckpt.write(tris)
                 next_save = now + _SAVE_SECONDS
-        candidates = _candidates(tris, k, cap, twin)
+        candidates = _candidates(tris, k, twin)
         if len(start) > s and start[:s] == tris:  # on the cursor's path
             candidates = [(tri, k2) for tri, k2 in candidates if tri >= start[s]]
         # Cauchy interlacing bounds a childless child by its node: whether
         # one whose rank stays (tau) or grows (lambda) can beat best[s + 1].
-        limit = best[s + 1][0] - CEIL_GUARD if s + 1 in best else -math.inf
+        limit = best[s + 1][0] - CEIL_GUARD
         keep = (solved[1] > limit, solved[0] > limit)
         has_subtree = _subtree_test(best, node, t)
         columns = node.columns
@@ -996,44 +972,31 @@ def _phi_sweep(
     return best, completed, stats
 
 
-def _entry(t: int, best: dict[int, tuple[float, tuple]], completed: bool, cap: int) -> PhiEntry:
-    if t not in best:
-        stop = "" if completed else " before the time budget ran out"
-        raise ValueError(f"no family of {t} triangles found within {cap} vertices{stop}")
+def _entry(t: int, best: dict[int, tuple[float, tuple]], completed: bool) -> PhiEntry:
     phi, witness = best[t]
-    # Connected families of t triangles have at most 2t+1 vertices; those
-    # beyond the cap were not enumerated and must be out of reach.
-    exhaustive = completed and (2 * t + 1 <= cap or cap >= _vertex_limit(best, t))
     return PhiEntry(
         t=t,
         phi=phi,
         witness=TriangleFamily(witness),
-        exhaustive=exhaustive,
-        connected_max=tuple(best[s][0] if s in best else -math.inf for s in range(1, t + 1)),
+        exhaustive=completed,
+        connected_max=tuple(best[s][0] for s in range(1, t + 1)),
     )
 
 
 def phi_exact(
     t: int,
     *,
-    max_vertices: int | None = None,
     budget_seconds: float | None = None,
     checkpoint: str | None = None,
 ) -> PhiEntry:
     """Exact maximum of the spectral parameter over all t-triangle families:
     the budget-t entry of `phi_table(t, ...)`."""
-    return phi_table(
-        t,
-        max_vertices=max_vertices,
-        budget_seconds=budget_seconds,
-        checkpoint=checkpoint,
-    ).entries[t]
+    return phi_table(t, budget_seconds=budget_seconds, checkpoint=checkpoint).entries[t]
 
 
 def phi_table(
     t_max: int,
     *,
-    max_vertices: int | None = None,
     budget_seconds: float | None = None,
     checkpoint: str | None = None,
 ) -> PhiTable:
@@ -1044,19 +1007,15 @@ def phi_table(
     share at most one vertex share no edge, so d1 d1^T of their union is
     block-diagonal and its lambda the lesser of theirs, and gluing a
     disjoint union's components at one vertex gives a connected family of
-    the same lambda on fewer vertices.  Under an explicit `max_vertices` c,
-    phi(t) is the largest lambda over families on at most c vertices, and
-    a size with no family found there is refused.  An entry is
-    exhaustive, its phi the maximum over all families, when the sweep
-    completed within `budget_seconds` and either 2t+1 <= c or the counting
-    bound rules out every connected family on more than c vertices that
-    beats it, which covers the glued form of any other.  The sweep resumes
-    from, and records its progress in, the JSON `checkpoint`.  The table's
-    `stats` are the sweep's work counters (`_phi_sweep`)."""
+    the same lambda on fewer vertices.  A connected family of t triangles
+    has at most 2t+1 vertices, and the sweep reaches every one.  An entry
+    is exhaustive, its phi the maximum over all families, when the sweep
+    completed within `budget_seconds`.  The sweep resumes from, and
+    records its progress in, the JSON `checkpoint`.  The table's `stats`
+    are the sweep's work counters (`_phi_sweep`)."""
     if t_max < 1:
         raise ValueError(f"phi needs t >= 1, got {t_max}")
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError(f"budget_seconds must be positive, got {budget_seconds}")
-    cap = _resolve_cap(t_max, max_vertices)
-    best, completed, stats = _phi_sweep(t_max, cap, budget_seconds, checkpoint)
-    return PhiTable({t: _entry(t, best, completed, cap) for t in range(1, t_max + 1)}, stats)
+    best, completed, stats = _phi_sweep(t_max, budget_seconds, checkpoint)
+    return PhiTable({t: _entry(t, best, completed) for t in range(1, t_max + 1)}, stats)

@@ -111,12 +111,12 @@ def test_intro_families_check_no_triangle(monkeypatch):
     ]
 
 
-def test_phi_refuses_a_budget_no_family_fits(capsys):
-    # Under --max-vertices c, phi is the largest lambda over families on at
-    # most c vertices, and K_4 holds only 4 triangles.
+def test_phi_has_no_vertex_cap_option(capsys):
+    # phi searches every connected family, on at most 2t + 1 vertices, so a
+    # vertex cap is an unrecognised argument.
     code, out, err = run(capsys, "phi", "5", "--max-vertices", "4")
     assert (code, out) == (2, "")
-    assert "no family of 5 triangles found within 4 vertices" in err
+    assert "unrecognized arguments: --max-vertices 4" in err
 
 
 def test_lambda_of_a_comment_only_file_is_a_parse_error(tmp_path, capsys):
@@ -345,15 +345,16 @@ def test_phi_refuses_checkpoint_of_another_budget(tmp_path, capsys):
     assert "another search" in err
 
 
-def test_phi_checkpoint_keys_the_full_vertex_budget(tmp_path, capsys):
+def test_phi_refuses_checkpoint_of_the_layout_keyed_on_the_vertex_cap(tmp_path, capsys):
+    # Layout 3 keyed `search` on a vertex cap as well, which is gone; a
+    # file of a capped search skipped subtrees this one covers.
     path = tmp_path / "phi.ckpt"
-    assert run(capsys, "phi", "7", "--checkpoint", str(path))[0] == 0
+    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     doc = json.loads(path.read_text())
-    assert doc["search"]["cap"] == 15
-    # A file of the former 12-vertex search skipped subtrees this one covers.
-    doc["search"]["cap"] = 12
+    assert doc["search"] == {"t": 4, "layout": 4}
+    doc["search"] = {"t": 4, "cap": 9, "layout": 3}
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "phi", "7", "--checkpoint", str(path))
+    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
     assert (code, out) == (2, "")
     assert "belongs to another search" in err
 
@@ -377,7 +378,7 @@ def test_phi_refuses_checkpoint_of_the_unseeded_layout(tmp_path, capsys):
     path = tmp_path / "phi.ckpt"
     assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     doc = json.loads(path.read_text())
-    assert doc["search"]["layout"] == 3
+    assert doc["search"]["layout"] == 4
     doc["search"]["layout"] = 1
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
@@ -390,7 +391,7 @@ def test_phi_refuses_checkpoint_of_the_layout_keyed_on_prune(tmp_path, capsys):
     path = tmp_path / "phi.ckpt"
     assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     doc = json.loads(path.read_text())
-    assert doc["search"] == {"t": 4, "cap": 9, "layout": 3}
+    assert doc["search"] == {"t": 4, "layout": 4}
     doc["search"] = {"t": 4, "cap": 9, "prune": True, "layout": 2}
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
@@ -399,26 +400,26 @@ def test_phi_refuses_checkpoint_of_the_layout_keyed_on_prune(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "t,cap,witness",
+    "t,witness",
     [
-        (3, 5, [[1, 2, 3], [1, 4, 5], [1, 6, 7]]),  # W_3 needs 7 vertices
-        (3, 7, [[1, 2, 3], [1, 2, 3], [1, 2, 3]]),  # one triangle, three times
-        (2, 5, [[1, 2, 3], [4, 5, 6]]),  # disconnected, on 6 vertices
-        (3, 7, [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]),  # 4 triangles in a 3-search
+        (3, [[1, 2, 3], [1, 4, 5], [1, 6, 8]]),  # label 8 past 2t + 1
+        (3, [[1, 2, 3], [1, 2, 3], [1, 2, 3]]),  # one triangle, three times
+        (3, [[1, 2, 3], [4, 5, 6]]),  # disconnected
+        (3, [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]]),  # 4 triangles in a 3-search
     ],
 )
-def test_phi_refuses_checkpoint_incumbent_outside_the_search(tmp_path, capsys, t, cap, witness):
+def test_phi_refuses_checkpoint_incumbent_outside_the_search(tmp_path, capsys, t, witness):
     # Each witness's lambda is the sweep's own, so only the witness itself
-    # tells the file apart; read as an incumbent, the first three would be
-    # printed as an exhaustive maximum the search never reached.
+    # tells the file apart.  The first's lambda 3.0 ties the seed, so read
+    # as an incumbent it would be kept and printed as a witness of phi(3).
     lam = extremal._sweep_lambda(tuple(map(tuple, witness)))
     path = tmp_path / "phi.ckpt"
     path.write_text(json.dumps({
-        "search": {"t": t, "cap": cap, "layout": extremal._CHECKPOINT_LAYOUT},
+        "search": {"t": t, "layout": extremal._CHECKPOINT_LAYOUT},
         "best": {str(len(witness)): [lam, witness]},
         "cursor": [[1, 2, 3]],
     }))
-    code, out, err = run(capsys, "phi", str(t), "--max-vertices", str(cap), "--checkpoint", str(path))
+    code, out, err = run(capsys, "phi", str(t), "--checkpoint", str(path))
     assert (code, out) == (2, "")
     assert "another search" in err
 
@@ -594,14 +595,13 @@ def _manifest(tmp_path, *argv):
 @pytest.mark.parametrize(
     "argv, option",
     [
-        (["phi", "3"], ["--max-vertices", "5"]),
         (["phi", "3"], ["--budget-seconds", "100"]),
         (["verify", "hodge", "--seed", "1", "--random", "2"], ["--max-vertices", "6"]),
         (["verify", "rigidity"], ["--n", "4"]),
         (["verify", "gcb", "--b", "1"], ["--c", "3"]),
         (["verify", "gcb", "--c", "3"], ["--b", "2"]),
     ],
-    ids=["phi-max-vertices", "phi-budget", "verify-max-vertices", "verify-n", "verify-c", "verify-b"],
+    ids=["phi-budget", "verify-max-vertices", "verify-n", "verify-c", "verify-b"],
 )
 def test_manifest_digest_covers_each_option_that_changes_the_output(tmp_path, capsys, argv, option):
     first = _manifest(tmp_path, *argv)
