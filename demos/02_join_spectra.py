@@ -31,7 +31,7 @@ eigs = eigenvalues_symmetric(gram.astype(float))
 print("computed spectrum:", [round(float(e), 9) + 0.0 for e in eigs])
 print("predicted lambda:", gcb_lambda(spec), " computed:", round(lambda_of(fam), 9))
 
-# the eigenvectors are rational and satisfy their equations with no roundoff
+# the eigenvectors are integer vectors and satisfy their equations with no roundoff
 l1up = build_laplacian("L1_up", fam)
 w_ok = all(
     eigvec_residual(l1up, eigvec_bc(spec, x, y), spec.b + spec.c)

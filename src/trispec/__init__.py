@@ -32,7 +32,6 @@ from .extremal import (
     forbidden_interval,
     guarded_ceil,
     lambda_staircase,
-    lambda_staircase_many,
     near_integer,
     phi_exact,
     phi_table,
@@ -105,7 +104,6 @@ __all__ = [
     "harmonic_dimension",
     "lambda_of",
     "lambda_staircase",
-    "lambda_staircase_many",
     "load_family",
     "near_integer",
     "parse_construction",

@@ -3,8 +3,8 @@
 The central family here is the join construction: a clique on c vertices
 joined to b pairwise non-adjacent apex vertices.  Its triangle Laplacian
 spectrum is known in closed form, and explicit eigenvectors for both
-positive eigenvalues admit exact rational residual checks; only those
-checks import `fractions`.
+positive eigenvalues, scaled to integer vectors, admit exact residual
+checks in integer arithmetic.
 
 The budget decomposition writes a triangle count N as a sum of three join
 family sizes with clique sizes a, a+1, a+2; it exists for every
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 import numpy as np
@@ -125,52 +125,43 @@ def eigvec_c(
 
 def eigvec_bc(
     spec: GcbSpec, x: int, y: int, family: TriangleFamily | None = None
-) -> tuple[Fraction, ...]:
+) -> tuple[int, ...]:
     """Exact eigenvector of the edge-indexed up-Laplacian for eigenvalue b+c.
 
-    Defined for clique vertices 1 <= x < y <= c; entries have common
-    denominator b: the edge {x,y} gets 1 and each apex i contributes
-    -1/b on {x,i} and +1/b on {y,i}.  `family`, if given, must be
-    `gcb_family(spec)`, which is otherwise built here.
+    Defined for clique vertices 1 <= x < y <= c.  The eigenvector w has 1
+    on the edge {x,y}, and each apex i contributes -1/b on {x,i} and +1/b
+    on {y,i}; it is returned scaled by b, as the integer vector b*w: b on
+    {x,y}, -1 on each {x,i} and +1 on each {y,i}.  `family`, if given,
+    must be `gcb_family(spec)`, which is otherwise built here.
     """
-    from fractions import Fraction
     c, b = spec.c, spec.b
     if not 1 <= x < y <= c:
         raise ValueError(f"need 1 <= x < y <= {c}, got ({x}, {y})")
     graph = (gcb_family(spec) if family is None else family).support
     index = {e: i for i, e in enumerate(graph.edges)}
-    vec = [Fraction(0)] * len(graph.edges)
-    vec[index[(x, y)]] = Fraction(1)
+    vec = [0] * len(graph.edges)
+    vec[index[(x, y)]] = b
     for i in range(c + 1, b + c + 1):
-        vec[index[(x, i)]] -= Fraction(1, b)
-        vec[index[(y, i)]] += Fraction(1, b)
+        vec[index[(x, i)]] -= 1
+        vec[index[(y, i)]] += 1
     return tuple(vec)
 
 
-def _clear_denominators(vec) -> list[int]:
-    """Scale a rational vector by the lcm of its denominators to integers."""
-    from fractions import Fraction
-    fracs = [Fraction(v) for v in vec]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs]
-
-
 def eigvec_residual(matrix: np.ndarray, vec, eigenvalue: int) -> bool:
-    """True iff matrix @ vec == eigenvalue * vec exactly, in integer arithmetic.
+    """True iff matrix @ vec == eigenvalue * vec exactly.
 
-    Denominators are cleared first, so the comparison is between integers:
-    each row of the integer matrix is read as Python ints (`tolist`), and
-    its product with the cleared vector is one sum of Python-int products,
-    so no entry is ever rounded.
+    The entries of `vec` are exact numbers, ints or `Fraction`s: each row
+    of the integer matrix is read as Python ints (`tolist`), and its
+    product with the vector is one sum of exact products, so no entry is
+    ever rounded.
     """
-    ints = _clear_denominators(vec)
-    prod = [sum(map(mul, row.tolist(), ints)) for row in np.asarray(matrix)]
-    return prod == [eigenvalue * v for v in ints]
+    prod = [sum(map(mul, row.tolist(), vec)) for row in np.asarray(matrix)]
+    return prod == [eigenvalue * v for v in vec]
 
 
 def eigvec_matrix(vectors) -> np.ndarray:
-    """Stack rational vectors into an integer matrix by clearing denominators row-wise."""
-    return np.array([_clear_denominators(vec) for vec in vectors], dtype=object)
+    """Stack integer vectors into an int64 matrix, one row each."""
+    return np.array(vectors, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ IMPROVE_EPS = 1e-12
 _SAVE_SECONDS = 60.0
 # Layout of the checkpoint file, kept in its `search` key: bump it whenever
 # the keys of the file or their meaning change, so an older file is refused.
-_CHECKPOINT_LAYOUT = 4
+_CHECKPOINT_LAYOUT = 5
 
 
 def guarded_ceil(lam: float) -> int:
@@ -257,22 +257,15 @@ def lambda_staircase(t: int) -> int:
     """Largest n with comb(n, 3) <= t (minimum value 3; t >= 1)."""
     if t < 1:
         raise ValueError(f"staircase needs t >= 1, got {t}")
-    n = 3
-    while comb(n + 1, 3) <= t:
-        n += 1
-    return n
-
-
-def lambda_staircase_many(ts) -> np.ndarray:
-    """Vectorized staircase for large ranges of t."""
-    ts = np.asarray(ts, dtype=np.int64)
-    if ts.size and int(ts.min()) < 1:
-        raise ValueError("staircase needs t >= 1")
-    top = 3
-    while comb(top + 1, 3) <= int(ts.max(initial=1)):
-        top += 1
-    thresholds = np.array([comb(n, 3) for n in range(3, top + 2)], dtype=np.int64)
-    return np.searchsorted(thresholds, ts, side="right") + 2
+    # Bisect with comb(lo, 3) <= t < comb(hi, 3), hi found by doubling, so
+    # the cost grows with log t, not with the answer.
+    lo, hi = 3, 4
+    while comb(hi, 3) <= t:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if comb(mid, 3) <= t else (lo, mid)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -587,32 +580,32 @@ def _is_node(tris: tuple, t: int) -> bool:
 
 
 class _Checkpoint:
-    """JSON resume file: the search it belongs to, the incumbent per size
-    and the cursor, the last node of the sweep entered.
+    """JSON resume file: the search it belongs to, the witness of the
+    incumbent per size and the cursor, the last node of the sweep entered.
 
-    A file of another budget `t` or layout is refused, since it would skip
-    subtrees never searched for this budget; so is one that does not
-    parse, lacks a key, has a wrong type, or whose cursor is not a node of
-    this search, since reading part of it could drop an incumbent or skip
-    unsearched subtrees and report a wrong maximum.  So
-    is an incumbent that is not a family of this search, which would be
-    reported as its maximum: its size outside 1..t, or its witness not its
-    own canonical form, on a label outside 1..2t+1, disconnected, or of a
-    lambda other than `_sweep_lambda`'s.  Canonicity is not checked, since
-    it costs seconds on the larger witnesses.
+    The file holds no lambda: the sweep solves each witness again and
+    offers it to its replace rule after the seeds.  A file of another
+    budget `t` or layout is refused, since it would skip subtrees never
+    searched for this budget; so is one that does not parse, lacks a key,
+    has a wrong type, or whose cursor is not a node of this search, since
+    reading part of it could drop an incumbent or skip unsearched subtrees
+    and report a wrong maximum.  So is a witness that is not a family of
+    this search: its size outside 1..t, or not its own canonical form, on
+    a label outside 1..2t+1, or disconnected.  Canonicity is not checked,
+    since it costs seconds on the larger witnesses.
     """
 
     def __init__(self, path, t: int):
         self.path = path
         self.search = {"t": t, "layout": _CHECKPOINT_LAYOUT}
-        self.best: dict[int, tuple[float, tuple]] = {}
+        self.witnesses: list[tuple] = []
         self.cursor: tuple = ()
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
             if doc["search"] != self.search:
                 raise ValueError(f"found search {doc['search']!r}")
-            for s, (lam, witness) in doc["best"].items():
+            for s, witness in doc["best"].items():
                 tris = _triangles(witness, int(s))
                 family = TriangleFamily(tris)
                 if not (
@@ -622,10 +615,7 @@ class _Checkpoint:
                     and len(family.components) == 1
                 ):
                     raise ValueError(f"witness {tris!r} is not a connected family of this search")
-                # The solved lambda is finite, so this refuses Infinity and NaN too.
-                if type(lam) is not float or lam != _sweep_lambda(tris):
-                    raise ValueError(f"lambda {lam!r} is not the float lambda of its witness {tris!r}")
-                self.best[int(s)] = (lam, tris)
+                self.witnesses.append(tris)
             self.cursor = _triangles(doc["cursor"], len(doc["cursor"]))
             if not _is_node(self.cursor, t):
                 raise ValueError(f"cursor {self.cursor!r} is not a node of this search")
@@ -637,8 +627,9 @@ class _Checkpoint:
                 f"(expected search {self.search!r}): {exc!r}"
             ) from None
 
-    def write(self, cursor: tuple) -> None:
-        doc = {"search": self.search, "best": self.best, "cursor": cursor}
+    def write(self, best: dict[int, tuple[float, tuple]], cursor: tuple) -> None:
+        witnesses = {r: tris for r, (_, tris) in best.items()}
+        doc = {"search": self.search, "best": witnesses, "cursor": cursor}
         # Write beside the target and rename, so an interrupted write leaves
         # the previous checkpoint intact.
         tmp = f"{self.path}.tmp"
@@ -829,9 +820,13 @@ def _phi_sweep(
     returns the incumbents, whether the sweep completed in time, and this
     run's work as integer counters, deterministic for a fresh sweep.
 
-    Every size r starts with the incumbent (3.0, W_r) (`_windmill`), so
+    One replace rule, `offer`, is the only code that writes the
+    incumbents: it keeps a family when its size has no incumbent or its
+    lambda beats the incumbent's by more than IMPROVE_EPS.  The sweep
+    offers the seed (3.0, W_r) (`_windmill`) for every size r first, so
     every size has an incumbent and the cuts read lambda >= 3 from the
-    first node on.
+    first node on; then each checkpoint witness at its `_sweep_lambda`;
+    then every solved child.
 
     Every node is connected, and no candidate is a twin-orbit duplicate
     (see `_candidates`); a node's twin classes are computed when it is
@@ -877,6 +872,10 @@ def _phi_sweep(
     still has the same positive spectrum, so there is no L1_up path and no
     fallback.
 
+    A checkpoint stores each incumbent's witness, never its lambda.  An
+    incumbent the sweep recorded is the seed or beat it by more than
+    IMPROVE_EPS, and offered again at the same lambda after the seed it
+    is kept again, so a resumed sweep starts from the incumbents it saved.
     Every node lex-smaller than the checkpoint's cursor and not on its
     path is finished: those are skipped, and the path itself is entered
     again (a resume redoes the cursor's stack, which cannot replace an
@@ -886,13 +885,21 @@ def _phi_sweep(
     moves the cursor forward.
     """
     ckpt = _Checkpoint(checkpoint, t) if checkpoint else None
-    best: dict[int, tuple[float, tuple]] = ckpt.best if ckpt else {}
+    best: dict[int, tuple[float, tuple]] = {}
     stats = dict.fromkeys(("nodes_entered", "families_solved", "stacks", "canonicity_tests",
-                           "canonicity_rejected", "interlacing_dropped", "sizes_seeded"), 0)
+                           "canonicity_rejected", "interlacing_dropped"), 0)
+
+    def offer(lam: float, tris: tuple) -> None:
+        """The replace rule, the only writer of `best`: keep `tris` when its
+        size has no incumbent or `lam` beats the incumbent's by IMPROVE_EPS."""
+        r = len(tris)
+        if r not in best or lam > best[r][0] + IMPROVE_EPS:
+            best[r] = (lam, tris)
+
     for r in range(1, t + 1):
-        if r not in best or 3.0 > best[r][0] + IMPROVE_EPS:
-            best[r] = (3.0, _windmill(r))
-            stats["sizes_seeded"] += 1
+        offer(3.0, _windmill(r))
+    for tris in ckpt.witnesses if ckpt else ():
+        offer(_sweep_lambda(tris), tris)
     start = ckpt.cursor if ckpt else ()
     last = start
     now = time.monotonic()
@@ -916,7 +923,7 @@ def _phi_sweep(
             if now > deadline:
                 raise _BudgetExceeded
             if ckpt and now > next_save:
-                ckpt.write(tris)
+                ckpt.write(best, tris)
                 next_save = now + _SAVE_SECONDS
         candidates = _candidates(tris, k, twin)
         if len(start) > s and start[:s] == tris:  # on the cursor's path
@@ -955,9 +962,7 @@ def _phi_sweep(
         for (child, k2, child_twin), child_solved, child_gram in zip(
             kept, _sweep_solve(children, grams), grams
         ):
-            r = len(child.tris)
-            if r not in best or child_solved[0] > best[r][0] + IMPROVE_EPS:
-                best[r] = (child_solved[0], child.tris)
+            offer(child_solved[0], child.tris)
             if child_twin is not None:
                 visit(_extend(node, child.tris[-1]), k2, child_twin, child_solved, child_gram)
 
@@ -968,7 +973,7 @@ def _phi_sweep(
         completed = False
     finally:
         if ckpt and last:
-            ckpt.write(last)
+            ckpt.write(best, last)
     return best, completed, stats
 
 

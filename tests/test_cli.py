@@ -345,58 +345,34 @@ def test_phi_refuses_checkpoint_of_another_budget(tmp_path, capsys):
     assert "another search" in err
 
 
-def test_phi_refuses_checkpoint_of_the_layout_keyed_on_the_vertex_cap(tmp_path, capsys):
-    # Layout 3 keyed `search` on a vertex cap as well, which is gone; a
-    # file of a capped search skipped subtrees this one covers.
+@pytest.mark.parametrize(
+    "search",
+    [
+        {"t": 4, "cap": 9, "layout": 3},  # also keyed on a vertex cap, now gone
+        {"t": 4, "cap": 9, "version": "0.1.0"},  # keyed on the tool version, before layouts
+        {"t": 4, "layout": 1},  # incumbents grown without the windmill seed
+        {"t": 4, "cap": 9, "prune": True, "layout": 2},  # also keyed on `prune`, now gone
+        {"t": 4, "layout": 4},  # each witness stored beside its lambda
+    ],
+    ids=["vertex-cap", "version", "unseeded", "prune", "lambda-pairs"],
+)
+def test_phi_refuses_checkpoint_of_an_older_layout(tmp_path, capsys, search):
+    # Each file is the one `phi 4` writes, under an older `search`; the
+    # layout-4 file also holds `best` as that layout did, [lambda, witness].
     path = tmp_path / "phi.ckpt"
     assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     doc = json.loads(path.read_text())
-    assert doc["search"] == {"t": 4, "layout": 4}
-    doc["search"] = {"t": 4, "cap": 9, "layout": 3}
+    assert doc["search"] == {"t": 4, "layout": 5}
+    if search.get("layout") == 4:
+        doc["best"] = {
+            s: [extremal._sweep_lambda(tuple(map(tuple, witness))), witness]
+            for s, witness in doc["best"].items()
+        }
+    doc["search"] = search
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
     assert (code, out) == (2, "")
-    assert "belongs to another search" in err
-
-
-def test_phi_refuses_checkpoint_without_a_layout(tmp_path, capsys):
-    # Checkpoints written before the layout number keyed `search` on the
-    # tool version instead.
-    path = tmp_path / "phi.ckpt"
-    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
-    doc = json.loads(path.read_text())
-    doc["search"] = {"t": 4, "cap": 9, "version": "0.1.0"}
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
-    assert (code, out) == (2, "")
-    assert "another search" in err
-
-
-def test_phi_refuses_checkpoint_of_the_unseeded_layout(tmp_path, capsys):
-    # Layout 1 held incumbents grown without the windmill seed; resuming
-    # one would end on other witnesses than a fresh run.
-    path = tmp_path / "phi.ckpt"
-    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
-    doc = json.loads(path.read_text())
-    assert doc["search"]["layout"] == 4
-    doc["search"]["layout"] = 1
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
-    assert (code, out) == (2, "")
-    assert "another search" in err
-
-
-def test_phi_refuses_checkpoint_of_the_layout_keyed_on_prune(tmp_path, capsys):
-    # Layout 2 keyed `search` on the prune setting as well, which is gone.
-    path = tmp_path / "phi.ckpt"
-    assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
-    doc = json.loads(path.read_text())
-    assert doc["search"] == {"t": 4, "layout": 4}
-    doc["search"] = {"t": 4, "cap": 9, "prune": True, "layout": 2}
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
-    assert (code, out) == (2, "")
-    assert "another search" in err
+    assert "belongs to another search" in err and "found search" in err
 
 
 @pytest.mark.parametrize(
@@ -409,14 +385,13 @@ def test_phi_refuses_checkpoint_of_the_layout_keyed_on_prune(tmp_path, capsys):
     ],
 )
 def test_phi_refuses_checkpoint_incumbent_outside_the_search(tmp_path, capsys, t, witness):
-    # Each witness's lambda is the sweep's own, so only the witness itself
-    # tells the file apart.  The first's lambda 3.0 ties the seed, so read
-    # as an incumbent it would be kept and printed as a witness of phi(3).
-    lam = extremal._sweep_lambda(tuple(map(tuple, witness)))
+    # The file holds witnesses only, so the witness itself tells it apart.
+    # The first one's lambda 3.0 only ties the seed, so offered it would
+    # lose; the label check refuses it before that.
     path = tmp_path / "phi.ckpt"
     path.write_text(json.dumps({
         "search": {"t": t, "layout": extremal._CHECKPOINT_LAYOUT},
-        "best": {str(len(witness)): [lam, witness]},
+        "best": {str(len(witness)): witness},
         "cursor": [[1, 2, 3]],
     }))
     code, out, err = run(capsys, "phi", str(t), "--checkpoint", str(path))
@@ -429,7 +404,7 @@ def test_phi_refuses_malformed_checkpoint(tmp_path, capsys):
     assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     finished = path.read_text()
     doc = json.loads(finished)
-    del doc["best"]["4"][1]  # the witness of the size-4 incumbent
+    del doc["cursor"]
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "phi", "4", "--checkpoint", str(path))
     assert (code, out) == (2, "")
@@ -445,11 +420,11 @@ def test_phi_refuses_checkpoint_whose_triangles_are_malformed(tmp_path, capsys):
     path = tmp_path / "phi.ckpt"
     assert run(capsys, "phi", "4", "--checkpoint", str(path))[0] == 0
     doc = json.loads(path.read_text())
-    lam, witness = doc["best"]["4"]
+    witness = doc["best"]["4"]
     bad = [
-        dict(doc, best={**doc["best"], "4": [lam, witness[:3]]}),  # 3 triples for size 4
-        dict(doc, best={**doc["best"], "4": [lam, [["1", 2, 3]] + witness[1:]]}),
-        dict(doc, best={**doc["best"], "4": [lam, [[True, 2, 3]] + witness[1:]]}),
+        dict(doc, best={**doc["best"], "4": witness[:3]}),  # 3 triples for size 4
+        dict(doc, best={**doc["best"], "4": [["1", 2, 3]] + witness[1:]}),
+        dict(doc, best={**doc["best"], "4": [[True, 2, 3]] + witness[1:]}),
         dict(doc, cursor=[[1, 2]]),
     ]
     for broken in bad:
@@ -634,7 +609,7 @@ def test_lean_commands_load_neither_openssl_nor_fractions(tmp_path, capsys):
         "print(json.dumps(seen))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    commands = ["phi 3", "lambda kn:4", "verify hodge --seed 1 --random 5"]
+    commands = ["phi 3", "lambda kn:4", "verify hodge --seed 1 --random 5", "verify gcb"]
     result = subprocess.run(
         [sys.executable, "-c", script, *commands],
         env=dict(os.environ, PYTHONPATH=src),
@@ -643,7 +618,8 @@ def test_lean_commands_load_neither_openssl_nor_fractions(tmp_path, capsys):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[0, []]] * len(commands)
-    # The commands that need them still get them.
+    # A manifest, which needs hashlib, still gets it, and the gcb suite's
+    # exact eigenvector checks, now in integers, all still run.
     manifest = _manifest(tmp_path, "lambda", "kn:4")
     text = family_to_text(complete_family(4))
     assert manifest["input_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -311,7 +311,7 @@ def test_phi_five_is_three_with_the_windmill_witness():
 
 def test_windmill_seed_is_canonical_with_lambda_exactly_three():
     # d1 d1^T = 3I, so both solvers return 3.0 to the bit, and a checkpoint
-    # holding the seed passes the check against `_sweep_lambda`.
+    # witness W_r, offered at its `_sweep_lambda`, ties the seed.
     # `_is_lex_min` grows about tenfold per blade on a windmill, so it is
     # checked up to W_7 (15 labels), and against brute force up to W_3.
     for r in range(1, 16):
@@ -390,14 +390,14 @@ def test_phi_sweep_stats_are_pinned():
     # solved without a canonicity test; no family is skipped at its own
     # size.  `_candidates` drops the copies not least in their twin orbit.
     # There is one stack per entered node with a child left, plus the
-    # root's, and every size is seeded.
+    # root's.
     keys = ("families_solved", "canonicity_tests", "stacks", "nodes_entered",
             "canonicity_rejected", "interlacing_dropped")
     pinned = {6: (33, 35, 11, 23, 13, 196), 7: (68, 92, 22, 60, 33, 618), 8: (137, 172, 41, 126, 47, 1538)}
     for t, counts in pinned.items():
         table = phi_table(t)
         assert table.entries[t].exhaustive
-        assert table.stats == dict(zip(keys, counts), sizes_seeded=t)
+        assert table.stats == dict(zip(keys, counts))
 
 
 # The ids "<t>-True" keep the names these cases had when the sweep could
@@ -767,11 +767,13 @@ def test_phi_checkpoint_resume(tmp_path):
     # the finished checkpoint skips every subtree, so a rerun is instant
     again = phi_exact(5, checkpoint=str(path))
     assert abs(again.phi - want.phi) < 1e-9
-    doc = json.loads(path.read_text())
+    # Each size maps to its incumbent's witness alone; the file holds no float.
+    doc = json.loads(path.read_text(), parse_float=lambda s: pytest.fail(f"float {s} stored"))
     assert set(doc) == {"search", "best", "cursor"}
     assert doc["search"] == {"t": 5, "layout": extremal._CHECKPOINT_LAYOUT}
-    assert doc["best"]["4"][0] == want.connected_max[3]
-    assert len(doc["best"]["4"][1]) == 4
+    assert sorted(doc["best"], key=int) == [str(r) for r in range(1, 6)]
+    assert all(len(witness) == int(r) for r, witness in doc["best"].items())
+    assert extremal._sweep_lambda(tuple(map(tuple, doc["best"]["4"]))) == want.connected_max[3]
     assert doc["cursor"][0] == [1, 2, 3] and 1 <= len(doc["cursor"]) <= 5
 
 
@@ -804,32 +806,35 @@ def test_checkpoint_without_header_is_refused(tmp_path):
         phi_exact(3, checkpoint=str(path))
 
 
-@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, 1e308, math.nextafter(3.0, 4.0), 3])
-def test_checkpoint_whose_lambda_is_not_its_witnesses_is_refused(tmp_path, lam):
-    # A stored incumbent too large would cut subtrees that beat the true
-    # one; the file as written resumes.
+def test_checkpoint_witness_a_round_off_below_the_seed_resumes_to_fresh(tmp_path):
+    # This 7-triangle family solves to 2.9999999999999996, a round-off below
+    # the seed's exact 3.0: offered after the seed it loses, as in a fresh run.
+    witness = [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 5], [2, 3, 4], [2, 3, 5]]
+    assert extremal._sweep_lambda(tuple(map(tuple, witness))) == 2.9999999999999996
     path = tmp_path / "phi.ckpt"
-    phi_exact(6, budget_seconds=1e-9, checkpoint=str(path))
-    doc = json.loads(path.read_text())
-    assert doc["best"]["1"] == [3.0, [[1, 2, 3]]]
-    assert phi_exact(6, checkpoint=str(path)).to_dict() == phi_exact(6).to_dict()
-    doc["best"]["1"][0] = lam
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="another search.*is not the float lambda of its witness"):
-        phi_exact(6, checkpoint=str(path))
+    path.write_text(json.dumps({
+        "search": {"t": 7, "layout": extremal._CHECKPOINT_LAYOUT},
+        "best": {"7": witness},
+        "cursor": [[1, 2, 3]],
+    }))
+    assert phi_exact(7, checkpoint=str(path)).to_dict() == phi_exact(7).to_dict()
 
 
 def test_checkpoint_compares_a_large_incumbent_with_the_sweeps_own_lambda(tmp_path):
     # K_6 has 20 triangles on 15 edges, so lambda_of solves L1_up, whose last
-    # bits differ from the sweep's d1 d1^T; the file must still resume.
+    # bits differ from the sweep's d1 d1^T; the witness is offered at the
+    # sweep's value, as a family the sweep solved would be.
     tris = complete_family(6).triangles
     lam = extremal._sweep_lambda(tris)
     assert lam != lambda_of(complete_family(6)) and lam == pytest.approx(6.0)
     path = tmp_path / "phi.ckpt"
     search = {"t": 20, "layout": extremal._CHECKPOINT_LAYOUT}
-    best = {"20": [lam, [list(tri) for tri in tris]]}
+    best = {"20": [list(tri) for tri in tris]}
     path.write_text(json.dumps({"search": search, "best": best, "cursor": [[1, 2, 3]]}))
-    assert extremal._Checkpoint(str(path), 20).best == {20: (lam, tris)}
+    best, completed, _ = extremal._phi_sweep(20, 1e-9, str(path))
+    assert not completed
+    assert best[20] == (lam, tris)
+    assert json.loads(path.read_text())["best"]["20"] == [list(tri) for tri in tris]
 
 
 def test_completed_checkpoint_rerun_equals_fresh(tmp_path):
